@@ -1,11 +1,14 @@
 """Command line front end.
 
-One subcommand per task family; every answer is a single JSON document on
-stdout (``--format text`` flattens it to ``key: value`` lines).  Failures
-print ``{"error": {"code", "message", "position"?}}`` and exit 1; anything
-unexpected exits 2.  Two environment knobs bound the work done per call:
-``LONGSOL_DEPTH`` caps thread depth (default 6) and ``LONGSOL_INDEX_BOUND``
-caps stage sizes (default 48).
+One subcommand per task family, each declared once in ``COMMANDS``.  An
+answer is a single JSON document on stdout (``--format text`` flattens it
+to ``key: value`` lines) and exits 0.  Failures print ``{"error": {"code",
+"message", "position"?}}`` and exit 1; anything unexpected exits 2.  Two
+environment knobs bound the work done per call, and each is checked before
+the work it bounds starts: ``LONGSOL_DEPTH`` caps thread depth (default 6)
+and ``LONGSOL_INDEX_BOUND`` caps stage sizes (default 48); a call over
+either fails with ``bad-command``.  Ordinal literals nesting deeper than 16
+fail with ``representation-overflow`` while they are read.
 """
 
 from __future__ import annotations
@@ -42,45 +45,6 @@ from .tower import point_type
 DEFAULT_DEPTH = 6
 DEFAULT_INDEX_BOUND = 48
 
-# Which subcommand exercises each library operation.  Audited by the test
-# suite so the table cannot rot: every public operation stays reachable
-# from exactly one entry here.
-OPERATION_COVERAGE = {
-    "ordinal.compare": "ord",
-    "ordinal.add": "ord",
-    "ordinal.mul": "ord",
-    "ordinal.omega_pow": "ord",
-    "longline.is_ng": "classify",
-    "longline.partition_class": "classify",
-    "longline.distinct_orbit_proof": "orbit",
-    "longline.same_orbit_recipe": "orbit",
-    "tower.point_type": "classify",
-    "tower.same_orbit": "orbit",
-    "tower.base_automorphism_token": "orbit",
-    "tower.strip_top": "orbit",
-    "tower.within_copy_hat": "orbit",
-    "stages.apply_bond": "thread verify",
-    "stages.fiber": "fiber",
-    "stages.rotate": "orbit",
-    "stages.translate": "orbit",
-    "stages.apply_hat": "orbit",
-    "stages.apply_recipe": "orbit",
-    "stages.verify_commutes": "orbit",
-    "stages.synthesize_recipe": "orbit",
-    "stages.extend_thread": "thread extend",
-    "arcs.preimage_components": "indecomp",
-    "arcs.uncovered_point": "indecomp",
-    "arcs.indecomposability_witness": "indecomp",
-    "arcs.circular_chain_check": "chain-check",
-    "cohomology.supernatural_of": "cohomology invariant",
-    "cohomology.mccord_equivalent": "cohomology equiv",
-    "cohomology.member": "cohomology member",
-    "cohomology.dl_of_rational": "cohomology sum",
-    "cohomology.dl_add": "cohomology sum",
-    "cohomology.dl_value": "cohomology sum",
-    "cohomology.h1_action": "cohomology degree",
-}
-
 
 def _env_int(name, default):
     raw = os.environ.get(name)
@@ -95,12 +59,18 @@ def _env_int(name, default):
     return value
 
 
-def _depth_bound():
-    return _env_int("LONGSOL_DEPTH", DEFAULT_DEPTH)
+def _check_stage(size):
+    bound = _env_int("LONGSOL_INDEX_BOUND", DEFAULT_INDEX_BOUND)
+    if size > bound:
+        raise CommandError(
+            "stage size %d exceeds LONGSOL_INDEX_BOUND=%d" % (size, bound)
+        )
 
 
-def _index_bound():
-    return _env_int("LONGSOL_INDEX_BOUND", DEFAULT_INDEX_BOUND)
+def _check_depth(depth):
+    bound = _env_int("LONGSOL_DEPTH", DEFAULT_DEPTH)
+    if depth > bound:
+        raise CommandError("depth %d exceeds LONGSOL_DEPTH=%d" % (depth, bound))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -108,35 +78,28 @@ class _Parser(argparse.ArgumentParser):
         raise CommandError(message)
 
 
-def _mode(args):
-    if getattr(args, "tower", None) is not None:
+def _mode(args, required=True):
+    if args.tower is not None:
         if args.tower < 1:
             raise CommandError("--tower takes a level >= 1")
         return "tower", args.tower
-    if getattr(args, "long", False):
+    if args.long:
         return "long", None
-    raise CommandError("choose --tower KAPPA or --long")
+    if required:
+        raise CommandError("choose --tower KAPPA or --long")
+    return None, None
 
 
 def _exponents(args):
-    exps = tuple(parsing._parse_int(piece, start) for piece, start in
-                 parsing._split_top(args.p, ","))
-    if not exps:
-        raise CommandError("--p takes a comma separated exponent list")
-    bound = _index_bound()
+    exps = parsing.parse_exponents(args.p)
+    _check_stage(1)  # a bad LONGSOL_INDEX_BOUND is reported before a bad exponent
     size = 1
     for k in exps:
         if k < 1:
             raise CommandError("bonding exponents are positive")
         size *= k
-        if size > bound:
-            raise CommandError(
-                "stage size %d exceeds LONGSOL_INDEX_BOUND=%d" % (size, bound)
-            )
-    if len(exps) + 1 > _depth_bound():
-        raise CommandError(
-            "depth %d exceeds LONGSOL_DEPTH=%d" % (len(exps) + 1, _depth_bound())
-        )
+        _check_stage(size)
+    _check_depth(len(exps) + 1)
     return exps
 
 
@@ -233,11 +196,7 @@ def _cmd_orbit(args):
 def _cmd_fiber(args):
     if args.m < 1 or args.n < 1:
         raise CommandError("--m and --n are positive")
-    if args.m * args.n > _index_bound():
-        raise CommandError(
-            "stage size %d exceeds LONGSOL_INDEX_BOUND=%d"
-            % (args.m * args.n, _index_bound())
-        )
+    _check_stage(args.m * args.n)
     stripped = args.point.strip()
     if stripped.startswith("inf"):
         q = parsing.parse_stage_point(args.point, args.n)
@@ -248,17 +207,9 @@ def _cmd_fiber(args):
     return {"stage": args.m * args.n, "points": [str(p) for p in points]}
 
 
-def _thread_inputs(args):
-    mode = None
-    kappa = None
-    if getattr(args, "tower", None) is not None or getattr(args, "long", False):
-        mode, kappa = _mode(args)
-    exps = _exponents(args)
-    return exps, mode, kappa
-
-
 def _cmd_thread_verify(args):
-    exps, mode, kappa = _thread_inputs(args)
+    mode, kappa = _mode(args, required=False)
+    exps = _exponents(args)
     try:
         thread = parsing.parse_thread(exps, args.points, mode, kappa)
     except LongSolError as err:
@@ -273,15 +224,11 @@ def _cmd_thread_verify(args):
 
 
 def _cmd_thread_extend(args):
-    exps, mode, kappa = _thread_inputs(args)
-    thread = parsing.parse_thread(exps, args.points, mode, kappa)
+    mode, kappa = _mode(args, required=False)
+    thread = parsing.parse_thread(_exponents(args), args.points, mode, kappa)
     if args.levels < 1:
         raise CommandError("--levels is positive")
-    if thread.depth + args.levels > _depth_bound():
-        raise CommandError(
-            "depth %d exceeds LONGSOL_DEPTH=%d"
-            % (thread.depth + args.levels, _depth_bound())
-        )
+    _check_depth(thread.depth + args.levels)
     extensions = extend_thread(thread, args.levels)
     return {"count": len(extensions), "threads": [str(t) for t in extensions]}
 
@@ -291,11 +238,7 @@ def _cmd_indecomp(args):
         raise CommandError("--n is positive")
     if args.pn < 1:
         raise CommandError("--pn is positive")
-    if args.pn * args.n > _index_bound():
-        raise CommandError(
-            "stage size %d exceeds LONGSOL_INDEX_BOUND=%d"
-            % (args.pn * args.n, _index_bound())
-        )
+    _check_stage(args.pn * args.n)
     c_arc = parsing.parse_arc(args.c_arc, args.n)
     g_arc = parsing.parse_arc(args.g_arc, args.n)
     report = indecomposability_witness(args.pn, args.n, c_arc, g_arc)
@@ -317,8 +260,7 @@ def _cmd_indecomp(args):
 def _cmd_chain_check(args):
     if args.n < 1:
         raise CommandError("--n is positive")
-    pieces = parsing._split_top(args.arcs, ",")
-    arcs = [parsing.parse_arc(piece, args.n, start) for piece, start in pieces]
+    arcs = parsing.parse_arc_list(args.arcs, args.n)
     return {"circular": circular_chain_check(arcs)}
 
 
@@ -362,96 +304,107 @@ def _cmd_coh_degree(args):
     return {"degree": h1_action(args.m, args.n)}
 
 
+_MODE = (
+    ("--tower", {"type": int, "help": "tower level kappa"}),
+    ("--long", {"action": "store_true", "help": "long line mode"}),
+)
+_REQUIRED = {"required": True}
+_REQUIRED_INT = {"type": int, "required": True}
+_EXPONENTS = ("--p", dict(_REQUIRED, help="bonding exponents k(1),k(2),..."))
+_THREAD = (
+    _EXPONENTS,
+    ("--points", dict(_REQUIRED, help="stage points joined by ';'")),
+) + _MODE
+_GROUPS = {
+    "thread": "thread validity and extension",
+    "cohomology": "first Cech cohomology of a solenoid",
+}
+
+# One row per leaf subcommand: its path, handler, help, arguments, and the
+# library operations it exercises.  The parser and OPERATION_COVERAGE are
+# both built from this table, and the test suite audits the coverage so it
+# cannot rot: every public operation stays reachable from exactly one row.
+COMMANDS = (
+    ("ord", _cmd_ord, "ordinal arithmetic in normal form", (
+        ("--expr", {"help": "normalize one expression"}),
+        ("--a", {"help": "left operand for --add/--mul/--cmp"}),
+        ("--add", {"help": "right operand of a sum"}),
+        ("--mul", {"help": "right operand of a product"}),
+        ("--cmp", {"help": "right operand of a comparison"}),
+        ("--omega-pow", {"help": "exponent for w^x"}),
+    ), ("ordinal.compare", "ordinal.add", "ordinal.mul", "ordinal.omega_pow")),
+    ("classify", _cmd_classify, "type or class of a single point",
+     _MODE + (("--point", _REQUIRED),),
+     ("longline.is_ng", "longline.partition_class", "tower.point_type")),
+    ("orbit", _cmd_orbit, "decide or witness a homeomorphism move", _MODE + (
+        _EXPONENTS,
+        ("--x", dict(_REQUIRED, help="first thread")),
+        ("--y", dict(_REQUIRED, help="second thread")),
+    ), ("longline.distinct_orbit_proof", "longline.same_orbit_recipe",
+        "tower.same_orbit", "tower.base_automorphism_token", "tower.strip_top",
+        "tower.within_copy_hat", "stages.rotate", "stages.translate",
+        "stages.apply_hat", "stages.apply_recipe", "stages.verify_commutes",
+        "stages.synthesize_recipe")),
+    ("fiber", _cmd_fiber, "preimages of a point under a bonding map", (
+        ("--m", dict(_REQUIRED_INT, help="covering degree")),
+        ("--n", dict(_REQUIRED_INT, help="base stage size")),
+        ("--point", _REQUIRED),
+    ) + _MODE, ("stages.fiber",)),
+    ("thread verify", _cmd_thread_verify, "check a thread against its bonds",
+     _THREAD, ("stages.apply_bond",)),
+    ("thread extend", _cmd_thread_extend, "every extension by more levels",
+     _THREAD + (("--levels", {"type": int, "default": 1}),),
+     ("stages.extend_thread",)),
+    ("indecomp", _cmd_indecomp, "two-arc indecomposability witness", (
+        ("--pn", dict(_REQUIRED_INT, help="covering multiplicity")),
+        ("--n", dict(_REQUIRED_INT, help="base stage size")),
+        ("--c-arc", _REQUIRED),
+        ("--g-arc", _REQUIRED),
+    ), ("arcs.preimage_components", "arcs.uncovered_point",
+        "arcs.indecomposability_witness")),
+    ("chain-check", _cmd_chain_check, "circular chain adjacency audit", (
+        ("--n", _REQUIRED_INT),
+        ("--arcs", dict(_REQUIRED, help="comma separated arcs")),
+    ), ("arcs.circular_chain_check",)),
+    ("cohomology invariant", _cmd_coh_invariant, "supernatural invariant",
+     (("--s", dict(_REQUIRED, help="bonding descriptor PREFIX:CYCLE")),),
+     ("cohomology.supernatural_of",)),
+    ("cohomology equiv", _cmd_coh_equiv, "McCord equivalence of two solenoids",
+     (("--a", _REQUIRED), ("--b", _REQUIRED)), ("cohomology.mccord_equivalent",)),
+    ("cohomology member", _cmd_coh_member, "membership of a rational",
+     (("--s", _REQUIRED), ("--r", dict(_REQUIRED, help="rational N/D"))),
+     ("cohomology.member",)),
+    ("cohomology sum", _cmd_coh_sum, "sum in the direct limit",
+     (("--s", _REQUIRED), ("--a", _REQUIRED), ("--b", _REQUIRED)),
+     ("cohomology.dl_of_rational", "cohomology.dl_add", "cohomology.dl_value")),
+    ("cohomology degree", _cmd_coh_degree, "degree of a bond on H^1",
+     (("--m", _REQUIRED_INT), ("--n", _REQUIRED_INT)), ("cohomology.h1_action",)),
+)
+
+OPERATION_COVERAGE = {op: path for path, *_, ops in COMMANDS for op in ops}
+
+
 def build_parser():
     parser = _Parser(prog="longsol", description=__doc__.splitlines()[0])
     parser.add_argument(
         "--format", choices=("json", "text"), default="json",
         help="output style (default json)",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ord", help="ordinal arithmetic in normal form")
-    p.add_argument("--expr", help="normalize one expression")
-    p.add_argument("--a", help="left operand for --add/--mul/--cmp")
-    p.add_argument("--add", help="right operand of a sum")
-    p.add_argument("--mul", help="right operand of a product")
-    p.add_argument("--cmp", help="right operand of a comparison")
-    p.add_argument("--omega-pow", dest="omega_pow", help="exponent for w^x")
-    p.set_defaults(handler=_cmd_ord)
-
-    p = sub.add_parser("classify", help="type or class of a single point")
-    p.add_argument("--tower", type=int, help="tower level kappa")
-    p.add_argument("--long", action="store_true", help="long line mode")
-    p.add_argument("--point", required=True)
-    p.set_defaults(handler=_cmd_classify)
-
-    p = sub.add_parser("orbit", help="decide or witness a homeomorphism move")
-    p.add_argument("--tower", type=int)
-    p.add_argument("--long", action="store_true")
-    p.add_argument("--p", required=True, help="bonding exponents k(1),k(2),...")
-    p.add_argument("--x", required=True, help="first thread")
-    p.add_argument("--y", required=True, help="second thread")
-    p.set_defaults(handler=_cmd_orbit)
-
-    p = sub.add_parser("fiber", help="preimages of a point under a bonding map")
-    p.add_argument("--m", type=int, required=True, help="covering degree")
-    p.add_argument("--n", type=int, required=True, help="base stage size")
-    p.add_argument("--point", required=True)
-    p.add_argument("--tower", type=int)
-    p.add_argument("--long", action="store_true")
-    p.set_defaults(handler=_cmd_fiber)
-
-    p = sub.add_parser("thread", help="thread validity and extension")
-    thread_sub = p.add_subparsers(dest="thread_command", required=True)
-    for name, handler in (
-        ("verify", _cmd_thread_verify),
-        ("extend", _cmd_thread_extend),
-    ):
-        q = thread_sub.add_parser(name)
-        q.add_argument("--p", required=True)
-        q.add_argument("--points", required=True)
-        q.add_argument("--tower", type=int)
-        q.add_argument("--long", action="store_true")
-        if name == "extend":
-            q.add_argument("--levels", type=int, default=1)
-        q.set_defaults(handler=handler)
-
-    p = sub.add_parser("indecomp", help="two-arc indecomposability witness")
-    p.add_argument("--pn", type=int, required=True, help="covering multiplicity")
-    p.add_argument("--n", type=int, required=True, help="base stage size")
-    p.add_argument("--c-arc", dest="c_arc", required=True)
-    p.add_argument("--g-arc", dest="g_arc", required=True)
-    p.set_defaults(handler=_cmd_indecomp)
-
-    p = sub.add_parser("chain-check", help="circular chain adjacency audit")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--arcs", required=True, help="comma separated arcs")
-    p.set_defaults(handler=_cmd_chain_check)
-
-    p = sub.add_parser("cohomology", help="first Cech cohomology of a solenoid")
-    coh_sub = p.add_subparsers(dest="cohomology_command", required=True)
-    q = coh_sub.add_parser("invariant")
-    q.add_argument("--s", required=True, help="bonding descriptor PREFIX:CYCLE")
-    q.set_defaults(handler=_cmd_coh_invariant)
-    q = coh_sub.add_parser("equiv")
-    q.add_argument("--a", required=True)
-    q.add_argument("--b", required=True)
-    q.set_defaults(handler=_cmd_coh_equiv)
-    q = coh_sub.add_parser("member")
-    q.add_argument("--s", required=True)
-    q.add_argument("--r", required=True, help="rational N/D")
-    q.set_defaults(handler=_cmd_coh_member)
-    q = coh_sub.add_parser("sum")
-    q.add_argument("--s", required=True)
-    q.add_argument("--a", required=True)
-    q.add_argument("--b", required=True)
-    q.set_defaults(handler=_cmd_coh_sum)
-    q = coh_sub.add_parser("degree")
-    q.add_argument("--m", type=int, required=True)
-    q.add_argument("--n", type=int, required=True)
-    q.set_defaults(handler=_cmd_coh_degree)
-
+    subparsers = {"": parser.add_subparsers(dest="command", required=True)}
+    for path, handler, help_text, arguments, _ in COMMANDS:
+        group, _, name = path.rpartition(" ")
+        if group not in subparsers:
+            subparsers[group] = subparsers[""].add_parser(
+                group, help=_GROUPS[group]
+            ).add_subparsers(dest=group + "_command", required=True)
+        leaf = subparsers[group].add_parser(name, help=help_text)
+        for flag, kwargs in arguments:
+            leaf.add_argument(flag, **kwargs)
+        leaf.set_defaults(handler=handler)
     return parser
+
+
+_PARSER = build_parser()
 
 
 def _flatten(doc, prefix=""):
@@ -476,7 +429,7 @@ def _emit(doc, fmt):
 
 def main(argv=None):
     try:
-        args = build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
         doc = args.handler(args)
     except LongSolError as err:
         error = {"code": err.code, "message": str(err)}
@@ -484,8 +437,6 @@ def main(argv=None):
             error["position"] = err.position
         print(json.dumps({"error": error}, sort_keys=True))
         return 1
-    except SystemExit:
-        raise
     except Exception as err:  # pragma: no cover - defensive
         print(json.dumps(
             {"error": {"code": "internal", "message": str(err)}}, sort_keys=True

@@ -200,18 +200,14 @@ def dl_of_rational(s, r):
 def h1_action(m, n):
     """Induced map on first cohomology of the m-fold bond onto stage n.
 
-    Walk the joints of the covering stage once around in cyclic order and
-    count signed passes of the image walk through the base joint of the
-    target stage; each forward pass counts +1.  The walk advances one
-    target joint per step, so the count is the covering multiplicity.
+    The image of the covering stage, walked once around, passes forward
+    through the base joint of the target stage once per sheet, so the
+    degree is the covering multiplicity m.  ``ref_h1_action`` in the test
+    models counts those passes joint by joint.
     """
     if m < 1 or n < 1:
         raise StageDomainError("bond multiplicity and stage size must be >= 1")
-    crossings = 0
-    for i in range(m * n):
-        if (i + 1) % n == 0:
-            crossings += 1
-    return crossings
+    return m
 
 
 def h1_of_solenoid(s):

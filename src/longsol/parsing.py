@@ -18,7 +18,9 @@ level 1).  Stage points are ``infI`` for the joint at index I, or
 ``PREFIX:CYCLE`` with comma-separated entries, arcs ``START..END`` with
 positions ``I`` or ``I+N/D``.
 
-Every syntax error carries the character position it was noticed at.
+Every syntax error carries the character position it was noticed at, and
+so does the ``DepthBoundError`` for an ordinal literal nesting deeper than
+the depth bound (see ``parse_ordinal``).
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .arcs import Arc
-from .errors import ParseError
+from .errors import DepthBoundError, ParseError
 from .longline import LongPoint
-from .ordinal import OMEGA, ONE, ZERO, CnfOrdinal, add, nat
+from .ordinal import DEFAULT_DEPTH_BOUND, OMEGA, ONE, ZERO, CnfOrdinal, add, nat
 from .stages import StagePoint, Thread, stage_size
 from .cohomology import SequenceDescriptor
 from .tower import Address, TowerPoint
@@ -77,8 +79,12 @@ class _Scanner:
         return self.i >= len(self.text)
 
 
-def _split_top(text, sep):
-    """Split on a separator at bracket depth zero, keeping offsets."""
+def _split_top(text, sep, offset=0):
+    """Split on a separator at bracket depth zero.
+
+    ``text`` starts at position ``offset`` of the input; each piece comes
+    with the input position it starts at, and errors carry input positions.
+    """
     pieces = []
     depth = 0
     start = 0
@@ -88,42 +94,60 @@ def _split_top(text, sep):
         elif ch in ")]":
             depth -= 1
             if depth < 0:
-                raise ParseError("unbalanced bracket", position=i)
+                raise ParseError("unbalanced bracket", position=offset + i)
         elif ch == sep and depth == 0:
-            pieces.append((text[start:i], start))
+            pieces.append((text[start:i], offset + start))
             start = i + 1
     if depth != 0:
-        raise ParseError("unbalanced bracket", position=len(text))
-    pieces.append((text[start:], start))
+        raise ParseError("unbalanced bracket", position=offset + len(text))
+    pieces.append((text[start:], offset + start))
     return pieces
 
 
 def parse_ordinal(text, offset=0):
+    """An ordinal literal whose value nests no deeper than the depth bound.
+
+    Nesting is counted as written, on the way down: a ``w`` inside n
+    exponents heads a value of depth n + 2, which is the value's depth for
+    every normal form.  A literal that would only stay within the bound
+    through a ``^0`` or ``*0`` collapsing it is rejected all the same.
+    """
     s = _Scanner(text, offset)
-    value = _ordinal(s)
+    value = _ordinal(s, 0)
     if not s.done():
         s.error("unexpected trailing input")
     return value
 
 
-def _ordinal(s):
-    total = _term(s)
+def _ordinal(s, nest):
+    total = _term(s, nest)
     while s.try_eat("+"):
-        total = add(total, _term(s))
+        total = add(total, _term(s, nest))
     return total
 
 
-def _term(s):
+def _omega(s, nest):
+    """Consume a ``w`` found inside ``nest`` exponents."""
+    if nest + 2 > DEFAULT_DEPTH_BOUND:
+        raise DepthBoundError(
+            "ordinal literal nests deeper than the depth bound %d"
+            % DEFAULT_DEPTH_BOUND,
+            position=s.offset + s.i,
+        )
+    s.i += 1
+
+
+def _term(s, nest):
     s.ws()
     ch = s.peek()
     if ch.isdigit():
         return nat(s.nat())
     if ch != "w":
         s.error("expected a term")
-    s.i += 1
+    _omega(s, nest)
     exponent = ONE
     if s.try_eat("^"):
-        exponent = _exponent(s)
+        exponent = _exponent(s, nest + 1)
     coeff = 1
     if s.try_eat("*"):
         coeff = s.nat()
@@ -134,21 +158,21 @@ def _term(s):
     return CnfOrdinal(((exponent, coeff),))
 
 
-def _exponent(s):
+def _exponent(s, nest):
     s.ws()
     ch = s.peek()
     if ch == "(":
         s.i += 1
-        value = _ordinal(s)
+        value = _ordinal(s, nest)
         s.expect(")")
         return value
     if ch.isdigit():
         return nat(s.nat())
     if ch != "w":
         s.error("expected an exponent")
-    s.i += 1
+    _omega(s, nest)
     if s.try_eat("^"):
-        inner = _exponent(s)
+        inner = _exponent(s, nest + 1)
         return ONE if inner.is_zero else CnfOrdinal(((inner, 1),))
     return OMEGA
 
@@ -175,9 +199,9 @@ def _parse_summands(text, offset, allow_block):
     rho = ZERO
     rho_seen = False
     frac = None
-    for piece, start in _split_top(text, "+"):
+    for piece, start in _split_top(text, "+", offset):
         stripped = piece.strip()
-        lead = offset + start + (len(piece) - len(piece.lstrip()))
+        lead = start + (len(piece) - len(piece.lstrip()))
         if not stripped:
             raise ParseError("empty summand", position=lead)
         if stripped.startswith("w1*("):
@@ -224,8 +248,13 @@ def _parse_int_list(text, offset, allow_empty):
             return ()
         raise ParseError("expected at least one integer", position=offset)
     return tuple(
-        _parse_int(piece, offset + start) for piece, start in _split_top(text, ",")
+        _parse_int(piece, start) for piece, start in _split_top(text, ",", offset)
     )
+
+
+def parse_exponents(text):
+    """A comma separated list of integers, such as bonding exponents."""
+    return tuple(_parse_int(piece, start) for piece, start in _split_top(text, ","))
 
 
 def parse_tower_point(text, kappa, offset=0):
@@ -236,18 +265,17 @@ def parse_tower_point(text, kappa, offset=0):
     if not (stripped.startswith("[") and stripped.endswith("]")):
         raise ParseError("expected 'inf' or a bracketed address", position=lead)
     inner = stripped[1:-1]
-    inner_off = lead + 1
-    parts = _split_top(inner, ";")
+    parts = _split_top(inner, ";", lead + 1)
     if len(parts) == 1:
-        ints = _parse_int_list(parts[0][0], inner_off + parts[0][1], allow_empty=False)
+        ints = _parse_int_list(*parts[0], allow_empty=False)
         return TowerPoint(kappa, Address(ints))
     if len(parts) != 2:
         raise ParseError("too many ';' in address", position=lead)
-    ints = _parse_int_list(parts[0][0], inner_off + parts[0][1], allow_empty=True)
+    ints = _parse_int_list(*parts[0], allow_empty=True)
     base_text, base_start = parts[1]
     if not base_text.strip():
-        raise ParseError("empty base coordinate", position=inner_off + base_start)
-    _, rho, frac = _parse_summands(base_text, inner_off + base_start, allow_block=False)
+        raise ParseError("empty base coordinate", position=base_start)
+    _, rho, frac = _parse_summands(base_text, base_start, allow_block=False)
     return TowerPoint(
         kappa, Address(ints, rho, frac if frac is not None else Fraction(0))
     )
@@ -294,23 +322,22 @@ def parse_stage_point(text, n, mode=None, kappa=None, offset=0):
 
 def parse_thread(p, text, mode=None, kappa=None, offset=0):
     """A thread literal: stage point literals joined by ';'."""
-    pieces = _split_top(text, ";")
+    pieces = _split_top(text, ";", offset)
     points = []
     for level, (piece, start) in enumerate(pieces, start=1):
         size = stage_size(p, level)
-        points.append(parse_stage_point(piece, size, mode, kappa, offset + start))
+        points.append(parse_stage_point(piece, size, mode, kappa, start))
     return Thread(tuple(p), tuple(points))
 
 
 def parse_descriptor(text, offset=0):
-    pieces = _split_top(text, ":")
+    pieces = _split_top(text, ":", offset)
     if len(pieces) != 2:
         raise ParseError(
             "descriptors read PREFIX:CYCLE", position=offset + len(text)
         )
-    (pre_text, pre_start), (cyc_text, cyc_start) = pieces
-    prefix = _parse_int_list(pre_text, offset + pre_start, allow_empty=True)
-    cycle = _parse_int_list(cyc_text, offset + cyc_start, allow_empty=False)
+    prefix = _parse_int_list(*pieces[0], allow_empty=True)
+    cycle = _parse_int_list(*pieces[1], allow_empty=False)
     return SequenceDescriptor(prefix, cycle)
 
 
@@ -322,17 +349,15 @@ def parse_rational(text, offset=0):
 
 
 def _parse_position(text, n, offset):
-    pieces = _split_top(text, "+")
+    pieces = _split_top(text, "+", offset)
     if not 1 <= len(pieces) <= 2:
         raise ParseError("positions read I or I+N/D", position=offset)
-    copy = _parse_int(pieces[0][0], offset + pieces[0][1])
+    copy = _parse_int(*pieces[0])
     if not 0 <= copy < n:
-        raise ParseError("copy index out of range", position=offset + pieces[0][1])
+        raise ParseError("copy index out of range", position=pieces[0][1])
     frac = Fraction(0)
     if len(pieces) == 2:
-        frac = _parse_unit_fraction(
-            pieces[1][0].strip(), offset + pieces[1][1]
-        )
+        frac = _parse_unit_fraction(pieces[1][0].strip(), pieces[1][1])
     return copy + frac
 
 
@@ -343,3 +368,8 @@ def parse_arc(text, n, offset=0):
     start = _parse_position(halves[0], n, offset)
     end = _parse_position(halves[1], n, offset + len(halves[0]) + 2)
     return Arc(n, start, end)
+
+
+def parse_arc_list(text, n):
+    """Comma separated arcs on a stage of ``n`` copies."""
+    return [parse_arc(piece, n, start) for piece, start in _split_top(text, ",")]

@@ -48,6 +48,7 @@ from .tower import (
     MIN,
     Address,
     TowerPoint,
+    compare_base,
     point_type,
     strip_top,
     within_copy_hat,
@@ -298,8 +299,6 @@ def _hat_tower(hat, x):
         if hat.mode == "mapping" and x == hat.source:
             return hat.target
         if hat.fixed_above is not None:
-            from .tower import compare_base
-
             if x.address.is_base and compare_base(x, hat.fixed_above) >= 0:
                 return x
         raise TokenUndefinedError(

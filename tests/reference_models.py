@@ -16,7 +16,9 @@ implementation:
 * supernatural invariants come from literally expanding a descriptor
   into terms and counting prime factors at two horizons;
 * group membership comes from scanning partial products for a divisible
-  denominator.
+  denominator;
+* the degree of a bond on first cohomology comes from walking the joints
+  of the covering stage and counting passes through the base joint.
 """
 
 from fractions import Fraction
@@ -236,3 +238,14 @@ def ref_member(descriptor, r, level_cap=64):
         if product % r.denominator == 0:
             return True
     return False
+
+
+def ref_h1_action(m, n):
+    """Walk the m*n joints of the covering stage once around; the image
+    walk advances one target joint per step, and each forward pass through
+    the base joint of the n-joint target counts +1."""
+    crossings = 0
+    for i in range(m * n):
+        if (i + 1) % n == 0:
+            crossings += 1
+    return crossings

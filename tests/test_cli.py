@@ -3,8 +3,11 @@
 import argparse
 import importlib
 import json
+import shlex
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 from longsol.cli import OPERATION_COVERAGE, build_parser, main
 
@@ -228,6 +231,43 @@ def test_parse_error_contract(capsys):
             "position": 2,
         }
     }
+
+
+def test_ordinal_nesting_bound(capsys):
+    deep = "w^(" * 599 + "1" + ")" * 599
+    deep30 = "w^(" * 29 + "1" + ")" * 29
+    for argv in (["ord", "--expr", deep], ["ord", "--a", deep30, "--mul", "w"]):
+        code, doc = run(capsys, *argv)
+        assert code == 1
+        assert doc["error"]["code"] == "representation-overflow"
+        assert doc["error"]["position"] == 45
+
+
+def test_degree_answers_without_walking_joints(capsys):
+    start = time.perf_counter()
+    code, doc = run(capsys, "cohomology", "degree", "--m", "100000000", "--n", "100000")
+    assert (code, doc) == (0, {"degree": 100000000})
+    assert time.perf_counter() - start < 1.5
+
+
+def _readme_examples():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    for line in block.splitlines():
+        if line.startswith("longsol "):
+            command, _, shown = line.partition("  # ")
+            yield shlex.split(command)[1:], shown.strip()
+
+
+def test_readme_examples(capsys):
+    examples = list(_readme_examples())
+    assert len(examples) >= 15
+    for argv, shown in examples:
+        code, doc = run(capsys, *argv)
+        assert code == 0, argv
+        if shown.startswith("{"):
+            for key, value in json.loads(shown.replace(", ...", "")).items():
+                assert doc[key] == value, (argv, key)
 
 
 def test_internal_error_contract(capsys, monkeypatch):

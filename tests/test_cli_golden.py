@@ -1,0 +1,255 @@
+"""Golden transcript of the command line: exit code and exact stdout.
+
+``cli_golden.json`` holds one entry per (environment, argv) pair of the
+corpus below, with the exit code and the exact stdout of ``main(argv)``.
+The corpus covers the README examples, the argvs of ``test_cli.py``, the
+error branches of every handler (positivity, both work bounds at each
+place they are checked, the ordinal nesting bound, error positions),
+argparse failures, and the text format, each under every environment in
+``ENVS``.  Argparse lists choices and missing flags in the order they were
+registered, so the transcript pins that order too.
+
+After a deliberate change of output, record the transcript again with
+``PYTHONPATH=src python3 tests/test_cli_golden.py`` and review the diff.
+"""
+
+import contextlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+from longsol.cli import main
+
+GOLDEN = Path(__file__).with_name("cli_golden.json")
+BOUNDS = ("LONGSOL_DEPTH", "LONGSOL_INDEX_BOUND")
+ENVS = (
+    {},
+    {"LONGSOL_DEPTH": "2"},
+    {"LONGSOL_DEPTH": "zebra"},
+    {"LONGSOL_INDEX_BOUND": "5"},
+    {"LONGSOL_INDEX_BOUND": "0"},
+)
+
+
+def deep(depth):
+    """An ordinal literal whose value has the given nesting depth."""
+    return "w^(" * (depth - 1) + "1" + ")" * (depth - 1)
+
+
+_README = [
+    ["ord", "--expr", "w + w^2"],
+    ["ord", "--a", "2", "--mul", "w"],
+    ["classify", "--tower", "2", "--point", "[5]"],
+    ["classify", "--long", "--point", "w1*(2)+1/2"],
+    ["orbit", "--tower", "2", "--p", "2", "--x", "inf0; inf1", "--y", "inf0; inf0"],
+    ["fiber", "--m", "2", "--n", "3", "--point", "inf1"],
+    ["thread", "verify", "--p", "2,3", "--points", "inf0; inf1; inf3"],
+    ["thread", "extend", "--p", "2,3", "--points", "inf0", "--levels", "2"],
+    ["indecomp", "--pn", "2", "--n", "1", "--c-arc", "0..0+1/2",
+     "--g-arc", "0+2/5..0+1/10"],
+    ["chain-check", "--n", "1",
+     "--arcs", "0..0+3/10,0+1/4..0+11/20,0+1/2..0+4/5,0+3/4..0+1/20"],
+    ["cohomology", "invariant", "--s", "12:5"],
+    ["cohomology", "equiv", "--a", ":2", "--b", "3:2"],
+    ["cohomology", "member", "--s", ":2", "--r", "5/8"],
+    ["cohomology", "sum", "--s", ":2,3", "--a", "5/6", "--b", "1/2"],
+    ["cohomology", "degree", "--m", "3", "--n", "2"],
+]
+
+_TEST_CLI = [
+    ["ord", "--a", "w", "--mul", "2"],
+    ["ord", "--a", "w", "--cmp", "w+1"],
+    ["ord", "--omega-pow", "2"],
+    ["ord", "--a", "w"],
+    ["ord", "--expr", "w", "--add", "1"],
+    ["ord", "--expr", "w^"],
+    ["ord", "--expr", "w+1"],
+    ["classify", "--long", "--point", "w1*(2)"],
+    ["classify", "--long", "--point", "w1*(2)+w*5+1/2"],
+    ["classify", "--point", "[5]"],
+    ["orbit", "--tower", "2", "--p", "2", "--x", "inf0", "--y", "(0| [3; w])"],
+    ["orbit", "--long", "--p", "2", "--x", "inf0", "--y", "(0| w1*(2))"],
+    ["orbit", "--tower", "2", "--p", "2", "--x", "(0| [3]); (0| [3])",
+     "--y", "(0| [8]); (0| [8])"],
+    ["fiber", "--m", "2", "--n", "1", "--long", "--point", "(0| w^2)"],
+    ["fiber", "--m", "7", "--n", "7", "--point", "inf0"],
+    ["fiber", "--m", "2", "--n", "3", "--point", "inf0"],
+    ["thread", "verify", "--p", "2,3", "--points", "inf0; inf1; inf4"],
+    ["thread", "verify", "--p", "2,3", "--points", "inf0; infX"],
+    ["thread", "extend", "--p", "2", "--points", "inf0", "--levels", "2"],
+    ["thread", "extend", "--p", "2", "--points", "inf0"],
+    ["indecomp", "--pn", "2", "--n", "1", "--c-arc", "0..0+1/2",
+     "--g-arc", "0+3/5..0+9/10"],
+    ["chain-check", "--n", "1", "--arcs", "0..0+1/5,0+1/10..0+3/10,0+1/2..0+3/5"],
+    ["cohomology", "equiv", "--a", ":2", "--b", ":3"],
+    ["cohomology", "member", "--s", ":2", "--r", "1/3"],
+    ["cohomology", "degree", "--m", "1", "--n", "1"],
+    ["--format", "text", "classify", "--tower", "2", "--point", "[5]"],
+    ["--format", "text", "cohomology", "invariant", "--s", "12:5"],
+]
+
+_ERRORS = [
+    # ord: option combinations, parse errors, the nesting bound
+    ["ord"],
+    ["ord", "--omega-pow", "2", "--expr", "w"],
+    ["ord", "--omega-pow", "2", "--add", "1"],
+    ["ord", "--a", "w", "--add", "1", "--mul", "2"],
+    ["ord", "--add", "1"],
+    ["ord", "--a", "w", "--add", "w^(2"],
+    ["ord", "--expr", "w + + 1"],
+    ["ord", "--expr", deep(16)],
+    ["ord", "--expr", deep(17)],
+    ["ord", "--expr", deep(601)],
+    ["ord", "--a", deep(30), "--mul", "w"],
+    ["ord", "--a", deep(16), "--cmp", deep(15)],
+    ["ord", "--omega-pow", deep(15)],
+    ["ord", "--omega-pow", deep(16)],
+    # classify: mode, error positions inside brackets, deep coordinates
+    ["classify", "--tower", "0", "--point", "[5]"],
+    ["classify", "--tower", "x", "--point", "[5]"],
+    ["classify", "--tower", "2"],
+    ["classify", "--tower", "2", "--long", "--point", "[5]"],
+    ["classify", "--tower", "2", "--point", "[3)]"],
+    ["classify", "--tower", "3", "--point", "   [1; w^(2]"],
+    ["classify", "--long", "--point", "w + w1*(2)"],
+    ["classify", "--long", "--point", "w1*(%s)" % deep(17)],
+    ["classify", "--tower", "1", "--point", "[; %s]" % deep(17)],
+    # orbit: mode, exponent positivity against the stage bound, depth bound
+    ["orbit", "--tower", "2", "--p", "0", "--x", "inf0", "--y", "inf0"],
+    ["orbit", "--tower", "2", "--p", "100,0", "--x", "inf0", "--y", "inf0"],
+    ["orbit", "--tower", "2", "--p", "0,100", "--x", "inf0", "--y", "inf0"],
+    ["orbit", "--tower", "2", "--p", "2,2,2,2,2,2", "--x", "inf0", "--y", "inf0"],
+    ["orbit", "--tower", "2", "--p", "2,2,2,2,2", "--x", "inf0", "--y", "inf1"],
+    ["orbit", "--tower", "2", "--p", "2,3", "--x", "inf0", "--y", "inf1"],
+    ["orbit", "--p", "2", "--x", "inf0", "--y", "inf0"],
+    ["orbit", "--tower", "0", "--p", "2", "--x", "inf0", "--y", "inf0"],
+    ["orbit", "--tower", "2", "--p", "", "--x", "inf0", "--y", "inf0"],
+    ["orbit", "--tower", "2", "--p", "2,,3", "--x", "inf0", "--y", "inf0"],
+    ["orbit", "--tower", "2", "--x", "inf0", "--y", "inf0"],
+    ["orbit", "--tower", "2"],
+    ["orbit", "--long", "--p", "2", "--x", "inf0; inf1", "--y", "inf0; inf0"],
+    # fiber: positivity before the stage bound, mode only for inner points
+    ["fiber", "--m", "0", "--n", "3", "--point", "inf0"],
+    ["fiber", "--m", "2", "--n", "0", "--point", "inf0"],
+    ["fiber", "--m", "100", "--n", "0", "--point", "inf0"],
+    ["fiber", "--m", "1", "--n", "5", "--point", "inf0"],
+    ["fiber", "--m", "2", "--n", "3", "--point", "(0| [3])"],
+    ["fiber", "--m", "2", "--n", "3", "--tower", "2", "--point", "(0| [3])"],
+    ["fiber", "--m", "2", "--n", "3", "--tower", "0", "--point", "inf1"],
+    ["fiber", "--m", "2", "--n", "3", "--tower", "0", "--point", "(0| [3])"],
+    ["fiber", "--m", "2", "--n", "3", "--point", "inf9"],
+    ["fiber", "--m", "2", "--n", "3"],
+    # thread verify and extend
+    ["thread", "verify", "--p", "0", "--points", "inf0"],
+    ["thread", "verify", "--p", "100,0", "--points", "inf0"],
+    ["thread", "verify", "--p", "0,100", "--points", "inf0"],
+    ["thread", "verify", "--p", "2,3", "--tower", "0", "--points", "inf0"],
+    ["thread", "verify", "--long", "--p", "2", "--points", "(0| w); (1| w)"],
+    ["thread", "verify", "--tower", "2", "--p", "2", "--points", "(0| [3]); (1| [3])"],
+    ["thread", "verify", "--p", "2", "--points", "(0| [3])"],
+    ["thread", "verify", "--p", "2,2,2,2,2,2", "--points", "inf0"],
+    ["thread", "verify", "--p", "2,2,2,2,2", "--points", "inf0"],
+    ["thread", "extend", "--p", "2,3", "--points", "inf0", "--levels", "0"],
+    ["thread", "extend", "--p", "2,3", "--points", "inf0; infX", "--levels", "0"],
+    ["thread", "extend", "--p", "2,3", "--points", "inf0", "--levels", "x"],
+    ["thread", "extend", "--p", "2,2,2,2,2", "--points", "inf0", "--levels", "5"],
+    ["thread", "extend", "--p", "2,2,2,2,2", "--points", "inf0; inf0", "--levels", "5"],
+    ["thread", "extend", "--p", "2,3", "--points", "inf0; inf1"],
+    ["thread", "extend", "--long", "--p", "2,3", "--points", "(0| w)", "--levels", "2"],
+    ["thread"],
+    ["thread", "frob"],
+    # indecomp and chain-check
+    ["indecomp", "--pn", "2", "--n", "0", "--c-arc", "0..0+1/2", "--g-arc", "0..0+1/2"],
+    ["indecomp", "--pn", "0", "--n", "1", "--c-arc", "0..0+1/2", "--g-arc", "0..0+1/2"],
+    ["indecomp", "--pn", "0", "--n", "0", "--c-arc", "0..0+1/2", "--g-arc", "0..0+1/2"],
+    ["indecomp", "--pn", "7", "--n", "7", "--c-arc", "0..0+1/2", "--g-arc", "0..0+1/2"],
+    ["indecomp", "--pn", "3", "--n", "2", "--c-arc", "0..0+1/2", "--g-arc", "1..1+1/2"],
+    ["indecomp", "--pn", "2", "--n", "1", "--c-arc", "0..x", "--g-arc", "0..0+1/2"],
+    ["indecomp", "--pn", "2", "--n", "1", "--c-arc", "0..0+1/2"],
+    ["chain-check", "--n", "0", "--arcs", "0..0+1/2"],
+    ["chain-check", "--n", "1", "--arcs", "0..0+1/2,0+1/2..x"],
+    ["chain-check", "--n", "1", "--arcs", ""],
+    ["chain-check", "--n", "2", "--arcs", "0..1+1/2,(1..0"],
+    # cohomology
+    ["cohomology", "invariant", "--s", "12"],
+    ["cohomology", "invariant", "--s", "2,x:3"],
+    ["cohomology", "equiv", "--a", ":2", "--b", "x:2"],
+    ["cohomology", "member", "--s", ":2", "--r", "x"],
+    ["cohomology", "sum", "--s", ":2", "--a", "1/3", "--b", "1/2"],
+    ["cohomology", "degree", "--m", "0", "--n", "2"],
+    ["cohomology", "degree", "--m", "2", "--n", "0"],
+    ["cohomology", "degree", "--m", "x", "--n", "1"],
+    ["cohomology", "degree", "--m", "3"],
+    ["cohomology"],
+    ["cohomology", "frob"],
+    # argparse: empty argv, choices, options, the text format
+    [],
+    ["frob"],
+    ["--format", "xml", "ord", "--expr", "w"],
+    ["--format", "text", "ord", "--expr", "w"],
+    ["--format", "text", "thread", "extend", "--p", "2,3", "--points", "inf0",
+     "--levels", "2"],
+    ["--format", "text", "fiber", "--m", "7", "--n", "7", "--point", "inf0"],
+    ["ord", "--expr", "w", "--zzz"],
+    ["ord", "--expr"],
+]
+
+ARGVS = _README + _TEST_CLI + _ERRORS
+
+
+def call(argv):
+    """Exit code and stdout of one in-process ``main(argv)``."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+def transcript(env):
+    saved = {name: os.environ.pop(name, None) for name in BOUNDS}
+    os.environ.update(env)
+    try:
+        entries = []
+        for argv in ARGVS:
+            code, stdout = call(argv)
+            entries.append({"env": env, "argv": argv, "code": code, "stdout": stdout})
+        return entries
+    finally:
+        for name, value in saved.items():
+            os.environ.pop(name, None)
+            if value is not None:
+                os.environ[name] = value
+
+
+def _load():
+    return json.loads(GOLDEN.read_text())
+
+
+def test_golden_covers_the_corpus():
+    assert [(e["env"], e["argv"]) for e in _load()] == [
+        (env, argv) for env in ENVS for argv in ARGVS
+    ]
+
+
+@pytest.mark.parametrize("env", ENVS, ids=lambda env: ",".join(
+    "%s=%s" % item for item in env.items()) or "default")
+def test_golden_transcript(env):
+    want = [e for e in _load() if e["env"] == env]
+    got = transcript(env)
+    diffs = [
+        "%s\n  want %r\n  got  %r" % (
+            " ".join(w["argv"])[:120], (w["code"], w["stdout"]), (g["code"], g["stdout"]))
+        for w, g in zip(want, got)
+        if (w["code"], w["stdout"]) != (g["code"], g["stdout"])
+    ]
+    assert not diffs, "\n".join(diffs)
+
+
+if __name__ == "__main__":
+    entries = [entry for env in ENVS for entry in transcript(env)]
+    GOLDEN.write_text("[\n" + ",\n".join(json.dumps(e) for e in entries) + "\n]\n")
+    print("%d entries -> %s" % (len(entries), GOLDEN))

@@ -10,7 +10,9 @@ from longsol import (
     ONE,
     ZERO,
     Address,
+    DEFAULT_DEPTH_BOUND,
     Arc,
+    DepthBoundError,
     LongPoint,
     ParseError,
     SequenceDescriptor,
@@ -71,6 +73,30 @@ def test_parse_ordinal_errors():
         assert err.value.position == position, text
 
 
+def _nested(depth):
+    return "w^(" * (depth - 1) + "1" + ")" * (depth - 1)
+
+
+def test_parse_ordinal_depth_bound():
+    assert parse_ordinal(_nested(DEFAULT_DEPTH_BOUND)).depth == DEFAULT_DEPTH_BOUND
+    assert parse_ordinal("w^" * (DEFAULT_DEPTH_BOUND - 2) + "w").depth == 16
+    # the w that would head a depth-17 value is where the literal stops
+    for text, position in [
+        (_nested(DEFAULT_DEPTH_BOUND + 1), 3 * (DEFAULT_DEPTH_BOUND - 1)),
+        (_nested(600), 3 * (DEFAULT_DEPTH_BOUND - 1)),
+        (_nested(30), 45),
+        ("1 + " + "w^" * (DEFAULT_DEPTH_BOUND - 1) + "w", 34),
+    ]:
+        with pytest.raises(DepthBoundError) as err:
+            parse_ordinal(text)
+        assert err.value.position == position, text
+    with pytest.raises(DepthBoundError) as err:
+        parse_long_point("w1*(%s)" % _nested(30))
+    assert err.value.position == 49
+    with pytest.raises(DepthBoundError):
+        parse_tower_point("[; %s]" % _nested(17), 1)
+
+
 def test_parse_long_point():
     assert parse_long_point("w1*(2) + w*5 + 1/2") == LongPoint(
         nat(2), mul(W, nat(5)), F(1, 2)
@@ -109,6 +135,11 @@ def test_parse_tower_point_errors():
     for text in ["[", "[]", "[1;2;3]", "[1.5]", "[2; ]", "5"]:
         with pytest.raises(ParseError):
             parse_tower_point(text, 3)
+    # positions inside the brackets count from the start of the input
+    for text, position in [("[3)]", 2), ("   [1; w^(2]", 11)]:
+        with pytest.raises(ParseError) as err:
+            parse_tower_point(text, 3)
+        assert err.value.position == position, text
 
 
 def test_parse_stage_point():
