@@ -28,7 +28,6 @@ from .cohomology import (
     dl_of_rational,
     dl_value,
     h1_action,
-    h1_of_solenoid,
     inequivalent_family,
     mccord_equivalent,
     member,

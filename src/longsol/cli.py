@@ -3,12 +3,14 @@
 One subcommand per task family, each declared once in ``COMMANDS``.  An
 answer is a single JSON document on stdout (``--format text`` flattens it
 to ``key: value`` lines) and exits 0.  Failures print ``{"error": {"code",
-"message", "position"?}}`` and exit 1; anything unexpected exits 2.  Two
-environment knobs bound the work done per call, and each is checked before
-the work it bounds starts: ``LONGSOL_DEPTH`` caps thread depth (default 6)
-and ``LONGSOL_INDEX_BOUND`` caps stage sizes (default 48); a call over
-either fails with ``bad-command``.  Ordinal literals nesting deeper than 16
-fail with ``representation-overflow`` while they are read.
+"message", "position"?}}`` and exit 1; anything unexpected exits 2.  A
+reader that closes stdout early ends the call with exit 1 and no traceback.
+Two environment knobs bound the work done per call, and each is checked
+before the work it bounds starts: ``LONGSOL_DEPTH`` caps thread depth
+(default 6) and ``LONGSOL_INDEX_BOUND`` caps stage sizes (default 48); a
+call over either fails with ``bad-command``.  Ordinal literals nesting
+deeper than 16, and integer literals past ``int``'s digit limit, fail
+with ``representation-overflow`` while they are read.
 """
 
 from __future__ import annotations
@@ -430,20 +432,23 @@ def _emit(doc, fmt):
 def main(argv=None):
     try:
         args = _PARSER.parse_args(argv)
-        doc = args.handler(args)
+        doc, fmt, code = args.handler(args), args.format, 0
     except LongSolError as err:
         error = {"code": err.code, "message": str(err)}
         if err.position is not None:
             error["position"] = err.position
-        print(json.dumps({"error": error}, sort_keys=True))
-        return 1
+        doc, fmt, code = {"error": error}, "json", 1
     except Exception as err:  # pragma: no cover - defensive
-        print(json.dumps(
-            {"error": {"code": "internal", "message": str(err)}}, sort_keys=True
-        ))
-        return 2
-    _emit(doc, args.format)
-    return 0
+        doc, fmt, code = {"error": {"code": "internal", "message": str(err)}}, "json", 2
+    try:
+        _emit(doc, fmt)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early.  As the Python signal docs advise,
+        # point stdout at devnull so the flush at exit raises nothing more.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -210,11 +210,6 @@ def h1_action(m, n):
     return m
 
 
-def h1_of_solenoid(s):
-    """The cohomology invariant of the solenoid: its supernatural number."""
-    return supernatural_of(s)
-
-
 def _primes(count):
     """The first `count` primes by a plain sieve."""
     if count < 1:

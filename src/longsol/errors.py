@@ -22,7 +22,7 @@ class ParseError(LongSolError):
 
 
 class DepthBoundError(LongSolError):
-    """An ordinal operation would exceed the configured nesting depth."""
+    """An ordinal nests past the depth bound, or an integer literal is too long."""
 
     code = "representation-overflow"
 

@@ -58,12 +58,6 @@ class CnfOrdinal:
         return self.terms[0][1] if self.terms else 0
 
     @property
-    def leading_exponent(self):
-        if not self.terms:
-            raise ValueError("0 has no leading exponent")
-        return self.terms[0][0]
-
-    @property
     def depth(self):
         """Nesting depth: 0 for 0, else 1 + the deepest exponent."""
         if not self.terms:

@@ -19,12 +19,13 @@ level 1).  Stage points are ``infI`` for the joint at index I, or
 positions ``I`` or ``I+N/D``.
 
 Every syntax error carries the character position it was noticed at, and
-so does the ``DepthBoundError`` for an ordinal literal nesting deeper than
-the depth bound (see ``parse_ordinal``).
+so does the ``DepthBoundError`` for an ordinal literal nesting too deep
+(see ``parse_ordinal``) or an integer literal too long (see ``_decimal``).
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 from .arcs import Arc
@@ -34,6 +35,20 @@ from .ordinal import DEFAULT_DEPTH_BOUND, OMEGA, ONE, ZERO, CnfOrdinal, add, nat
 from .stages import StagePoint, Thread, stage_size
 from .cohomology import SequenceDescriptor
 from .tower import Address, TowerPoint
+
+
+def _decimal(text, position, message):
+    """The value of ``text``, which must be ``str.isdecimal`` (what ``int``
+    reads unsigned) and no longer than ``sys.get_int_max_str_digits()``
+    (0: no limit); otherwise a positioned error, never one from ``int``."""
+    if not text.isdecimal():
+        raise ParseError(message, position=position)
+    limit = sys.get_int_max_str_digits()
+    if limit and len(text) > limit:
+        raise DepthBoundError(
+            "integer literal longer than %d digits" % limit, position=position
+        )
+    return int(text)
 
 
 class _Scanner:
@@ -68,11 +83,10 @@ class _Scanner:
     def nat(self):
         self.ws()
         start = self.i
-        while self.i < len(self.text) and self.text[self.i].isdigit():
+        while self.i < len(self.text) and self.text[self.i].isdecimal():
             self.i += 1
-        if start == self.i:
-            self.error("expected a number")
-        return int(self.text[start : self.i])
+        digits = self.text[start : self.i]
+        return _decimal(digits, self.offset + start, "expected a number")
 
     def done(self):
         self.ws()
@@ -140,7 +154,7 @@ def _omega(s, nest):
 def _term(s, nest):
     s.ws()
     ch = s.peek()
-    if ch.isdigit():
+    if ch.isdecimal():
         return nat(s.nat())
     if ch != "w":
         s.error("expected a term")
@@ -166,7 +180,7 @@ def _exponent(s, nest):
         value = _ordinal(s, nest)
         s.expect(")")
         return value
-    if ch.isdigit():
+    if ch.isdecimal():
         return nat(s.nat())
     if ch != "w":
         s.error("expected an exponent")
@@ -236,10 +250,9 @@ def parse_long_point(text, offset=0):
 def _parse_int(text, offset):
     stripped = text.strip()
     lead = offset + (len(text) - len(text.lstrip()))
-    body = stripped[1:] if stripped.startswith("-") else stripped
-    if not body.isdigit():
-        raise ParseError("expected an integer", position=lead)
-    return int(stripped)
+    body = stripped.removeprefix("-")
+    value = _decimal(body, lead, "expected an integer")
+    return value if body == stripped else -value
 
 
 def _parse_int_list(text, offset, allow_empty):
@@ -286,10 +299,8 @@ def parse_stage_point(text, n, mode=None, kappa=None, offset=0):
     stripped = text.strip()
     lead = offset + (len(text) - len(text.lstrip()))
     if stripped.startswith("inf"):
-        rest = stripped[3:]
-        if not rest.isdigit():
-            raise ParseError("joint literals read infI with an index", position=lead)
-        return StagePoint(n, int(rest), None)
+        index = _decimal(stripped[3:], lead, "joint literals read infI with an index")
+        return StagePoint(n, index, None)
     if not (stripped.startswith("(") and stripped.endswith(")")):
         raise ParseError("expected infI or (i| POINT)", position=lead)
     inner = stripped[1:-1]
@@ -357,7 +368,7 @@ def _parse_position(text, n, offset):
         raise ParseError("copy index out of range", position=pieces[0][1])
     frac = Fraction(0)
     if len(pieces) == 2:
-        frac = _parse_unit_fraction(pieces[1][0].strip(), pieces[1][1])
+        frac = _parse_unit_fraction(*pieces[1])
     return copy + frac
 
 

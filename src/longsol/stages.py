@@ -11,10 +11,11 @@ Homeomorphism recipes act level by level as a rotation composed with an
 optional top-integer translation and a hat, where the hat applies one
 interval automorphism token inside every copy.  Recipes carry the shared
 translation and token plus a rotation offset per level; validity means
-commuting with every bond on a finite, documented verification set (all
-joints, bounded integer-stop addresses, and the recipe's tracked source
-points).  Synthesis from a pair of threads answers with a recipe, a
-distinctness proof, or unknown; conjectural cases are never upgraded.
+commuting with every bond on a finite, documented verification set (the
+joint, bounded integer-stop addresses, and the recipe's tracked source
+points), decided in copy 0 in O(depth) checks because bonds and hats
+ignore the copy.  Synthesis from a pair of threads answers with a recipe,
+a distinctness proof, or unknown; conjectural cases are never upgraded.
 
 Within-copy points are either tower points (finite level, integer
 addresses) or long-line points.  Both endpoints of each copy are
@@ -182,17 +183,16 @@ class Thread:
                 "depth %d needs at least %d bonding exponents"
                 % (len(self.points), len(self.points) - 1)
             )
-        for idx, pt in enumerate(self.points):
-            want = stage_size(self.p, idx + 1)
+        want = 1
+        for idx, (pt, k) in enumerate(zip(self.points, self.p + (1,))):
             if pt.n != want:
                 raise ThreadMismatchError(
                     "level %d point lives on stage %d, expected %d"
                     % (idx + 1, pt.n, want)
                 )
-        for idx in range(len(self.points) - 1):
-            low = self.points[idx]
-            high = self.points[idx + 1]
-            if apply_bond(self.p[idx], low.n, high) != low:
+            want *= k
+        for idx, (low, high) in enumerate(zip(self.points, self.points[1:])):
+            if high.index % low.n != low.index or high.inner != low.inner:
                 raise ThreadMismatchError(
                     "level %d point does not bond onto level %d" % (idx + 2, idx + 1)
                 )
@@ -215,6 +215,8 @@ def extend_thread(thread, levels):
     Candidates at each new level are the bond fiber of the current top
     point, taken in ascending index order, so the list is deterministic
     and has exactly the product of the consumed exponents many entries.
+    It is lexicographic in the per-level indices, not ascending in the
+    top index: over p = 2,2 the tops run 0, 2, 1, 3.
     """
     if levels < 0:
         raise StageDomainError("extension lengths are non-negative")
@@ -225,15 +227,12 @@ def extend_thread(thread, levels):
             % (len(thread.p), need)
         )
     results = [thread.points]
-    for step in range(levels):
-        level = thread.depth + step
-        m = thread.p[level - 1]
-        n = stage_size(thread.p, level)
-        grown = []
-        for stack in results:
-            for cand in fiber(m, n, stack[-1]):
-                grown.append(stack + (cand,))
-        results = grown
+    n = thread.points[-1].n
+    for m in thread.p[thread.depth - 1 : need]:
+        results = [
+            stack + (cand,) for stack in results for cand in fiber(m, n, stack[-1])
+        ]
+        n *= m
     return [Thread(thread.p, pts) for pts in results]
 
 
@@ -255,6 +254,8 @@ class HomeoRecipe:
 
     def __post_init__(self):
         object.__setattr__(self, "p", tuple(self.p))
+        if not all(isinstance(k, int) and k >= 1 for k in self.p):
+            raise ThreadMismatchError("bonding exponents are integers >= 1")
         if not self.rotations:
             raise ThreadMismatchError("recipes need at least one level")
         if len(self.p) < len(self.rotations) - 1:
@@ -361,38 +362,28 @@ def apply_recipe(recipe, thread):
     return Thread(thread.p, new_points)
 
 
-def _verification_points(recipe, level):
-    """The documented finite check set on the stage at the given level."""
-    n = stage_size(recipe.p, level)
-    pts = [StagePoint(n, i, None) for i in range(n)]
-    if recipe.kappa is not None and recipe.kappa >= 2:
-        bound = 8
-        for i in range(n):
-            for z in range(-bound, bound + 1):
-                pts.append(
-                    StagePoint(n, i, TowerPoint(recipe.kappa, Address((z,))))
-                )
-    if recipe.tracked is not None:
-        pts.append(recipe.tracked[level - 1])
-    return pts
-
-
-def verify_commutes(recipe, depth=None):
+def verify_commutes(recipe):
     """Check bond-compatibility of the recipe on the verification set.
+
+    The set is the joint, the integer stops [-8]..[8] when kappa >= 2, and
+    the tracked point.  Bonds, hats and translations ignore the copy, so
+    copy 0 stands for every copy and meets the same first failure.
 
     Returns (True, None) when every level pair commutes, otherwise
     (False, record) with the first offending level and point.
     """
-    if depth is None:
-        depth = recipe.depth
-    if depth > recipe.depth:
-        raise ThreadMismatchError("cannot verify beyond the recipe depth")
-    for level in range(1, depth):
+    for level in range(1, recipe.depth):
         m = recipe.p[level - 1]
         n = stage_size(recipe.p, level)
         low_map = level_map(recipe, level)
         high_map = level_map(recipe, level + 1)
-        for pt in _verification_points(recipe, level + 1):
+        inners = [None]
+        if recipe.kappa is not None and recipe.kappa >= 2:
+            inners += [TowerPoint(recipe.kappa, Address((z,))) for z in range(-8, 9)]
+        check = [StagePoint(m * n, 0, x) for x in inners]
+        if recipe.tracked is not None:
+            check.append(recipe.tracked[level])
+        for pt in check:
             lhs = apply_bond(m, n, high_map(pt))
             rhs = low_map(apply_bond(m, n, pt))
             if lhs != rhs:

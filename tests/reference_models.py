@@ -18,12 +18,24 @@ implementation:
 * group membership comes from scanning partial products for a divisible
   denominator;
 * the degree of a bond on first cohomology comes from walking the joints
-  of the covering stage and counting passes through the base joint.
+  of the covering stage and counting passes through the base joint;
+* bond-compatibility of a recipe comes from checking every copy of every
+  stage, joints and integer stops alike, instead of copy 0 alone.
 """
 
 from fractions import Fraction
 
-from longsol import ZERO, Address, CnfOrdinal, TowerPoint, nat
+from longsol import (
+    ZERO,
+    Address,
+    CnfOrdinal,
+    StagePoint,
+    TowerPoint,
+    apply_bond,
+    level_map,
+    nat,
+    stage_size,
+)
 
 # ---------------------------------------------------------------------------
 # dense-vector ordinal model (finite exponents only)
@@ -249,3 +261,36 @@ def ref_h1_action(m, n):
         if (i + 1) % n == 0:
             crossings += 1
     return crossings
+
+
+def ref_verify_commutes(recipe):
+    """Check the recipe against every bond on all n joints and all 17*n
+    integer stops [-8]..[8] of each copy (when kappa >= 2), then the
+    tracked point; the whole check list of a stage is built before the
+    first comparison on it."""
+    for level in range(1, recipe.depth):
+        m = recipe.p[level - 1]
+        n = stage_size(recipe.p, level)
+        size = m * n
+        pts = [StagePoint(size, i) for i in range(size)]
+        if recipe.kappa is not None and recipe.kappa >= 2:
+            pts += [
+                StagePoint(size, i, TowerPoint(recipe.kappa, Address((z,))))
+                for i in range(size)
+                for z in range(-8, 9)
+            ]
+        if recipe.tracked is not None:
+            pts.append(recipe.tracked[level])
+        low_map = level_map(recipe, level)
+        high_map = level_map(recipe, level + 1)
+        for pt in pts:
+            lhs = apply_bond(m, n, high_map(pt))
+            rhs = low_map(apply_bond(m, n, pt))
+            if lhs != rhs:
+                return False, {
+                    "level": level,
+                    "point": str(pt),
+                    "bond_then_low": str(rhs),
+                    "high_then_bond": str(lhs),
+                }
+    return True, None

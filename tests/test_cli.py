@@ -3,6 +3,7 @@
 import argparse
 import importlib
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -231,6 +232,47 @@ def test_parse_error_contract(capsys):
             "position": 2,
         }
     }
+
+
+LONG = "7" * 5001
+OVERFLOW, PARSE = "representation-overflow", "parse-error"
+
+
+def test_positioned_integer_errors(capsys):
+    # integer literals that int() would refuse: too many digits, or digits
+    # that are not decimal; each is a positioned error, never exit 2
+    for argv, code, position in [
+        (["classify", "--tower", "2", "--point", "[%s]" % LONG], OVERFLOW, 1),
+        (["cohomology", "invariant", "--s", "%s:2" % LONG], OVERFLOW, 0),
+        (["ord", "--expr", LONG], OVERFLOW, 0),
+        (["thread", "verify", "--p", LONG, "--points", "inf0"], OVERFLOW, 0),
+        (["fiber", "--m", "2", "--n", "1", "--point", "inf" + LONG], OVERFLOW, 0),
+        (["ord", "--expr", "\u00b2"], PARSE, 0),
+        (["fiber", "--m", "2", "--n", "1", "--point", "inf\u00b2"], PARSE, 0),
+        (["thread", "verify", "--p", "2,\u00b3", "--points", "inf0"], PARSE, 2),
+        (["cohomology", "invariant", "--s", ":1\u00b2"], PARSE, 1),
+        (["chain-check", "--n", "1", "--arcs", "0..0+ x/2"], PARSE, 6),
+    ]:
+        status, doc = run(capsys, *argv)
+        assert status == 1, argv[:2]
+        assert doc["error"]["code"] == code, argv[:2]
+        assert doc["error"]["position"] == position, argv[:2]
+
+
+def test_closed_stdout_exits_quietly():
+    # far more output than a pipe buffers; the reader leaves after 10 bytes
+    env = dict(os.environ, LONGSOL_DEPTH="13", LONGSOL_INDEX_BOUND="4096")
+    argv = ["thread", "extend", "--p", ",".join(["2"] * 12), "--points", "inf0",
+            "--levels", "12"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "longsol", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.read(10) == b'{"count": '
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), stderr) == (1, b"")
 
 
 def test_ordinal_nesting_bound(capsys):

@@ -25,7 +25,6 @@ from longsol import (
     dl_of_rational,
     dl_value,
     h1_action,
-    h1_of_solenoid,
     inequivalent_family,
     mccord_equivalent,
     member,
@@ -228,11 +227,6 @@ def test_h1_action():
         assert h1_action(m1 * m2, n) == h1_action(m1, m2 * n) * h1_action(m2, n)
     with pytest.raises(StageDomainError):
         h1_action(0, 2)
-
-
-def test_h1_of_solenoid():
-    s = d((12,), (5,))
-    assert h1_of_solenoid(s) == supernatural_of(s)
 
 
 def test_inequivalent_family():

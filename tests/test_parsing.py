@@ -201,6 +201,11 @@ def test_parse_arc():
     for text in ["1..2..3", "5..0", "0+3/2..1", "0"]:
         with pytest.raises(ParseError):
             parse_arc(text, 3)
+    # a fraction's errors count from the input, blanks included
+    for text, position in [("0..0+ x/2", 6), ("0+  1/0..1", 6), ("0.. 1+2/1", 6)]:
+        with pytest.raises(ParseError) as err:
+            parse_arc(text, 3)
+        assert err.value.position == position, text
 
 
 # ---------------------------------------------------------------------------

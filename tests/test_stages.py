@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
+from reference_models import ref_verify_commutes
 
 from longsol import (
     IDENTITY_TOKEN,
@@ -137,6 +138,8 @@ def test_thread_validation():
         Thread((2, 3), (joint(1, 0), joint(3, 0)))  # wrong stage size
     with pytest.raises(ThreadMismatchError):
         joints_thread((2, 3), (0, 1, 4))  # inf4 bonds onto inf0, not inf1
+    with pytest.raises(ThreadMismatchError):
+        Thread((2,), (stop(1, 0, 3), stop(2, 2, 4)))  # the inner coordinate moved
 
 
 def test_extend_thread_counts():
@@ -176,6 +179,8 @@ def test_recipe_normalization():
         HomeoRecipe(p=(), rotations=(0, 1))
     with pytest.raises(ThreadMismatchError):
         HomeoRecipe(p=(2,), rotations=(0, 1), tracked=(joint(1, 0),))
+    with pytest.raises(ThreadMismatchError):
+        HomeoRecipe(p=(2, 0), rotations=(0, 1, 0))  # no stage has zero copies
 
 
 def test_level_map_order():
@@ -215,8 +220,103 @@ def test_corrupted_recipe_fails_verification():
         "bond_then_low": "inf1",
         "high_then_bond": "inf0",
     }
-    with pytest.raises(ThreadMismatchError):
-        verify_commutes(recipe, depth=4)
+
+
+def _tower_inner(draw, kappa):
+    ints = draw(st.lists(st.integers(-9, 9), min_size=kappa - 1, max_size=kappa - 1))
+    if kappa >= 2 and draw(st.booleans()):
+        return TowerPoint(kappa, Address(ints[: draw(st.integers(1, kappa - 1))]))
+    rho = draw(st.sampled_from([nat(0), nat(1), W, W2]))
+    frac = Fraction(1, 2) if rho.is_zero else draw(st.sampled_from([0, Fraction(1, 3)]))
+    return TowerPoint(kappa, Address(ints, rho, frac))
+
+
+def _long_inner(draw):
+    return LongPoint(
+        gamma=nat(draw(st.integers(0, 2))), rho=draw(st.sampled_from([W, W2, nat(3)]))
+    )
+
+
+def _inner(draw, kappa):
+    kind = draw(st.sampled_from(["joint", "tower", "other tower", "long"]))
+    if kind == "joint":
+        return None
+    if kind == "long":
+        return _long_inner(draw)
+    if kind == "other tower" or kappa is None or kappa < 2:
+        kappa = draw(st.integers(1, 4))
+    return _tower_inner(draw, kappa)
+
+
+def _hat(draw, kappa):
+    kind = draw(st.sampled_from(["identity", "identity", "tower", "long"]))
+    if kind == "identity":
+        return IDENTITY_TOKEN
+    if kind == "long":
+        source, target = _long_inner(draw), _long_inner(draw)
+        return IntervalAutToken(
+            mode="mapping", source=source, target=target,
+            fixed_below=draw(st.sampled_from([None, LongPoint(gamma=nat(1))])),
+            fixed_above=draw(st.sampled_from([None, LongPoint(gamma=nat(2))])),
+        )
+    # right level (one below the points), the points' own level, or elsewhere
+    level = max(1, draw(st.sampled_from([(kappa or 2) - 1, kappa or 1, 1, 2, 3])))
+    source, target = _tower_inner(draw, level), _tower_inner(draw, level)
+    fixed_above = None
+    if level == 1 and draw(st.booleans()):
+        fixed_above = TowerPoint(1, Address((), W2))
+    mode = draw(st.sampled_from(["identity", "mapping"]))
+    if mode == "identity":
+        return IntervalAutToken(kappa=level, fixed_above=fixed_above)
+    return IntervalAutToken(
+        mode="mapping", source=source, target=target, kappa=level,
+        fixed_above=fixed_above,
+    )
+
+
+@st.composite
+def recipes(draw):
+    p = tuple(draw(st.lists(st.sampled_from([1, 2, 3]), min_size=1, max_size=3)))
+    depth = draw(st.integers(1, len(p) + 1))
+    sizes = [stage_size(p, lvl) for lvl in range(1, depth + 1)]
+    base = draw(st.integers(0, 30))
+    rotations = tuple(
+        base if draw(st.booleans()) else draw(st.integers(-30, 30)) for _ in sizes
+    )
+    kappa = draw(st.sampled_from([None, 1, 2, 3]))
+    tracked = None
+    if draw(st.booleans()):
+        seed, inner = draw(st.integers(0, 30)), _inner(draw, kappa)
+        tracked = []
+        for size in sizes:
+            # now and then the points stop bonding, or leave their stage
+            if draw(st.integers(0, 4)) == 0:
+                seed = draw(st.integers(0, 30))
+            if draw(st.integers(0, 4)) == 0:
+                inner = _inner(draw, kappa)
+            if draw(st.integers(0, 6)) == 0:
+                size += 1
+            tracked.append(StagePoint(size, seed, inner))
+    return HomeoRecipe(
+        p=p,
+        rotations=rotations,
+        translate_by=draw(st.sampled_from([0, 0, 1, -2, 5])),
+        hat=_hat(draw, kappa),
+        kappa=kappa,
+        tracked=tracked,
+    )
+
+
+def _outcome(verify, recipe):
+    try:
+        return verify(recipe)
+    except Exception as err:  # the error itself is part of the answer
+        return type(err), str(err)
+
+
+@given(recipes())
+def test_verify_commutes_matches_every_copy(recipe):
+    assert _outcome(verify_commutes, recipe) == _outcome(ref_verify_commutes, recipe)
 
 
 def test_translation_recipe_round_trip():
