@@ -37,8 +37,9 @@ from .ordinal import add, compare, mul, omega_pow
 from .stages import (
     RECIPE,
     apply_recipe,
-    extend_thread,
-    fiber,
+    extension_indices,
+    fiber_indices,
+    point_format,
     synthesize_recipe,
     verify_commutes,
 )
@@ -199,14 +200,12 @@ def _cmd_fiber(args):
     if args.m < 1 or args.n < 1:
         raise CommandError("--m and --n are positive")
     _check_stage(args.m * args.n)
-    stripped = args.point.strip()
-    if stripped.startswith("inf"):
-        q = parsing.parse_stage_point(args.point, args.n)
-    else:
-        mode, kappa = _mode(args)
-        q = parsing.parse_stage_point(args.point, args.n, mode, kappa)
-    points = fiber(args.m, args.n, q)
-    return {"stage": args.m * args.n, "points": [str(p) for p in points]}
+    joint = args.point.strip().startswith("inf")
+    mode, kappa = (None, None) if joint else _mode(args)
+    q = parsing.parse_stage_point(args.point, args.n, mode, kappa)
+    text = point_format(q.inner)
+    points = [text % j for j in fiber_indices(args.m, args.n, q)]
+    return {"stage": args.m * args.n, "points": points}
 
 
 def _cmd_thread_verify(args):
@@ -215,7 +214,7 @@ def _cmd_thread_verify(args):
     try:
         thread = parsing.parse_thread(exps, args.points, mode, kappa)
     except LongSolError as err:
-        if err.code == "parse-error":
+        if err.code in ("parse-error", "representation-overflow"):
             raise
         return {"valid": False, "reason": str(err)}
     return {
@@ -231,8 +230,12 @@ def _cmd_thread_extend(args):
     if args.levels < 1:
         raise CommandError("--levels is positive")
     _check_depth(thread.depth + args.levels)
-    extensions = extend_thread(thread, args.levels)
-    return {"count": len(extensions), "threads": [str(t) for t in extensions]}
+    # render the inner coordinate once; each level extends its parents' text
+    text = "; " + point_format(thread.points[0].inner)
+    threads = [str(thread)]
+    for level in extension_indices(thread, args.levels):
+        threads = [threads[i] + text % j for i, j in level]
+    return {"count": len(threads), "threads": threads}
 
 
 def _cmd_indecomp(args):
@@ -351,12 +354,12 @@ COMMANDS = (
         ("--m", dict(_REQUIRED_INT, help="covering degree")),
         ("--n", dict(_REQUIRED_INT, help="base stage size")),
         ("--point", _REQUIRED),
-    ) + _MODE, ("stages.fiber",)),
+    ) + _MODE, ("stages.fiber_indices", "stages.point_format")),
     ("thread verify", _cmd_thread_verify, "check a thread against its bonds",
      _THREAD, ("stages.apply_bond",)),
     ("thread extend", _cmd_thread_extend, "every extension by more levels",
      _THREAD + (("--levels", {"type": int, "default": 1}),),
-     ("stages.extend_thread",)),
+     ("stages.extension_indices",)),
     ("indecomp", _cmd_indecomp, "two-arc indecomposability witness", (
         ("--pn", dict(_REQUIRED_INT, help="covering multiplicity")),
         ("--n", dict(_REQUIRED_INT, help="base stage size")),

@@ -18,15 +18,30 @@ of the cycles can be deleted, so the test reduces to equality of the
 infinite prime sets.  Distinct cycle prime sets therefore give
 pairwise distinct homeomorphism types, and there are as many as one
 wants of those.
+
+Membership and equivalence need only gcds: stripping b against c (divide
+by gcd until it is 1) removes every prime they share.  a/b in lowest terms
+is in the group iff b stripped against the cycle product divides the
+prefix product; two sequences are equivalent iff each cycle product
+strips to 1 against the other.  Only the invariant factors: trial
+division below 100, Miller-Rabin with the first 13 prime bases (exact
+below 3317044064679887385961981; Sorenson and Webster, Math. Comp. 2017);
+a cofactor it does not prove prime loses its primes below 2^22 by gcd
+with products of runs of them, then its perfect powers, and Pollard-Brent
+rho (Brent, BIT 1980) from fixed start values under a fixed step budget
+splits the rest.  A cofactor rho does not split within the budget raises
+``representation-overflow``; no factorisation is ever guessed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+import functools
+import itertools
+from math import gcd, isqrt, log2, prod
 
-from .errors import InvalidPointError, StageDomainError
+from .errors import DepthBoundError, InvalidPointError, StageDomainError
 
 
 @dataclass(frozen=True)
@@ -90,52 +105,155 @@ class SupernaturalNumber:
         return dict(self.finite).get(prime, 0)
 
 
-def _factorize(n):
-    out = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+_SMALL_PRIMES = tuple(p for p in range(2, 100) if all(p % d for d in range(2, p)))
+# the least strong pseudoprime to the first 13 prime bases
+MR_EXACT_BELOW = 3317044064679887385961981
+# a cofactor loses its primes below the cut by gcd with products of runs
+PRIME_CUT, _RUN = 1 << 22, 1 << 12
+# rho steps one invariant may take; a step mod a b-bit n counts
+# 1 + b^2 / 2^18, roughly its cost against one below 512 bits
+RHO_STEP_BUDGET = 1 << 20
+
+
+def _run(flags, start):
+    """The primes in [start, start + _RUN), from the sieve flags."""
+    return itertools.compress(range(start, start + _RUN), flags[start : start + _RUN])
+
+
+@functools.cache
+def _sieve():
+    """Prime flags below PRIME_CUT, and (product of the run, start) for the
+    runs from 100 on."""
+    flags = bytearray([0, 0]) + bytearray([1]) * (PRIME_CUT - 2)
+    for i in range(2, isqrt(PRIME_CUT) + 1):
+        if flags[i]:
+            flags[i * i :: i] = bytes(len(range(i * i, PRIME_CUT, i)))
+    return flags, [(prod(_run(flags, lo)), lo) for lo in range(100, PRIME_CUT, _RUN)]
+
+
+def _root(n, primes):
+    """(r, k) with r^k = n for the least prime k, else (n, 1).  n has no
+    prime below PRIME_CUT, so r >= PRIME_CUT bounds k."""
+    for k in primes:
+        if n < PRIME_CUT**k:
+            break
+        e = log2(n) / k
+        s = max(int(e) - 30, 0)
+        x = (int(2 ** (e - s)) + 2) << s  # just above the root; Newton descends
+        while (y := ((k - 1) * x + n // x ** (k - 1)) // k) < x:
+            x = y
+        if x**k == n:
+            return x, k
+    return n, 1
+
+
+def _is_composite(n):
+    """Miller-Rabin with the first 13 prime bases; True is a proof (n > 97)."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # 2^s exactly divides n - 1
+    for a in _SMALL_PRIMES[:13]:
+        x = pow(a, (n - 1) >> s, n)
+        if x != 1 and all(pow(x, 1 << i, n) != n - 1 for i in range(s)):
+            return True
+    return False
+
+
+def _rho_split(n, budget):
+    """(a proper factor of n, budget left) by Pollard-Brent rho from y = 2
+    with c = 1, 2, ...; (None, 0) once a round would pass the budget."""
+    unit = 1 + n.bit_length() ** 2 // (1 << 18)
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            budget -= 2 * r * unit
+            if budget < 0:
+                return None, 0
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            for k in range(0, r, 128):
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                if g != 1:
+                    break
+            r *= 2
+        if g != n:  # n: every factor closed in one batch; try the next c
+            return g, budget
+
+
+def _factorize(numbers):
+    """Proven prime -> multiplicity for each n >= 1, under one rho budget.
+    Miller-Rabin decides below MR_EXACT_BELOW; any other cofactor loses its
+    primes below PRIME_CUT, then its perfect powers, then rho splits it."""
+    budget, result = RHO_STEP_BUDGET, []
+    for n in numbers:
+        out, pending = {}, [(n, 1)]  # (m, e) stands for m^e
+        while pending:
+            n, e = pending.pop()
+            # a split's primes are known before its cofactor comes up
+            for prime in _SMALL_PRIMES + tuple(out):
+                while n % prime == 0:
+                    out[prime] = out.get(prime, 0) + e
+                    n //= prime
+            if n == 1:
+                continue
+            if n < MR_EXACT_BELOW and not _is_composite(n):
+                out[n] = out.get(n, 0) + e
+                continue
+            flags, runs = _sieve()
+            hits = (_run(flags, lo) for b, lo in runs if gcd(n, b) > 1)
+            found = [p for run in hits for p in run if n % p == 0]
+            root, k = (n, 1) if found else _root(n, _run(flags, 0))
+            if found or k > 1:  # the next pass divides the found primes out
+                out.update(dict.fromkeys(found, 0))
+                pending.append((root, e * k))
+                continue
+            factor, budget = _rho_split(n, budget)
+            if factor is None:
+                raise DepthBoundError(
+                    "no factor of %d found within %d rho steps%s" % (
+                        n, RHO_STEP_BUDGET, "" if n < MR_EXACT_BELOW else
+                        ", and past %d no prime is proven" % MR_EXACT_BELOW))
+            pending += [(n // factor, e), (factor, e)]
+        result.append(out)
+    return result
 
 
 def supernatural_of(s):
     """The supernatural invariant of an eventually periodic sequence."""
-    infinite = set()
-    for entry in s.cycle:
-        infinite.update(_factorize(entry))
+    counts = _factorize(s.cycle + s.prefix)
+    infinite = frozenset().union(*counts[: len(s.cycle)])
     finite = {}
-    for entry in s.prefix:
-        for prime, mult in _factorize(entry).items():
-            if prime not in infinite:
-                finite[prime] = finite.get(prime, 0) + mult
-    return SupernaturalNumber(tuple(finite.items()), frozenset(infinite))
+    for entry in counts[len(s.cycle) :]:
+        for prime in entry.keys() - infinite:
+            finite[prime] = finite.get(prime, 0) + entry[prime]
+    return SupernaturalNumber(tuple(finite.items()), infinite)
+
+
+def _strip(b, c):
+    """b with every prime it shares with c divided out."""
+    g = gcd(b, c)
+    while g > 1:
+        b //= g
+        g = gcd(b, g)
+    return b
 
 
 def mccord_equivalent(a, b):
     """Finitely many deletions equalize the sequences iff the infinite
-    prime sets agree; prefixes and any finite part of a cycle can go."""
-    return supernatural_of(a).infinite == supernatural_of(b).infinite
+    prime sets agree; prefixes and any finite part of a cycle can go.
+    The sets agree iff each cycle product strips to 1 against the other."""
+    ca, cb = prod(a.cycle), prod(b.cycle)
+    return _strip(ca, cb) == 1 and _strip(cb, ca) == 1
 
 
 def member(s, r):
-    """Is the rational r in the subgroup of Q the sequence generates?
-
-    r = a/b in lowest terms lies in the group iff b divides some partial
-    product, iff every prime power of b fits under the supernatural
-    multiplicity of its prime.
-    """
+    """Is the rational r = a/b in the subgroup of Q the sequence generates,
+    that is, does b divide a partial product?  Cycle primes come with any
+    multiplicity, so iff b stripped of them divides the prefix product."""
     r = Fraction(r)
-    invariant = supernatural_of(s)
-    for prime, power in _factorize(r.denominator).items():
-        mult = invariant.multiplicity(prime)
-        if mult is not None and mult < power:
-            return False
-    return True
+    return prod(s.prefix) % _strip(r.denominator, prod(s.cycle)) == 0
 
 
 @dataclass(frozen=True)
@@ -190,10 +308,11 @@ def dl_of_rational(s, r):
     r = Fraction(r)
     if not member(s, r):
         raise StageDomainError("%s is not in the group of %s" % (r, s))
-    level = 0
-    while s.partial_product(level) % r.denominator != 0:
+    level, product = 0, 1
+    while product % r.denominator != 0:
         level += 1
-    numerator = r.numerator * (s.partial_product(level) // r.denominator)
+        product *= s.entry(level)
+    numerator = r.numerator * (product // r.denominator)
     return dl_element(s, level, numerator)
 
 
@@ -210,23 +329,7 @@ def h1_action(m, n):
     return m
 
 
-def _primes(count):
-    """The first `count` primes by a plain sieve."""
-    if count < 1:
-        return []
-    limit = 16
-    while True:
-        sieve = bytearray([1]) * (limit + 1)
-        sieve[0:2] = b"\x00\x00"
-        for i in range(2, int(limit ** 0.5) + 1):
-            if sieve[i]:
-                sieve[i * i :: i] = b"\x00" * len(sieve[i * i :: i])
-        found = [i for i in range(limit + 1) if sieve[i]]
-        if len(found) >= count:
-            return found[:count]
-        limit *= 2
-
-
 def inequivalent_family(count):
     """`count` pairwise inequivalent descriptors via distinct cycle primes."""
-    return [SequenceDescriptor((), (p,)) for p in _primes(count)]
+    primes = (n for n in itertools.count(2) if _factorize([n]) == [{n: 1}])
+    return [SequenceDescriptor((), (next(primes),)) for _ in range(count)]

@@ -17,6 +17,12 @@ points), decided in copy 0 in O(depth) checks because bonds and hats
 ignore the copy.  Synthesis from a pair of threads answers with a recipe,
 a distinctness proof, or unknown; conjectural cases are never upgraded.
 
+Bonds keep the within-copy coordinate x, so fibers and extensions are
+index arithmetic (``fiber_indices``, ``extension_indices``): the fiber of
+(i| x) onto stage n is i, i+n, ..., i+(m-1)n, and extending a thread with
+top index t on stage n_d gives the tops j = t (mod n_d), built level by
+level as L_(k+1) = [j + c*n_k for j in L_k for c in range(m_k)].
+
 Within-copy points are either tower points (finite level, integer
 addresses) or long-line points.  Both endpoints of each copy are
 identified into joints, so inner points exclude them.
@@ -101,31 +107,39 @@ class StagePoint:
         return TOWER_MODE if isinstance(self.inner, TowerPoint) else LONG_MODE
 
     def __str__(self):
-        if self.is_joint:
-            return "inf%d" % self.index
-        return "(%d| %s)" % (self.index, self.inner)
+        return point_format(self.inner) % self.index
+
+
+def point_format(inner):
+    """The %-template, infI or (I| X), that prints points with this inner."""
+    if inner is None:
+        return "inf%d"
+    return "(%%d| %s)" % inner
+
+
+def _check_bond(m, n, p, stage, use):
+    if m < 1 or n < 1:
+        raise StageDomainError("bond multiplicity and target size must be >= 1")
+    if p.n != stage:
+        raise StageDomainError("point lives on stage %d, %s expects %d"
+                               % (p.n, use, stage))
 
 
 def apply_bond(m, n, p):
     """The m-fold bonding map from the size m*n stage down to size n."""
-    if m < 1 or n < 1:
-        raise StageDomainError("bond multiplicity and target size must be >= 1")
-    if p.n != m * n:
-        raise StageDomainError(
-            "point lives on stage %d, bond expects %d" % (p.n, m * n)
-        )
+    _check_bond(m, n, p, m * n, "bond")
     return StagePoint(n, p.index % n, p.inner)
+
+
+def fiber_indices(m, n, q):
+    """Indices of the m preimages of q under the bond, ascending."""
+    _check_bond(m, n, q, n, "fiber")
+    return range(q.index, m * n, n)
 
 
 def fiber(m, n, q):
     """All m preimages of q under the bond, in ascending index order."""
-    if m < 1 or n < 1:
-        raise StageDomainError("bond multiplicity and target size must be >= 1")
-    if q.n != n:
-        raise StageDomainError(
-            "point lives on stage %d, fiber expects %d" % (q.n, n)
-        )
-    return [StagePoint(m * n, q.index + k * n, q.inner) for k in range(m)]
+    return [StagePoint(m * n, j, q.inner) for j in fiber_indices(m, n, q)]
 
 
 def rotate(k, p):
@@ -209,15 +223,12 @@ class Thread:
         return "; ".join(str(pt) for pt in self.points)
 
 
-def extend_thread(thread, levels):
-    """All compatible extensions by the next `levels` bonding exponents.
-
-    Candidates at each new level are the bond fiber of the current top
-    point, taken in ascending index order, so the list is deterministic
-    and has exactly the product of the consumed exponents many entries.
-    It is lexicographic in the per-level indices, not ascending in the
-    top index: over p = 2,2 the tops run 0, 2, 1, 3.
-    """
+def extension_indices(thread, levels):
+    """Per new level, (parent, index) for each extension by the next
+    `levels` exponents: parent is its position in the level before (0, the
+    thread, for the first), index is the parent's plus c*n_k for c < m_k.
+    The order is lexicographic in the per-level indices, not ascending in
+    the top index: over p = 2,2 the tops run 0, 2, 1, 3."""
     if levels < 0:
         raise StageDomainError("extension lengths are non-negative")
     need = thread.depth - 1 + levels
@@ -226,14 +237,22 @@ def extend_thread(thread, levels):
             "thread carries %d bonding exponents, extension needs %d"
             % (len(thread.p), need)
         )
-    results = [thread.points]
-    n = thread.points[-1].n
+    n, level, out = thread.points[-1].n, [(0, thread.points[-1].index)], []
     for m in thread.p[thread.depth - 1 : need]:
-        results = [
-            stack + (cand,) for stack in results for cand in fiber(m, n, stack[-1])
-        ]
+        level = [(i, j + c * n) for i, (_, j) in enumerate(level) for c in range(m)]
         n *= m
-    return [Thread(thread.p, pts) for pts in results]
+        out.append(level)
+    return out
+
+
+def extend_thread(thread, levels):
+    """All compatible extensions by the next `levels` bonding exponents,
+    in the order of ``extension_indices``."""
+    stacks, top = [thread.points], thread.points[-1]
+    for level in extension_indices(thread, levels):
+        n = top.n * len(level)
+        stacks = [stacks[i] + (StagePoint(n, j, top.inner),) for i, j in level]
+    return [Thread(thread.p, pts) for pts in stacks]
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,10 @@ implementation:
 * the degree of a bond on first cohomology comes from walking the joints
   of the covering stage and counting passes through the base joint;
 * bond-compatibility of a recipe comes from checking every copy of every
-  stage, joints and integer stops alike, instead of copy 0 alone.
+  stage, joints and integer stops alike, instead of copy 0 alone;
+* thread extensions come from trying every point of each new stage and
+  keeping the ones the bond sends onto the level below, instead of from
+  the index rule.
 """
 
 from fractions import Fraction
@@ -294,3 +297,21 @@ def ref_verify_commutes(recipe):
                     "high_then_bond": str(lhs),
                 }
     return True, None
+
+
+def ref_extensions(thread, levels):
+    """Point tuples of every extension by `levels` more stages: each new
+    level tries all points of its stage with the thread's inner coordinate
+    and keeps those that bond onto the level below, in index order."""
+    stacks = [thread.points]
+    n = thread.points[-1].n
+    inner = thread.points[-1].inner
+    for m in thread.p[thread.depth - 1 : thread.depth - 1 + levels]:
+        stacks = [
+            stack + (pt,)
+            for stack in stacks
+            for pt in (StagePoint(m * n, i, inner) for i in range(m * n))
+            if apply_bond(m, n, pt) == stack[-1]
+        ]
+        n *= m
+    return stacks

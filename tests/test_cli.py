@@ -8,8 +8,27 @@ import shlex
 import subprocess
 import sys
 import time
+from contextlib import redirect_stdout
+from fractions import Fraction as F
+from io import StringIO
+from math import prod
 from pathlib import Path
 
+from hypothesis import given, settings, strategies as st
+
+from longsol import (
+    ZERO,
+    Address,
+    LongPoint,
+    StagePoint,
+    Thread,
+    TowerPoint,
+    add,
+    extend_thread,
+    fiber,
+    nat,
+    omega_pow,
+)
 from longsol.cli import OPERATION_COVERAGE, build_parser, main
 
 
@@ -123,6 +142,20 @@ def test_thread_verify(capsys):
     assert doc["error"]["position"] == 6
 
 
+def test_thread_verify_reports_bound_errors(capsys):
+    # a representation bound says nothing about validity: exit 1 with the
+    # position, as in every other subcommand
+    deep = "w^(" * 16 + "1" + ")" * 16
+    for argv, position in [
+        (["--points", "inf0; inf" + LONG], 6),
+        (["--long", "--points", "(0| %s); (1| %s)" % (deep, deep)], 4 + 45),
+    ]:
+        code, doc = run(capsys, "thread", "verify", "--p", "2", *argv)
+        assert code == 1
+        assert doc["error"]["code"] == OVERFLOW
+        assert doc["error"]["position"] == position
+
+
 def test_thread_extend(capsys):
     code, doc = run(
         capsys, "thread", "extend", "--p", "2,3", "--points", "inf0",
@@ -220,6 +253,40 @@ def test_cohomology(capsys):
         0,
         {"degree": 3},
     )
+
+
+def test_cohomology_large_numbers(capsys):
+    # past the exact primality range (about 3.3e24), found factors prove it
+    for base, exponent in ((1009, 12), (17, 30)):
+        argv = ["cohomology", "invariant", "--s", ":%d" % base**exponent]
+        assert run(capsys, *argv) == (0, {"finite": {}, "infinite": [base]})
+    # about 4200 digits, answered by trial division before: a prime below
+    # the gcd cut, a perfect power above it, and a mixed prefix
+    for base, exponent in ((999983, 700), (9999991, 600)):
+        argv = ["cohomology", "invariant", "--s", ":%d" % base**exponent]
+        assert run(capsys, *argv) == (0, {"finite": {}, "infinite": [base]})
+    argv = ["cohomology", "invariant", "--s", "%d:2" % (999983**699 * 1000003)]
+    assert run(capsys, *argv) == (
+        0, {"finite": {"999983": 699, "1000003": 1}, "infinite": [2]},
+    )
+    prime = 10**18 + 3
+    assert run(capsys, "cohomology", "invariant", "--s", ":%d" % prime) == (
+        0, {"finite": {}, "infinite": [prime]},
+    )
+    assert run(capsys, "cohomology", "member", "--s", ":2", "--r", "1/%d" % prime) == (
+        0, {"member": False},
+    )
+    code, doc = run(
+        capsys, "cohomology", "sum", "--s", ":2", "--a", "1/%d" % 2**3000, "--b", "1/2"
+    )
+    assert (code, doc["level"], doc["numerator"]) == (0, 3000, 2**2999 + 1)
+    # a 25-digit probable prime past that range, and a semiprime inside it
+    # whose factors rho does not reach within its budget: never a guess
+    for n in (4000000000000000000000027, 1000000000039 * 2000000000003):
+        start = time.perf_counter()
+        code, doc = run(capsys, "cohomology", "invariant", "--s", ":%d" % n)
+        assert time.perf_counter() - start < 2
+        assert (code, doc["error"]["code"]) == (1, "representation-overflow")
 
 
 def test_parse_error_contract(capsys):
@@ -371,3 +438,78 @@ def test_module_invocation():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"normal": "w+1"}
+
+
+# ---------------------------------------------------------------------------
+# the command line renders fiber and thread extend text from index
+# arithmetic; the library builds StagePoint and Thread objects.  Both must
+# print the same.
+
+RHOS = (ZERO, nat(3), omega_pow(nat(1)), add(omega_pow(nat(2)), nat(1)))
+
+
+@st.composite
+def inner_points(draw):
+    """(mode flags, inner coordinate): a joint, a tower stop or base point
+    at kappa 1-4, or a long-line point."""
+    kind = draw(st.sampled_from(["joint", "tower", "long"]))
+    if kind == "joint":
+        return [], None
+    rho = draw(st.sampled_from(RHOS))
+    frac = draw(st.sampled_from([F(0), F(1, 2), F(3, 8)]))
+    if rho.is_zero and frac == 0:
+        frac = F(1, 4)
+    if kind == "long":
+        gamma = draw(st.sampled_from([ZERO, nat(1), nat(2)]))
+        return ["--long"], LongPoint(gamma, rho, frac)
+    kappa = draw(st.integers(1, 4))
+    small = st.integers(-9, 9)
+    if kappa > 1 and draw(st.booleans()):
+        depth = draw(st.integers(1, kappa - 1))
+        ints = draw(st.lists(small, min_size=depth, max_size=depth))
+        return ["--tower", str(kappa)], TowerPoint(kappa, Address(tuple(ints)))
+    ints = draw(st.lists(small, min_size=kappa - 1, max_size=kappa - 1))
+    return ["--tower", str(kappa)], TowerPoint(kappa, Address(tuple(ints), rho, frac))
+
+
+def _stdout(argv):
+    out = StringIO()
+    with redirect_stdout(out):
+        assert main(argv) == 0, argv
+    return out.getvalue()
+
+
+def _json_line(doc):
+    return json.dumps(doc, sort_keys=True) + "\n"
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 6), st.integers(0, 11), inner_points())
+def test_fiber_text_matches_library(m, n, index, inner):
+    flags, x = inner
+    q = StagePoint(n, index, x)
+    argv = ["fiber", "--m", str(m), "--n", str(n), "--point", str(q)] + flags
+    expected = {"stage": m * n, "points": [str(pt) for pt in fiber(m, n, q)]}
+    assert _stdout(argv) == _json_line(expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.sampled_from([2, 3, 4, 5]), min_size=1, max_size=4),
+    st.integers(1, 3),
+    st.integers(0, 47),
+    inner_points(),
+    st.data(),
+)
+def test_thread_extend_text_matches_library(p, given_depth, top, inner, data):
+    while prod(p) > 48:  # the default LONGSOL_INDEX_BOUND
+        p.pop()
+    given_depth = min(given_depth, len(p))
+    levels = data.draw(st.integers(1, len(p) - given_depth + 1))
+    flags, x = inner
+    sizes = [prod(p[:k]) for k in range(given_depth)]
+    thread = Thread(tuple(p), tuple(StagePoint(n, top, x) for n in sizes))
+    argv = ["thread", "extend", "--p", ",".join(map(str, p)),
+            "--points", str(thread), "--levels", str(levels)] + flags
+    threads = [str(t) for t in extend_thread(thread, levels)]
+    assert _stdout(argv) == _json_line({"count": len(threads), "threads": threads})

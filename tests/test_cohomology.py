@@ -3,14 +3,17 @@
 The closed-form invariant (cycle primes go infinite, leftover prefix
 primes keep finite counts) is cross-checked against ``ref_supernatural``,
 which expands the sequence to two horizons and compares prime counts,
-and ``ref_member``, which scans partial products directly.
+and ``ref_member``, which scans partial products directly.  The
+factoring behind the invariant is checked against ``prime_counts``, plain
+trial division.
 """
 
 import itertools
 from fractions import Fraction as F
+from math import prod
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from longsol import (
     DirectLimitElement,
@@ -30,7 +33,13 @@ from longsol import (
     member,
     supernatural_of,
 )
-from reference_models import ref_h1_action, ref_member, ref_supernatural
+from longsol.cohomology import MR_EXACT_BELOW, PRIME_CUT, _factorize
+from reference_models import (
+    prime_counts,
+    ref_h1_action,
+    ref_member,
+    ref_supernatural,
+)
 
 
 def d(prefix, cycle):
@@ -238,3 +247,70 @@ def test_inequivalent_family():
             assert supernatural_of(a).infinite != supernatural_of(b).infinite
     assert inequivalent_family(1) == [d((), (2,))]
     assert inequivalent_family(0) == []
+
+
+# ---------------------------------------------------------------------------
+# factoring: trial division below 100, Miller-Rabin, gcd with runs of the
+# primes below PRIME_CUT, perfect powers, budgeted rho
+
+# the trial-division primes end at 97, the runs at PRIME_CUT = 2^22;
+# these sit on either side of the two cuts
+ABOVE_CUT = [101, 103, 107, 109, 113, 127, 131, 9973, 10007,
+             4194301, 4194319, 4194329]
+factors = st.tuples(
+    st.one_of(
+        st.integers(2, 10**7 - 1),
+        st.sampled_from(ABOVE_CUT),
+        st.sampled_from([2, 3, 97, 1009]),
+    ),
+    st.integers(1, 3),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(factors, min_size=1, max_size=4), st.lists(factors, max_size=2))
+def test_factorize_matches_trial_division(one, two):
+    terms = [[k] * e for k, e in one], [[k] * e for k, e in two]
+    numbers = [prod(sum(t, [])) for t in terms]
+    assert _factorize(numbers) == [prime_counts(sum(t, [])) for t in terms]
+
+
+def test_factorize_hand_cases():
+    assert _factorize([1009**12, 17**30]) == [{1009: 12}, {17: 30}]
+    assert 1009**12 > MR_EXACT_BELOW and 17**30 > MR_EXACT_BELOW
+    assert 4194301 < PRIME_CUT < 4194319 < 9999991
+    assert _factorize([10**18 + 3]) == [{10**18 + 3: 1}]
+    assert _factorize([1, 2**3000 * 101]) == [{}, {2: 3000, 101: 1}]
+    # thousands of digits: primes below the cut by gcd, powers by roots
+    assert _factorize([999983**700, 999983**699 * 1000003, 9999991**600]) == [
+        {999983: 700}, {999983: 699, 1000003: 1}, {9999991: 600},
+    ]
+    assert _factorize([4194319**5 * 9999991**7 * 4194301]) == [
+        {4194301: 1, 4194319: 5, 9999991: 7},
+    ]
+    # 9999991 * 9999973 needs rho; 3215031751 is a strong pseudoprime to the
+    # bases 2, 3, 5 and 7, so only a fifth base proves it composite
+    assert _factorize([9999991 * 9999973, 3215031751]) == [
+        {9999973: 1, 9999991: 1},
+        {151: 1, 751: 1, 28351: 1},
+    ]
+
+
+descriptors = st.builds(
+    SequenceDescriptor,
+    st.lists(st.integers(2, 40), max_size=3).map(tuple),
+    st.lists(st.integers(2, 40), min_size=1, max_size=3).map(tuple),
+)
+
+
+@settings(max_examples=60)
+@given(descriptors, descriptors)
+def test_mccord_matches_expansion_model(a, b):
+    assert mccord_equivalent(a, b) == (ref_supernatural(a)[1] == ref_supernatural(b)[1])
+
+
+@settings(max_examples=60)
+@given(descriptors, st.integers(-30, 30), st.lists(st.integers(2, 40), max_size=3))
+def test_member_matches_scan(s, numerator, den_terms):
+    r = F(numerator, prod(den_terms))
+    assert member(s, r) == ref_member(s, r)

@@ -3,8 +3,8 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
-from reference_models import ref_verify_commutes
+from hypothesis import given, settings, strategies as st
+from reference_models import ref_extensions, ref_verify_commutes
 
 from longsol import (
     IDENTITY_TOKEN,
@@ -38,6 +38,7 @@ from longsol import (
     translate,
     verify_commutes,
 )
+from longsol.stages import extension_indices, fiber_indices
 
 W = omega_pow(nat(1))
 W2 = omega_pow(nat(2))
@@ -159,6 +160,30 @@ def test_extend_thread_from_depth_two():
     t = joints_thread((2, 3), (0, 1))
     ext = extend_thread(t, 1)
     assert [e.points[-1] for e in ext] == [joint(6, 1), joint(6, 3), joint(6, 5)]
+
+
+@settings(max_examples=50)
+@given(
+    st.lists(st.sampled_from([2, 3, 4]), min_size=1, max_size=4),
+    st.integers(1, 3),
+    st.integers(0, 95),
+    st.sampled_from([None, TowerPoint(2, Address((4,))), LongPoint(rho=W)]),
+)
+def test_extend_thread_matches_every_point(p, given_depth, top, inner):
+    given_depth = min(given_depth, len(p))
+    sizes = [stage_size(p, lvl) for lvl in range(1, given_depth + 1)]
+    thread = Thread(tuple(p), tuple(StagePoint(n, top, inner) for n in sizes))
+    levels = len(p) + 1 - given_depth
+    assert [t.points for t in extend_thread(thread, levels)] == ref_extensions(
+        thread, levels
+    )
+
+
+def test_extension_indices_order():
+    # lexicographic in the per-level indices, not ascending in the top index
+    seed = Thread((2, 2), (joint(1, 0),))
+    assert extension_indices(seed, 2) == [[(0, 0), (0, 1)], [(0, 0), (0, 2), (1, 1), (1, 3)]]
+    assert list(fiber_indices(3, 4, joint(4, 5))) == [1, 5, 9]
 
 
 def test_extend_thread_rejections():
