@@ -10,7 +10,8 @@ before the work it bounds starts: ``LONGSOL_DEPTH`` caps thread depth
 (default 6) and ``LONGSOL_INDEX_BOUND`` caps stage sizes (default 48); a
 call over either fails with ``bad-command``.  Ordinal literals nesting
 deeper than 16, and integer literals past ``int``'s digit limit, fail
-with ``representation-overflow`` while they are read.
+with ``representation-overflow`` while they are read; so does an answer
+or message that would print an integer past that limit.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .cohomology import (
     mccord_equivalent,
     supernatural_of,
 )
-from .errors import CommandError, LongSolError
+from .errors import CommandError, DepthBoundError, LongSolError
 from .longline import partition_class
 from .ordinal import add, compare, mul, omega_pow
 from .stages import (
@@ -110,8 +111,6 @@ def _token_doc(token):
     doc = {"mode": token.mode}
     if token.kappa is not None:
         doc["kappa"] = token.kappa
-    if token.translate_by:
-        doc["translate_by"] = token.translate_by
     if token.mode == "mapping":
         doc["source"] = str(token.source)
         doc["target"] = str(token.target)
@@ -119,14 +118,10 @@ def _token_doc(token):
 
 
 def _recipe_doc(recipe):
+    hat = _token_doc(recipe.hat)
     return [
-        {
-            "level": level,
-            "rot": recipe.rotations[level - 1],
-            "trans": recipe.translate_by if recipe.translate_by else 0,
-            "hat": _token_doc(recipe.hat),
-        }
-        for level in range(1, len(recipe.rotations) + 1)
+        {"level": level, "rot": rot, "trans": recipe.translate_by, "hat": hat}
+        for level, rot in enumerate(recipe.rotations, start=1)
     ]
 
 
@@ -328,7 +323,7 @@ _GROUPS = {
 # One row per leaf subcommand: its path, handler, help, arguments, and the
 # library operations it exercises.  The parser and OPERATION_COVERAGE are
 # both built from this table, and the test suite audits the coverage so it
-# cannot rot: every public operation stays reachable from exactly one row.
+# cannot rot: sample argvs of each row call every operation the row names.
 COMMANDS = (
     ("ord", _cmd_ord, "ordinal arithmetic in normal form", (
         ("--expr", {"help": "normalize one expression"}),
@@ -347,16 +342,15 @@ COMMANDS = (
         ("--y", dict(_REQUIRED, help="second thread")),
     ), ("longline.distinct_orbit_proof", "longline.same_orbit_recipe",
         "tower.same_orbit", "tower.base_automorphism_token", "tower.strip_top",
-        "tower.within_copy_hat", "stages.rotate", "stages.translate",
-        "stages.apply_hat", "stages.apply_recipe", "stages.verify_commutes",
-        "stages.synthesize_recipe")),
+        "tower.within_copy_hat", "stages.level_map", "stages.apply_recipe",
+        "stages.verify_commutes", "stages.synthesize_recipe")),
     ("fiber", _cmd_fiber, "preimages of a point under a bonding map", (
         ("--m", dict(_REQUIRED_INT, help="covering degree")),
         ("--n", dict(_REQUIRED_INT, help="base stage size")),
         ("--point", _REQUIRED),
     ) + _MODE, ("stages.fiber_indices", "stages.point_format")),
     ("thread verify", _cmd_thread_verify, "check a thread against its bonds",
-     _THREAD, ("stages.apply_bond",)),
+     _THREAD, ("stages.stage_size",)),
     ("thread extend", _cmd_thread_extend, "every extension by more levels",
      _THREAD + (("--levels", {"type": int, "default": 1}),),
      ("stages.extension_indices",)),
@@ -425,26 +419,31 @@ def _flatten(doc, prefix=""):
     return lines
 
 
-def _emit(doc, fmt):
+def _render(doc, fmt="json"):
     if fmt == "text":
-        print("\n".join(_flatten(doc)))
-    else:
-        print(json.dumps(doc, sort_keys=True))
+        return "\n".join(_flatten(doc))
+    return json.dumps(doc, sort_keys=True)
 
 
 def main(argv=None):
     try:
         args = _PARSER.parse_args(argv)
-        doc, fmt, code = args.handler(args), args.format, 0
-    except LongSolError as err:
-        error = {"code": err.code, "message": str(err)}
-        if err.position is not None:
-            error["position"] = err.position
-        doc, fmt, code = {"error": error}, "json", 1
-    except Exception as err:  # pragma: no cover - defensive
-        doc, fmt, code = {"error": {"code": "internal", "message": str(err)}}, "json", 2
+        text, code = _render(args.handler(args), args.format), 0
+    except Exception as err:
+        if isinstance(err, ValueError) and "integer string conversion" in str(err):
+            # int refused to print an integer past its digit limit
+            err = DepthBoundError(
+                "printed integer longer than %d digits" % sys.get_int_max_str_digits()
+            )
+        if isinstance(err, LongSolError):
+            error, code = {"code": err.code, "message": str(err)}, 1
+            if err.position is not None:
+                error["position"] = err.position
+        else:
+            error, code = {"code": "internal", "message": str(err)}, 2
+        text = _render({"error": error})
     try:
-        _emit(doc, fmt)
+        print(text)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed stdout early.  As the Python signal docs advise,

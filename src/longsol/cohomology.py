@@ -212,8 +212,8 @@ def _factorize(numbers):
             factor, budget = _rho_split(n, budget)
             if factor is None:
                 raise DepthBoundError(
-                    "no factor of %d found within %d rho steps%s" % (
-                        n, RHO_STEP_BUDGET, "" if n < MR_EXACT_BELOW else
+                    "no factor of a %d-bit cofactor found within %d rho steps%s" % (
+                        n.bit_length(), RHO_STEP_BUDGET, "" if n < MR_EXACT_BELOW else
                         ", and past %d no prime is proven" % MR_EXACT_BELOW))
             pending += [(n // factor, e), (factor, e)]
         result.append(out)

@@ -353,10 +353,20 @@ def parse_descriptor(text, offset=0):
 
 
 def parse_rational(text, offset=0):
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError):
-        raise ParseError("expected a rational N/D", position=offset) from None
+    """A rational ``[-]N[/D]`` with D > 0 and whitespace only around it.  N
+    and D go through the one digit reader, so an overlong one fails with a
+    positioned ``representation-overflow``."""
+    stripped = text.strip()
+    lead = offset + len(text) - len(text.lstrip())
+    num_text, slash, den_text = stripped.partition("/")
+    if not any(ch.isspace() for ch in stripped):
+        try:
+            num = _parse_int(num_text, lead)
+            den = _decimal(den_text, lead + len(num_text) + 1, "") if slash else 1
+            return Fraction(num, den)
+        except (ParseError, ZeroDivisionError):
+            pass
+    raise ParseError("expected a rational N/D", position=offset)
 
 
 def _parse_position(text, n, offset):

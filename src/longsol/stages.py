@@ -11,11 +11,13 @@ Homeomorphism recipes act level by level as a rotation composed with an
 optional top-integer translation and a hat, where the hat applies one
 interval automorphism token inside every copy.  Recipes carry the shared
 translation and token plus a rotation offset per level; validity means
-commuting with every bond on a finite, documented verification set (the
-joint, bounded integer-stop addresses, and the recipe's tracked source
-points), decided in copy 0 in O(depth) checks because bonds and hats
-ignore the copy.  Synthesis from a pair of threads answers with a recipe,
-a distinctness proof, or unknown; conjectural cases are never upgraded.
+commuting with every bond on a finite verification set (see
+``verify_commutes``).  Bonds keep the inner coordinate, and translation and
+hat ignore copy and level, so the square at level k commutes at a point
+exactly when rotations[k] = rotations[k-1] (mod n_k) and the hat and
+translation are defined at its inner coordinate.  Synthesis from a pair of
+threads answers with a recipe, a distinctness proof, or unknown;
+conjectural cases are never upgraded.
 
 Bonds keep the within-copy coordinate x, so fibers and extensions are
 index arithmetic (``fiber_indices``, ``extension_indices``): the fiber of
@@ -31,7 +33,9 @@ identified into joints, so inner points exclude them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import prod
+from operator import mul
 
 from .errors import (
     InvalidPointError,
@@ -41,7 +45,6 @@ from .errors import (
     UnsupportedTranslationError,
 )
 from .longline import (
-    NOT_PROVEN,
     PROVEN_DISTINCT,
     SAME,
     UNKNOWN,
@@ -80,21 +83,7 @@ class StagePoint:
         if not isinstance(self.n, int) or self.n < 1:
             raise StageDomainError("stage sizes are integers >= 1")
         object.__setattr__(self, "index", self.index % self.n)
-        x = self.inner
-        if x is None:
-            return
-        if isinstance(x, TowerPoint):
-            if x.is_joint:
-                raise InvalidPointError(
-                    "the tower joint is written as a stage joint, not an inner point"
-                )
-        elif isinstance(x, LongPoint):
-            if x.end or x.is_zero:
-                raise InvalidPointError(
-                    "copy endpoints are identified into joints and are not inner"
-                )
-        else:
-            raise InvalidPointError("inner points are TowerPoint or LongPoint")
+        _check_inner(self.inner)
 
     @property
     def is_joint(self):
@@ -108,6 +97,24 @@ class StagePoint:
 
     def __str__(self):
         return point_format(self.inner) % self.index
+
+
+def _check_inner(x):
+    """Reject x unless it is None (a joint) or an inner point of a copy."""
+    if x is None:
+        return
+    if isinstance(x, TowerPoint):
+        if x.is_joint:
+            raise InvalidPointError(
+                "the tower joint is written as a stage joint, not an inner point"
+            )
+    elif isinstance(x, LongPoint):
+        if x.end or x.is_zero:
+            raise InvalidPointError(
+                "copy endpoints are identified into joints and are not inner"
+            )
+    else:
+        raise InvalidPointError("inner points are TowerPoint or LongPoint")
 
 
 def point_format(inner):
@@ -153,16 +160,16 @@ def translate(k, p):
     Joints stay fixed.  Only tower points at level 2 or above carry a top
     integer, so other inner points reject translation.
     """
-    if p.is_joint:
-        return p
-    x = p.inner
+    return p if p.is_joint else StagePoint(p.n, p.index, _shift_top(k, p.inner))
+
+
+def _shift_top(k, x):
     if not isinstance(x, TowerPoint) or x.kappa < 2:
         raise UnsupportedTranslationError(
             "translation needs an integer-indexed tower level (kappa >= 2)"
         )
     a = x.address
-    shifted = Address((a.ints[0] + k,) + a.ints[1:], a.rho, a.frac)
-    return StagePoint(p.n, p.index, TowerPoint(x.kappa, shifted))
+    return TowerPoint(x.kappa, Address((a.ints[0] + k,) + a.ints[1:], a.rho, a.frac))
 
 
 def stage_size(p_seq, level):
@@ -279,10 +286,8 @@ class HomeoRecipe:
             raise ThreadMismatchError("recipes need at least one level")
         if len(self.p) < len(self.rotations) - 1:
             raise ThreadMismatchError("not enough bonding exponents for the depth")
-        reduced = tuple(
-            l % stage_size(self.p, idx + 1)
-            for idx, l in enumerate(self.rotations)
-        )
+        sizes = accumulate(self.p, mul, initial=1)
+        reduced = tuple(l % n for l, n in zip(self.rotations, sizes))
         object.__setattr__(self, "rotations", reduced)
         if self.tracked is not None:
             object.__setattr__(self, "tracked", tuple(self.tracked))
@@ -343,37 +348,38 @@ def _hat_tower(hat, x):
 
 def apply_hat(hat, p):
     """Apply an interval automorphism token inside every copy of a stage."""
-    if p.is_joint or hat is IDENTITY_TOKEN or hat.is_identity:
-        return p
-    x = p.inner
-    if isinstance(x, TowerPoint):
-        if hat.kappa is None:
-            raise TokenUndefinedError("long-line token applied to a tower point")
-        return StagePoint(p.n, p.index, _hat_tower(hat, x))
-    if hat.kappa is not None:
-        raise TokenUndefinedError("tower token applied to a long-line point")
-    return StagePoint(p.n, p.index, _hat_long(hat, x))
+    return p if p.is_joint else StagePoint(p.n, p.index, _map_inner(hat, 0, p.inner))
+
+
+def _map_inner(hat, k, x):
+    """The hat, then a top-integer shift by k, at one within-copy coordinate
+    (None, the joint, stays None): what a level map does inside a copy,
+    the same for every copy and every level."""
+    if x is None:
+        return None
+    if not hat.is_identity:
+        if isinstance(x, TowerPoint):
+            if hat.kappa is None:
+                raise TokenUndefinedError("long-line token applied to a tower point")
+            x = _hat_tower(hat, x)
+        elif hat.kappa is not None:
+            raise TokenUndefinedError("tower token applied to a long-line point")
+        else:
+            x = _hat_long(hat, x)
+        _check_inner(x)
+    return _shift_top(k, x) if k else x
 
 
 def level_map(recipe, level):
     """The stage map at a 1-based level: hat, then translation, then rotation."""
-    l = recipe.rotations[level - 1]
-    k = recipe.translate_by
-
-    def act(pt):
-        out = apply_hat(recipe.hat, pt)
-        if k:
-            out = translate(k, out)
-        return rotate(l, out)
-
-    return act
+    l, hat, k = recipe.rotations[level - 1], recipe.hat, recipe.translate_by
+    return lambda p: StagePoint(p.n, p.index + l, _map_inner(hat, k, p.inner))
 
 
 def apply_recipe(recipe, thread):
     """Apply the recipe level by level; the image is re-checked as a thread."""
-    if recipe.depth != thread.depth or tuple(recipe.p[: recipe.depth - 1]) != tuple(
-        thread.p[: thread.depth - 1]
-    ):
+    d = recipe.depth
+    if d != thread.depth or recipe.p[: d - 1] != thread.p[: d - 1]:
         raise ThreadMismatchError("recipe and thread disagree on depth or exponents")
     new_points = tuple(
         level_map(recipe, idx + 1)(pt) for idx, pt in enumerate(thread.points)
@@ -382,36 +388,34 @@ def apply_recipe(recipe, thread):
 
 
 def verify_commutes(recipe):
-    """Check bond-compatibility of the recipe on the verification set.
-
-    The set is the joint, the integer stops [-8]..[8] when kappa >= 2, and
-    the tracked point.  Bonds, hats and translations ignore the copy, so
-    copy 0 stands for every copy and meets the same first failure.
+    """Check bond-compatibility of the recipe on the verification set: per
+    level, in this order, the joint inf0, the integer stops [-8]..[8] when
+    kappa >= 2, and the tracked point, each decided by the congruence rule.
+    The joint is defined under every recipe and comes first, so it is the
+    first failure of an incongruent level; level 1 (n = 1) is congruent and
+    the stops' images ignore the level, so they are evaluated once, there.
 
     Returns (True, None) when every level pair commutes, otherwise
     (False, record) with the first offending level and point.
     """
-    for level in range(1, recipe.depth):
-        m = recipe.p[level - 1]
-        n = stage_size(recipe.p, level)
-        low_map = level_map(recipe, level)
-        high_map = level_map(recipe, level + 1)
-        inners = [None]
-        if recipe.kappa is not None and recipe.kappa >= 2:
-            inners += [TowerPoint(recipe.kappa, Address((z,))) for z in range(-8, 9)]
-        check = [StagePoint(m * n, 0, x) for x in inners]
+    hat, k = recipe.hat, recipe.translate_by
+    if recipe.depth > 1 and recipe.kappa is not None and recipe.kappa >= 2:
+        for z in range(-8, 9):
+            _map_inner(hat, k, TowerPoint(recipe.kappa, Address((z,))))
+    joint, sizes = point_format(None), accumulate(recipe.p, mul, initial=1)
+    for level, (m, n) in enumerate(zip(recipe.p[: recipe.depth - 1], sizes), 1):
+        low, high = recipe.rotations[level - 1], recipe.rotations[level] % n
+        if low != high:
+            return False, {
+                "level": level,
+                "point": joint % 0,
+                "bond_then_low": joint % low,
+                "high_then_bond": joint % high,
+            }
         if recipe.tracked is not None:
-            check.append(recipe.tracked[level])
-        for pt in check:
-            lhs = apply_bond(m, n, high_map(pt))
-            rhs = low_map(apply_bond(m, n, pt))
-            if lhs != rhs:
-                return False, {
-                    "level": level,
-                    "point": str(pt),
-                    "bond_then_low": str(rhs),
-                    "high_then_bond": str(lhs),
-                }
+            pt = recipe.tracked[level]
+            _map_inner(hat, k, pt.inner)
+            _check_bond(m, n, pt, m * n, "bond")
     return True, None
 
 
@@ -435,12 +439,6 @@ def _check_same_shape(x, y):
         raise ThreadMismatchError("threads live at different tower levels")
 
 
-def _rotations_for(x, y):
-    return tuple(
-        (y.points[i].index - x.points[i].index) for i in range(x.depth)
-    )
-
-
 def synthesize_recipe(x, y, kappa=None):
     """Build a recipe mapping thread x onto thread y, or explain why not.
 
@@ -455,50 +453,27 @@ def synthesize_recipe(x, y, kappa=None):
     """
     _check_same_shape(x, y)
     xj, yj = x.points[0].is_joint, y.points[0].is_joint
-    if xj and yj:
-        return SynthesisResult(
-            RECIPE,
-            HomeoRecipe(
-                p=x.p,
-                rotations=_rotations_for(x, y),
-                kappa=kappa,
-                tracked=x.points,
-            ),
-        )
-
-    if x.mode == TOWER_MODE or y.mode == TOWER_MODE:
-        level = (x if x.mode == TOWER_MODE else y).points[0].inner.kappa
-        tx = level + 1 if xj else point_type(x.points[0].inner)
-        ty = level + 1 if yj else point_type(y.points[0].inner)
+    shift, hat = 0, IDENTITY_TOKEN  # what two all-joint threads keep
+    if TOWER_MODE in (x.mode, y.mode):
+        kappa = (x if x.mode == TOWER_MODE else y).points[0].inner.kappa
+        tx = kappa + 1 if xj else point_type(x.points[0].inner)
+        ty = kappa + 1 if yj else point_type(y.points[0].inner)
         if tx != ty:
             return SynthesisResult(PROVEN_DISTINCT)
         shift, hat = within_copy_hat(x.points[0].inner, y.points[0].inner)
-        recipe = HomeoRecipe(
-            p=x.p,
-            rotations=_rotations_for(x, y),
-            translate_by=shift,
-            hat=hat,
-            kappa=level,
-            tracked=x.points,
-        )
-        return SynthesisResult(RECIPE, recipe)
-
-    # long-line mode, at least one inner thread
-    if xj or yj:
+    elif xj != yj:  # long-line mode: the joint against an inner thread
         inner = (y if xj else x).points[0].inner
-        if not is_ng(inner):
+        return SynthesisResult(UNKNOWN if is_ng(inner) else PROVEN_DISTINCT)
+    elif not xj:  # long-line mode: two inner threads
+        xin, yin = x.points[0].inner, y.points[0].inner
+        if distinct_orbit_proof(xin, yin) == PROVEN_DISTINCT:
             return SynthesisResult(PROVEN_DISTINCT)
-        return SynthesisResult(UNKNOWN)
-    xin, yin = x.points[0].inner, y.points[0].inner
-    if distinct_orbit_proof(xin, yin) == PROVEN_DISTINCT:
-        return SynthesisResult(PROVEN_DISTINCT)
-    answer = same_orbit_recipe(xin, yin)
-    if answer.status != SAME:
-        return SynthesisResult(UNKNOWN)
-    recipe = HomeoRecipe(
-        p=x.p,
-        rotations=_rotations_for(x, y),
-        hat=answer.token,
+        answer = same_orbit_recipe(xin, yin)
+        if answer.status != SAME:
+            return SynthesisResult(UNKNOWN)
+        hat, kappa = answer.token, None
+    rotations = tuple(b.index - a.index for a, b in zip(x.points, y.points))
+    return SynthesisResult(RECIPE, HomeoRecipe(
+        p=x.p, rotations=rotations, translate_by=shift, hat=hat, kappa=kappa,
         tracked=x.points,
-    )
-    return SynthesisResult(RECIPE, recipe)
+    ))

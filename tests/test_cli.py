@@ -8,16 +8,18 @@ import shlex
 import subprocess
 import sys
 import time
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 from io import StringIO
 from math import prod
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from test_cli_golden import ARGVS
 
 from longsol import (
     ZERO,
+    LongSolError,
     Address,
     LongPoint,
     StagePoint,
@@ -29,7 +31,7 @@ from longsol import (
     nat,
     omega_pow,
 )
-from longsol.cli import OPERATION_COVERAGE, build_parser, main
+from longsol.cli import _PARSER, COMMANDS, OPERATION_COVERAGE, build_parser, main
 
 
 def run(capsys, *argv):
@@ -287,6 +289,7 @@ def test_cohomology_large_numbers(capsys):
         code, doc = run(capsys, "cohomology", "invariant", "--s", ":%d" % n)
         assert time.perf_counter() - start < 2
         assert (code, doc["error"]["code"]) == (1, "representation-overflow")
+        assert "%d-bit cofactor" % n.bit_length() in doc["error"]["message"]
 
 
 def test_parse_error_contract(capsys):
@@ -412,7 +415,34 @@ def _sub_choices(parser):
     return {}
 
 
-def test_operation_coverage_table():
+# argvs that reach operations no golden argv reaches: two long-line inner
+# threads, and two distinct base points at tower level 1
+COVERAGE_SAMPLES = [
+    ["orbit", "--long", "--p", "2", "--x", "(0| w1*(1)+w); (0| w1*(1)+w)",
+     "--y", "(0| w1*(1)+w*2); (0| w1*(1)+w*2)"],
+    ["orbit", "--tower", "1", "--p", "2", "--x", "(0| [; w]); (0| [; w])",
+     "--y", "(0| [; w^2]); (0| [; w^2])"],
+]
+
+
+def _codes_called(argv):
+    """The code object of every Python function that main(argv) calls."""
+    codes = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            codes.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        with redirect_stdout(StringIO()):
+            main(argv)
+    finally:
+        sys.setprofile(None)
+    return codes
+
+
+def test_operation_coverage_table(monkeypatch):
     top = _sub_choices(build_parser())
     paths = set()
     for name, sub in top.items():
@@ -428,6 +458,22 @@ def test_operation_coverage_table():
         module_name, func_name = dotted.split(".")
         module = importlib.import_module("longsol." + module_name)
         assert callable(getattr(module, func_name)), dotted
+    # and the row's sample argvs, from the golden corpus and COVERAGE_SAMPLES,
+    # call every operation the row names
+    for name in ("LONGSOL_DEPTH", "LONGSOL_INDEX_BOUND"):
+        monkeypatch.delenv(name, raising=False)
+    called = {}
+    for argv in ARGVS + COVERAGE_SAMPLES:
+        try:
+            handler = _PARSER.parse_args(argv).handler
+        except LongSolError:
+            continue
+        called.setdefault(handler, set()).update(_codes_called(argv))
+    for path, handler, *_, operations in COMMANDS:
+        for dotted in operations:
+            module_name, func_name = dotted.split(".")
+            func = getattr(importlib.import_module("longsol." + module_name), func_name)
+            assert func.__code__ in called[handler], (path, dotted)
 
 
 def test_module_invocation():
@@ -513,3 +559,84 @@ def test_thread_extend_text_matches_library(p, given_depth, top, inner, data):
             "--points", str(thread), "--levels", str(levels)] + flags
     threads = [str(t) for t in extend_thread(thread, levels)]
     assert _stdout(argv) == _json_line({"count": len(threads), "threads": threads})
+
+
+# ---------------------------------------------------------------------------
+# the contract: any argv ends, within the per-call bound, in an answer
+# (exit 0) or a structured error (exit 1), as one JSON document on stdout
+# and nothing on stderr.
+
+
+def _long_int(sign, digits, length):
+    """A signed literal of `length` digits, the drawn digits repeated; from
+    4301 digits on it is past int's default digit limit."""
+    return sign + (digits * length)[:length]
+
+
+VALUES = st.one_of(
+    st.integers(-60, 60).map(str),
+    st.builds(_long_int, st.sampled_from(["", "-"]),
+              st.text("0123456789", min_size=1, max_size=5), st.integers(4300, 4400)),
+    st.builds("{}e{}".format, st.integers(-9, 9), st.integers(-10**9, 10**9)),
+    st.builds("{}.{}".format, st.integers(-99, 99), st.integers(0, 99)),
+    st.text(max_size=8),
+)
+# one or two templates per subcommand; each {} takes a drawn value
+TEMPLATES = [
+    ["ord", "--expr", "{}"],
+    ["ord", "--a", "w^{}+{}", "--mul", "{}"],
+    ["ord", "--omega-pow", "{}"],
+    ["classify", "--tower", "{}", "--point", "[{},{}]"],
+    ["classify", "--long", "--point", "w1*({})+{}+1/{}"],
+    ["orbit", "--tower", "2", "--p", "{}", "--x", "(0| [{}]); (0| [{}])",
+     "--y", "(0| [{}]); (0| [{}])"],
+    ["orbit", "--long", "--p", "2", "--x", "inf{}; inf0", "--y", "(0| w1*({})+w*{})"],
+    ["fiber", "--m", "{}", "--n", "{}", "--point", "inf{}"],
+    ["thread", "verify", "--p", "{},2", "--points", "inf0; inf{}"],
+    ["thread", "extend", "--p", "{},2", "--points", "inf{}", "--levels", "{}"],
+    ["indecomp", "--pn", "{}", "--n", "1", "--c-arc", "0..0+1/{}",
+     "--g-arc", "0+1/{}..0+1/{}"],
+    ["chain-check", "--n", "{}", "--arcs", "0..0+1/{},0+1/{}..0"],
+    ["cohomology", "invariant", "--s", "{}:{}"],
+    ["cohomology", "equiv", "--a", ":{}", "--b", "{}:2"],
+    ["cohomology", "member", "--s", "{}:{}", "--r", "{}"],
+    ["cohomology", "sum", "--s", "{},{}:2", "--a", "{}", "--b", "{}"],
+    ["cohomology", "degree", "--m", "{}", "--n", "{}"],
+]
+
+
+@st.composite
+def argvs(draw):
+    argv = []
+    for token in draw(st.sampled_from(TEMPLATES)):
+        head, *rest = token.split("{}")
+        argv.append(head + "".join(draw(VALUES) + tail for tail in rest))
+    return argv
+
+
+NINES, SEVENS, EIGHTS = "9" * 4300, "7" * 4300, "8" * 4300
+
+
+@settings(max_examples=30, deadline=None)
+@example(["cohomology", "sum", "--s", ":10", "--a", "1e-20000", "--b", "0"])
+@example(["orbit", "--tower", "2", "--p", "2",
+          "--x", "(0| [%s]); (0| [%s])" % (NINES, NINES),
+          "--y", "(0| [-%s]); (0| [-%s])" % (NINES, NINES)])
+@example(["indecomp", "--pn", "2", "--n", "1", "--c-arc", "0..0+1/" + SEVENS,
+          "--g-arc", "0+1/%s..0+1/%s" % (EIGHTS, NINES)])
+@example(["cohomology", "sum", "--s", "%d,%d:2" % (10**4000 + 1, 10**4000 + 1),
+          "--a", "1/2", "--b", "0"])
+@example(["cohomology", "member", "--s", ":2", "--r", "1e-100000"])
+@example(["cohomology", "member", "--s", ":2", "--r", "1e400000000"])
+@given(argvs())
+def test_every_argv_answers_or_fails_cleanly(argv):
+    out, err = StringIO(), StringIO()
+    start = time.perf_counter()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert time.perf_counter() - start < 2, argv[:2]
+    assert code in (0, 1), argv[:2]
+    assert err.getvalue() == ""
+    text = out.getvalue()
+    assert text.endswith("\n") and text.count("\n") == 1
+    json.loads(text)

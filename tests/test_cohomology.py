@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from longsol import (
+    DepthBoundError,
     DirectLimitElement,
     InvalidPointError,
     SequenceDescriptor,
@@ -294,6 +295,13 @@ def test_factorize_hand_cases():
         {9999973: 1, 9999991: 1},
         {151: 1, 751: 1, 28351: 1},
     ]
+
+
+def test_factorize_overflow_gives_the_cofactor_size():
+    # past int's digit limit the cofactor could not even be printed
+    with pytest.raises(DepthBoundError) as err:
+        _factorize([9999991**349 * 9999973**350])
+    assert str(err.value).startswith("no factor of a 16255-bit cofactor found")
 
 
 descriptors = st.builds(

@@ -190,9 +190,20 @@ def test_parse_descriptor():
 def test_parse_rational():
     assert parse_rational("5/8") == F(5, 8)
     assert parse_rational("-3") == F(-3)
-    for text in ["abc", "1/0", ""]:
-        with pytest.raises(ParseError):
-            parse_rational(text)
+    assert parse_rational(" -6/4 ") == F(-3, 2)
+    # [-]N[/D] only: no exponent, decimal or underscore forms, no sign on D,
+    # no blanks inside; each error sits at the literal's start
+    for text in ["abc", "1/0", "", "+3", "1e5", "1e-100000", "2.5", "1_000",
+                 "3 /4", "3/ 4", "3/-4", "-", "2/", "/2"]:
+        with pytest.raises(ParseError) as err:
+            parse_rational(text, 7)
+        assert (str(err.value), err.value.position) == ("expected a rational N/D", 7)
+    # N and D obey the digit limit of every integer literal, where they start
+    long = "7" * 4301
+    for text, position in [(long, 7), (" -%s/2" % long, 8), ("1/" + long, 9)]:
+        with pytest.raises(DepthBoundError) as err:
+            parse_rational(text, 7)
+        assert err.value.position == position
 
 
 def test_parse_arc():

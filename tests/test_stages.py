@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 from reference_models import ref_extensions, ref_verify_commutes
 
 from longsol import (
@@ -341,7 +341,10 @@ def _outcome(verify, recipe):
 
 @given(recipes())
 def test_verify_commutes_matches_every_copy(recipe):
-    assert _outcome(verify_commutes, recipe) == _outcome(ref_verify_commutes, recipe)
+    outcome = _outcome(verify_commutes, recipe)
+    assert outcome == _outcome(ref_verify_commutes, recipe)
+    # the split shows under --hypothesis-show-statistics
+    event("error" if isinstance(outcome[0], type) else "ok" if outcome[0] else "fail")
 
 
 def test_translation_recipe_round_trip():
