@@ -198,7 +198,32 @@ _ERRORS = [
     ["ord", "--expr"],
 ]
 
-ARGVS = _README + _TEST_CLI + _ERRORS
+# answers no other entry reaches: hats that are mappings (a level-1 base
+# pair, a base pair under a top shift, a depth-2 stop pair, a long-line
+# same-block pair), the long-line distinctness verdicts, direct-limit sums
+# whose canonical level is above 0, and a '|' inside the brackets of a
+# stage-point literal
+_PINNED = [
+    ["orbit", "--tower", "1", "--p", "2", "--x", "(0| [; w]); (1| [; w])",
+     "--y", "(0| [; w*2+1/2]); (0| [; w*2+1/2])"],
+    ["orbit", "--tower", "2", "--p", "2", "--x", "(0| [3; w]); (0| [3; w])",
+     "--y", "(0| [5; w+1]); (1| [5; w+1])"],
+    ["orbit", "--tower", "3", "--p", "2,3", "--x",
+     "(0| [1,2]); (1| [1,2]); (3| [1,2])",
+     "--y", "(0| [4,7]); (0| [4,7]); (2| [4,7])"],
+    ["orbit", "--long", "--p", "2", "--x", "(0| w1*(1)+w); (1| w1*(1)+w)",
+     "--y", "(0| w1*(1)+1/3); (0| w1*(1)+1/3)"],
+    ["orbit", "--long", "--p", "2", "--x", "(0| w1*(w))", "--y", "(0| w1*(w^2))"],
+    ["orbit", "--long", "--p", "2", "--x", "(0| w1*(2)); (0| w1*(2))",
+     "--y", "(0| w1*(3)); (1| w1*(3))"],
+    ["cohomology", "sum", "--s", ":2", "--a", "1/4", "--b", "1/4"],
+    ["cohomology", "sum", "--s", "3:2,5", "--a", "1/6", "--b", "1/10"],
+    ["fiber", "--m", "2", "--n", "3", "--tower", "2", "--point", "([1|2])"],
+    ["fiber", "--m", "2", "--n", "3", "--tower", "2", "--point", "(1)|(2)"],
+    ["fiber", "--m", "2", "--n", "3", "--tower", "2", "--point", "([1|2]| [3])"],
+]
+
+ARGVS = _README + _TEST_CLI + _ERRORS + _PINNED
 
 
 def call(argv):
