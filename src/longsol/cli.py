@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import os
 import sys
+from itertools import accumulate
 
 from . import parsing
 from .arcs import circular_chain_check, format_position, indecomposability_witness
@@ -97,11 +99,9 @@ def _mode(args, required=True):
 def _exponents(args):
     exps = parsing.parse_exponents(args.p)
     _check_stage(1)  # a bad LONGSOL_INDEX_BOUND is reported before a bad exponent
-    size = 1
-    for k in exps:
+    for k, size in zip(exps, accumulate(exps, operator.mul)):
         if k < 1:
             raise CommandError("bonding exponents are positive")
-        size *= k
         _check_stage(size)
     _check_depth(len(exps) + 1)
     return exps
@@ -126,26 +126,17 @@ def _recipe_doc(recipe):
 
 
 def _cmd_ord(args):
-    chosen = [
-        name
-        for name, value in (
-            ("--expr", args.expr),
-            ("--add", args.add),
-            ("--mul", args.mul),
-            ("--cmp", args.cmp),
-            ("--omega-pow", args.omega_pow),
-        )
-        if value is not None
-    ]
+    given = sum(value is not None for value in (
+        args.expr, args.add, args.mul, args.cmp, args.omega_pow))
     if args.expr is not None:
-        if len(chosen) != 1:
+        if given != 1:
             raise CommandError("--expr stands alone")
         return {"normal": str(parsing.parse_ordinal(args.expr))}
     if args.omega_pow is not None:
-        if len(chosen) != 1:
+        if given != 1:
             raise CommandError("--omega-pow stands alone")
         return {"result": str(omega_pow(parsing.parse_ordinal(args.omega_pow)))}
-    if args.a is None or len(chosen) != 1:
+    if args.a is None or given != 1:
         raise CommandError("give --a with exactly one of --add, --mul, --cmp")
     a = parsing.parse_ordinal(args.a)
     if args.add is not None:

@@ -4,7 +4,8 @@ The first Cech cohomology of the inverse limit over bonding exponents
 p1, p2, ... is the additive group of rationals whose denominators divide
 some finite product p1 * ... * pn.  Elements are handled as a direct
 limit: a pair (level, numerator) meaning numerator over the product of
-the first `level` exponents, canonical when the numerator is not
+the first `level` exponents, canonical at the least level: the first whose
+product the reduced denominator divides, where the numerator is not
 divisible by the level's exponent (or the level is 0).
 
 Bonding sequences here are eventually periodic, given as a finite prefix
@@ -28,9 +29,10 @@ division below 100, Miller-Rabin with the first 13 prime bases (exact
 below 3317044064679887385961981; Sorenson and Webster, Math. Comp. 2017);
 a cofactor it does not prove prime loses its primes below 2^22 by gcd
 with products of runs of them, then its perfect powers, and Pollard-Brent
-rho (Brent, BIT 1980) from fixed start values under a fixed step budget
-splits the rest.  A cofactor rho does not split within the budget raises
-``representation-overflow``; no factorisation is ever guessed.
+rho (Brent, BIT 1980) from fixed start values splits the rest.  One step
+budget per call pays for the gcds and rho; a cofactor rho does not split
+within it raises ``representation-overflow``; no factorisation is ever
+guessed.
 """
 
 from __future__ import annotations
@@ -111,7 +113,8 @@ MR_EXACT_BELOW = 3317044064679887385961981
 # a cofactor loses its primes below the cut by gcd with products of runs
 PRIME_CUT, _RUN = 1 << 22, 1 << 12
 # rho steps one invariant may take; a step mod a b-bit n counts
-# 1 + b^2 / 2^18, roughly its cost against one below 512 bits
+# 1 + b^2 / 2^18, roughly its cost against one below 512 bits, and so does
+# each gcd of a b-bit n with a run product, at 1 + b / 48
 RHO_STEP_BUDGET = 1 << 20
 
 
@@ -185,10 +188,12 @@ def _rho_split(n, budget):
 def _factorize(numbers):
     """Proven prime -> multiplicity for each n >= 1, under one rho budget.
     Miller-Rabin decides below MR_EXACT_BELOW; any other cofactor loses its
-    primes below PRIME_CUT, then its perfect powers, then rho splits it."""
+    primes below PRIME_CUT, then its perfect powers, then rho splits it.
+    Every later cofactor of n divides n, so one gcd pass per n finds all
+    its primes below PRIME_CUT; the pass draws on the budget first."""
     budget, result = RHO_STEP_BUDGET, []
     for n in numbers:
-        out, pending = {}, [(n, 1)]  # (m, e) stands for m^e
+        out, pending, sieved = {}, [(n, 1)], False  # (m, e) stands for m^e
         while pending:
             n, e = pending.pop()
             # a split's primes are known before its cofactor comes up
@@ -202,9 +207,14 @@ def _factorize(numbers):
                 out[n] = out.get(n, 0) + e
                 continue
             flags, runs = _sieve()
-            hits = (_run(flags, lo) for b, lo in runs if gcd(n, b) > 1)
-            found = [p for run in hits for p in run if n % p == 0]
-            root, k = (n, 1) if found else _root(n, _run(flags, 0))
+            found = []
+            if not sieved:
+                sieved, budget = True, budget - len(runs) * (1 + n.bit_length() // 48)
+                hits = (_run(flags, lo) for b, lo in runs
+                        if budget >= 0 and gcd(n, b) > 1)
+                found = [p for run in hits for p in run if n % p == 0]
+            # past the budget, rho gives up at once
+            root, k = (n, 1) if found or budget < 0 else _root(n, _run(flags, 0))
             if found or k > 1:  # the next pass divides the found primes out
                 out.update(dict.fromkeys(found, 0))
                 pending.append((root, e * k))
@@ -222,12 +232,13 @@ def _factorize(numbers):
 
 def supernatural_of(s):
     """The supernatural invariant of an eventually periodic sequence."""
-    counts = _factorize(s.cycle + s.prefix)
-    infinite = frozenset().union(*counts[: len(s.cycle)])
+    distinct = tuple(dict.fromkeys(s.cycle + s.prefix))  # each factored once
+    counts = dict(zip(distinct, _factorize(distinct)))
+    infinite = frozenset().union(*(counts[e] for e in s.cycle))
     finite = {}
-    for entry in counts[len(s.cycle) :]:
-        for prime in entry.keys() - infinite:
-            finite[prime] = finite.get(prime, 0) + entry[prime]
+    for entry in s.prefix:
+        for prime in counts[entry].keys() - infinite:
+            finite[prime] = finite.get(prime, 0) + counts[entry][prime]
     return SupernaturalNumber(tuple(finite.items()), infinite)
 
 
@@ -269,13 +280,10 @@ class DirectLimitElement:
 
 
 def dl_element(s, level, numerator):
-    """Canonical direct-limit element: divide out trailing exponents."""
-    if numerator == 0:
-        return DirectLimitElement(0, 0)
-    while level >= 1 and numerator % s.entry(level) == 0:
-        numerator //= s.entry(level)
-        level -= 1
-    return DirectLimitElement(level, numerator)
+    """The canonical form of numerator over the product of `level` exponents."""
+    if level < 0:
+        raise InvalidPointError("levels are non-negative")
+    return dl_of_rational(s, Fraction(numerator, s.partial_product(level)))
 
 
 def dl_value(s, u):
@@ -283,15 +291,9 @@ def dl_value(s, u):
     return Fraction(u.numerator, s.partial_product(u.level))
 
 
-def _lift(s, u, level):
-    factor = prod(s.entry(i) for i in range(u.level + 1, level + 1))
-    return u.numerator * factor
-
-
 def dl_add(s, u, v):
-    """Group addition by lifting both to the deeper level."""
-    level = max(u.level, v.level)
-    return dl_element(s, level, _lift(s, u, level) + _lift(s, v, level))
+    """Group addition, on the rationals the elements denote."""
+    return dl_of_rational(s, dl_value(s, u) + dl_value(s, v))
 
 
 def dl_neg(u):
@@ -299,12 +301,13 @@ def dl_neg(u):
 
 
 def dl_equal(s, u, v):
-    """Equality after canonicalization at a common level."""
-    return dl_element(s, u.level, u.numerator) == dl_element(s, v.level, v.numerator)
+    """Equality of the rationals the elements denote."""
+    return dl_value(s, u) == dl_value(s, v)
 
 
 def dl_of_rational(s, r):
-    """The canonical element denoting r; r must belong to the group."""
+    """The canonical element denoting r: the least level whose product the
+    denominator divides.  r must belong to the group."""
     r = Fraction(r)
     if not member(s, r):
         raise StageDomainError("%s is not in the group of %s" % (r, s))
@@ -312,8 +315,7 @@ def dl_of_rational(s, r):
     while product % r.denominator != 0:
         level += 1
         product *= s.entry(level)
-    numerator = r.numerator * (product // r.denominator)
-    return dl_element(s, level, numerator)
+    return DirectLimitElement(level, r.numerator * (product // r.denominator))
 
 
 def h1_action(m, n):

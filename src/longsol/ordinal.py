@@ -8,7 +8,8 @@ coordinate in the package: block counts on the long line, countable
 remainders, and tower base coordinates.
 
 Addition and multiplication are the usual non-commutative ordinal
-operations.  Nesting depth is bounded (default 16) so that ``omega_pow``
+operations, written as the functions ``add`` and ``mul``.  Nesting depth
+is bounded at 16 (``DEFAULT_DEPTH_BOUND``, fixed) so that ``omega_pow``
 cannot silently build towers the rest of the code cannot afford to
 normalize; exceeding the bound raises :class:`DepthBoundError`.
 """
@@ -16,14 +17,12 @@ normalize; exceeding the bound raises :class:`DepthBoundError`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import total_ordering
 
 from .errors import DepthBoundError
 
 DEFAULT_DEPTH_BOUND = 16
 
 
-@total_ordering
 @dataclass(frozen=True, repr=False)
 class CnfOrdinal:
     """An ordinal below epsilon_0 as a tuple of (exponent, coefficient) terms."""
@@ -33,8 +32,7 @@ class CnfOrdinal:
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
         prev = None
-        for term in self.terms:
-            exp, coeff = term
+        for exp, coeff in self.terms:
             if not isinstance(exp, CnfOrdinal):
                 raise TypeError("exponents must be CnfOrdinal instances")
             if not isinstance(coeff, int) or coeff < 1:
@@ -63,15 +61,6 @@ class CnfOrdinal:
         if not self.terms:
             return 0
         return 1 + max(exp.depth for exp, _ in self.terms)
-
-    def __lt__(self, other):
-        return compare(self, other) < 0
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
 
     def __str__(self):
         if not self.terms:
@@ -135,17 +124,13 @@ def add(a, b):
     if not a.terms:
         return b
     lead = b.terms[0][0]
-    keep = []
-    merged = None
+    keep, merged = [], None
     for exp, coeff in a.terms:
         rel = compare(exp, lead)
-        if rel > 0:
-            keep.append((exp, coeff))
-        elif rel == 0:
-            merged = coeff
+        if rel <= 0:
+            merged = coeff if rel == 0 else None
             break
-        else:
-            break
+        keep.append((exp, coeff))
     if merged is None:
         return CnfOrdinal(tuple(keep) + b.terms)
     head = (lead, merged + b.terms[0][1])
@@ -172,10 +157,10 @@ def mul(a, b):
     return CnfOrdinal(tuple(out))
 
 
-def omega_pow(a, depth_bound=DEFAULT_DEPTH_BOUND):
+def omega_pow(a):
     """w raised to the ordinal a, subject to the nesting depth bound."""
-    if a.depth + 1 > depth_bound:
+    if a.depth + 1 > DEFAULT_DEPTH_BOUND:
         raise DepthBoundError(
-            "w^(%s) would exceed the nesting depth bound %d" % (a, depth_bound)
+            "w^(%s) would exceed the nesting depth bound %d" % (a, DEFAULT_DEPTH_BOUND)
         )
     return CnfOrdinal(((a, 1),))

@@ -303,23 +303,12 @@ def parse_stage_point(text, n, mode=None, kappa=None, offset=0):
         return StagePoint(n, index, None)
     if not (stripped.startswith("(") and stripped.endswith(")")):
         raise ParseError("expected infI or (i| POINT)", position=lead)
-    inner = stripped[1:-1]
-    inner_off = lead + 1
-    bar = None
-    depth = 0
-    for i, ch in enumerate(inner):
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        elif ch == "|" and depth == 0:
-            bar = i
-            break
-    if bar is None:
+    # no tower, long or ordinal literal contains '|': the first one separates
+    index_text, bar, body = stripped[1:-1].partition("|")
+    if not bar:
         raise ParseError("inner literals read (i| POINT)", position=lead)
-    index = _parse_int(inner[:bar], inner_off)
-    body = inner[bar + 1 :]
-    body_off = inner_off + bar + 1
+    index = _parse_int(index_text, lead + 1)
+    body_off = lead + 2 + len(index_text)
     if mode == "tower":
         if kappa is None:
             raise ParseError("tower points need a level", position=body_off)

@@ -172,6 +172,19 @@ def _shift_top(k, x):
     return TowerPoint(x.kappa, Address((a.ints[0] + k,) + a.ints[1:], a.rho, a.frac))
 
 
+def _exponents(p, depth):
+    """The bonding exponents as a tuple, enough for `depth` levels; like the
+    paper's p, any positive integers (a 1 repeats a stage)."""
+    p = tuple(p)
+    if not all(isinstance(k, int) and k >= 1 for k in p):
+        raise ThreadMismatchError("bonding exponents are integers >= 1")
+    if len(p) < depth - 1:
+        raise ThreadMismatchError(
+            "depth %d needs at least %d bonding exponents" % (depth, depth - 1)
+        )
+    return p
+
+
 def stage_size(p_seq, level):
     """Size of the stage at 1-based level: the product of earlier exponents."""
     if level < 1:
@@ -192,26 +205,17 @@ class Thread:
     points: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "p", tuple(self.p))
         object.__setattr__(self, "points", tuple(self.points))
-        for entry in self.p:
-            if not isinstance(entry, int) or entry < 2:
-                raise ThreadMismatchError("bonding exponents are integers >= 2")
+        object.__setattr__(self, "p", _exponents(self.p, len(self.points)))
         if not self.points:
             raise ThreadMismatchError("threads carry at least one point")
-        if len(self.p) < len(self.points) - 1:
-            raise ThreadMismatchError(
-                "depth %d needs at least %d bonding exponents"
-                % (len(self.points), len(self.points) - 1)
-            )
-        want = 1
-        for idx, (pt, k) in enumerate(zip(self.points, self.p + (1,))):
+        sizes = accumulate(self.p, mul, initial=1)
+        for idx, (pt, want) in enumerate(zip(self.points, sizes)):
             if pt.n != want:
                 raise ThreadMismatchError(
                     "level %d point lives on stage %d, expected %d"
                     % (idx + 1, pt.n, want)
                 )
-            want *= k
         for idx, (low, high) in enumerate(zip(self.points, self.points[1:])):
             if high.index % low.n != low.index or high.inner != low.inner:
                 raise ThreadMismatchError(
@@ -279,13 +283,9 @@ class HomeoRecipe:
     tracked: tuple | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "p", tuple(self.p))
-        if not all(isinstance(k, int) and k >= 1 for k in self.p):
-            raise ThreadMismatchError("bonding exponents are integers >= 1")
+        object.__setattr__(self, "p", _exponents(self.p, len(self.rotations)))
         if not self.rotations:
             raise ThreadMismatchError("recipes need at least one level")
-        if len(self.p) < len(self.rotations) - 1:
-            raise ThreadMismatchError("not enough bonding exponents for the depth")
         sizes = accumulate(self.p, mul, initial=1)
         reduced = tuple(l % n for l, n in zip(self.rotations, sizes))
         object.__setattr__(self, "rotations", reduced)

@@ -219,9 +219,7 @@ def within_copy_hat(x, y):
         return 0, (IDENTITY_TOKEN if x == y else base_automorphism_token(x, y))
     shift = y.address.ints[0] - x.address.ints[0]
     sx, sy = strip_top(x), strip_top(y)
-    if sx is MIN or sy is MIN:
-        return shift, IDENTITY_TOKEN
-    if sx == sy:
+    if sx is MIN or sy is MIN or sx == sy:
         return shift, IDENTITY_TOKEN
     return shift, IntervalAutToken(
         mode="mapping", source=sx, target=sy, kappa=x.kappa - 1

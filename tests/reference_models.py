@@ -17,6 +17,10 @@ implementation:
   into terms and counting prime factors at two horizons;
 * group membership comes from scanning partial products for a divisible
   denominator;
+* the canonical form of a direct-limit element comes from dividing
+  trailing exponents out of the numerator while they divide it, walking
+  down from the given level, instead of from the least level whose
+  product absorbs the denominator;
 * the degree of a bond on first cohomology comes from walking the joints
   of the covering stage and counting passes through the base joint;
 * bond-compatibility of a recipe comes from checking every copy of every
@@ -32,6 +36,7 @@ from longsol import (
     ZERO,
     Address,
     CnfOrdinal,
+    DirectLimitElement,
     StagePoint,
     TowerPoint,
     apply_bond,
@@ -253,6 +258,17 @@ def ref_member(descriptor, r, level_cap=64):
         if product % r.denominator == 0:
             return True
     return False
+
+
+def ref_dl_element(descriptor, level, numerator):
+    """Canonical (level, numerator) by the downward walk: while the level's
+    exponent divides the numerator, divide it out and step a level down."""
+    if numerator == 0:
+        return DirectLimitElement(0, 0)
+    while level >= 1 and numerator % descriptor.entry(level) == 0:
+        numerator //= descriptor.entry(level)
+        level -= 1
+    return DirectLimitElement(level, numerator)
 
 
 def ref_h1_action(m, n):

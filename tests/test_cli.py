@@ -144,6 +144,20 @@ def test_thread_verify(capsys):
     assert doc["error"]["position"] == 6
 
 
+def test_exponent_one_is_a_bonding_exponent(capsys):
+    # the CLI, threads and recipes all take any positive exponent
+    code, doc = run(capsys, "thread", "verify", "--p", "1", "--points", "inf0; inf0")
+    assert (code, doc) == (0, {"valid": True, "depth": 2, "top_stage": 1})
+    code, doc = run(capsys, "orbit", "--tower", "2", "--p", "1,2",
+                    "--x", "inf0; inf0; inf1", "--y", "inf0")
+    assert (code, doc["error"]["code"]) == (1, "thread-mismatch")  # depths differ
+    code, doc = run(capsys, "orbit", "--tower", "2", "--p", "1,2",
+                    "--x", "inf0; inf0; inf1", "--y", "inf0; inf0; inf0")
+    assert code == 0
+    assert (doc["status"], doc["verified"], doc["maps_x_to_y"]) == ("recipe", True, True)
+    assert [level["rot"] for level in doc["recipe"]] == [0, 0, 1]
+
+
 def test_thread_verify_reports_bound_errors(capsys):
     # a representation bound says nothing about validity: exit 1 with the
     # position, as in every other subcommand
@@ -290,6 +304,23 @@ def test_cohomology_large_numbers(capsys):
         assert time.perf_counter() - start < 2
         assert (code, doc["error"]["code"]) == (1, "representation-overflow")
         assert "%d-bit cofactor" % n.bit_length() in doc["error"]["message"]
+
+
+def test_cohomology_factoring_work_is_bounded(capsys):
+    # eight 4200-digit entries: the gcd pass of each counts against the rho
+    # budget, so distinct ones overflow within it, and equal ones are
+    # factored once
+    powers = [p**700 for p in (999907, 999917, 999931, 999953, 999959, 999961,
+                               999979, 999983)]
+    for entries, want in [
+        (powers, (1, "representation-overflow")),
+        (powers[-1:] * 8, (0, {"finite": {}, "infinite": [999983]})),
+    ]:
+        start = time.perf_counter()
+        code, doc = run(capsys, "cohomology", "invariant", "--s",
+                        ":" + ",".join(map(str, entries)))
+        assert time.perf_counter() - start < 1.5
+        assert (code, doc["error"]["code"] if code else doc) == want
 
 
 def test_parse_error_contract(capsys):

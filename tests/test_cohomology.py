@@ -3,7 +3,9 @@
 The closed-form invariant (cycle primes go infinite, leftover prefix
 primes keep finite counts) is cross-checked against ``ref_supernatural``,
 which expands the sequence to two horizons and compares prime counts,
-and ``ref_member``, which scans partial products directly.  The
+and ``ref_member``, which scans partial products directly; direct-limit
+canonical forms are checked against ``ref_dl_element``, which divides
+exponents out of the numerator walking down from the given level.  The
 factoring behind the invariant is checked against ``prime_counts``, plain
 trial division.
 """
@@ -13,7 +15,7 @@ from fractions import Fraction as F
 from math import prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from longsol import (
     DepthBoundError,
@@ -37,6 +39,7 @@ from longsol import (
 from longsol.cohomology import MR_EXACT_BELOW, PRIME_CUT, _factorize
 from reference_models import (
     prime_counts,
+    ref_dl_element,
     ref_h1_action,
     ref_member,
     ref_supernatural,
@@ -195,6 +198,11 @@ def test_dl_equal():
 
 
 elements = st.tuples(st.integers(0, 4), st.integers(-24, 24))
+descriptors_2_30 = st.builds(
+    SequenceDescriptor,
+    st.lists(st.integers(2, 30), max_size=3).map(tuple),
+    st.lists(st.integers(2, 30), min_size=1, max_size=3).map(tuple),
+)
 
 
 @given(small_descriptors, elements, elements, elements)
@@ -216,6 +224,34 @@ def test_dl_membership_and_round_trip(s, eu):
     r = dl_value(s, u)
     assert member(s, r)
     assert dl_of_rational(s, r) == u
+
+
+levels = st.integers(0, 8)
+numerators = st.one_of(st.just(0), st.integers(-(10**6), 10**6))
+
+
+@settings(max_examples=200)
+@given(descriptors_2_30, levels, numerators, levels, numerators)
+@example(SequenceDescriptor((), (5,)), -1, 5, 0, 0)
+def test_dl_matches_downward_walk(s, lu, nu, lv, nv):
+    if lu < 0:
+        for canonical in (dl_element, ref_dl_element):
+            with pytest.raises(InvalidPointError):
+                canonical(s, lu, nu)
+        return
+    u, v = DirectLimitElement(lu, nu), DirectLimitElement(lv, nv)
+    cu, cv = ref_dl_element(s, lu, nu), ref_dl_element(s, lv, nv)
+    assert dl_element(s, lu, nu) == cu
+    assert dl_of_rational(s, F(nu, s.partial_product(lu))) == cu
+    top = max(lu, lv)
+    lifted = sum(x.numerator * s.partial_product(top) // s.partial_product(x.level)
+                 for x in (u, v))
+    assert dl_add(s, u, v) == ref_dl_element(s, top, lifted)
+    assert dl_equal(s, u, v) == (cu == cv)
+    # the same element written lv levels deeper
+    deeper = DirectLimitElement(lu + lv, nu * s.partial_product(lu + lv)
+                                // s.partial_product(lu))
+    assert dl_equal(s, u, deeper) and ref_dl_element(s, deeper.level, deeper.numerator) == cu
 
 
 def test_dl_of_rational_rejects_non_members():

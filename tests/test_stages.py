@@ -143,6 +143,19 @@ def test_thread_validation():
         Thread((2,), (stop(1, 0, 3), stop(2, 2, 4)))  # the inner coordinate moved
 
 
+def test_exponent_one_repeats_a_stage():
+    # the bonding exponents are any positive integers, one rule for threads
+    # and recipes alike
+    t = joints_thread((1, 2), (0, 0, 1))
+    assert [pt.n for pt in t.points] == [1, 1, 2]
+    assert verify_commutes(HomeoRecipe(p=(1, 2), rotations=(0, 0, 1))) == (True, None)
+    for bad in ((0, 2), (2, -1), (2.0,)):
+        with pytest.raises(ThreadMismatchError, match="integers >= 1"):
+            Thread(bad, (joint(1, 0),))
+        with pytest.raises(ThreadMismatchError, match="integers >= 1"):
+            HomeoRecipe(p=bad, rotations=(0,))
+
+
 def test_extend_thread_counts():
     seed = Thread((2, 3), (joint(1, 0),))
     assert extend_thread(seed, 0) == [seed]
