@@ -32,7 +32,8 @@ class CnfOrdinal:
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
         prev = None
-        for exp, coeff in self.terms:
+        for term in self.terms:
+            exp, coeff = term
             if not isinstance(exp, CnfOrdinal):
                 raise TypeError("exponents must be CnfOrdinal instances")
             if not isinstance(coeff, int) or coeff < 1:
@@ -124,13 +125,17 @@ def add(a, b):
     if not a.terms:
         return b
     lead = b.terms[0][0]
-    keep, merged = [], None
+    keep = []
+    merged = None
     for exp, coeff in a.terms:
         rel = compare(exp, lead)
-        if rel <= 0:
-            merged = coeff if rel == 0 else None
+        if rel > 0:
+            keep.append((exp, coeff))
+        elif rel == 0:
+            merged = coeff
             break
-        keep.append((exp, coeff))
+        else:
+            break
     if merged is None:
         return CnfOrdinal(tuple(keep) + b.terms)
     head = (lead, merged + b.terms[0][1])
