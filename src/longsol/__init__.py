@@ -23,8 +23,6 @@ from .cohomology import (
     SupernaturalNumber,
     dl_add,
     dl_element,
-    dl_equal,
-    dl_neg,
     dl_of_rational,
     dl_value,
     h1_action,
@@ -95,15 +93,12 @@ from .stages import (
     SynthesisResult,
     Thread,
     apply_bond,
-    apply_hat,
     apply_recipe,
     extend_thread,
     fiber,
     level_map,
-    rotate,
     stage_size,
     synthesize_recipe,
-    translate,
     verify_commutes,
 )
 from .tokens import IDENTITY_TOKEN, IntervalAutToken

@@ -38,7 +38,9 @@ from .errors import CommandError, DepthBoundError, LongSolError
 from .longline import partition_class
 from .ordinal import add, compare, mul, omega_pow
 from .stages import (
+    LONG_MODE,
     RECIPE,
+    TOWER_MODE,
     apply_recipe,
     extension_indices,
     fiber_indices,
@@ -46,6 +48,7 @@ from .stages import (
     synthesize_recipe,
     verify_commutes,
 )
+from .tokens import MAPPING_MODE
 from .tower import point_type
 
 DEFAULT_DEPTH = 6
@@ -88,9 +91,9 @@ def _mode(args, required=True):
     if args.tower is not None:
         if args.tower < 1:
             raise CommandError("--tower takes a level >= 1")
-        return "tower", args.tower
+        return TOWER_MODE, args.tower
     if args.long:
-        return "long", None
+        return LONG_MODE, None
     if required:
         raise CommandError("choose --tower KAPPA or --long")
     return None, None
@@ -111,7 +114,7 @@ def _token_doc(token):
     doc = {"mode": token.mode}
     if token.kappa is not None:
         doc["kappa"] = token.kappa
-    if token.mode == "mapping":
+    if token.mode == MAPPING_MODE:
         doc["source"] = str(token.source)
         doc["target"] = str(token.target)
     return doc
@@ -150,7 +153,7 @@ def _cmd_ord(args):
 
 def _cmd_classify(args):
     mode, kappa = _mode(args)
-    if mode == "tower":
+    if mode == TOWER_MODE:
         point = parsing.parse_tower_point(args.point, kappa)
         return {"kappa": kappa, "type": point_type(point)}
     label = partition_class(parsing.parse_long_point(args.point))

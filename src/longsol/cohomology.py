@@ -100,12 +100,6 @@ class SupernaturalNumber:
                     "a prime is either finite or infinite, not both"
                 )
 
-    def multiplicity(self, prime):
-        """The exponent of a prime; None encodes infinity."""
-        if prime in self.infinite:
-            return None
-        return dict(self.finite).get(prime, 0)
-
 
 _SMALL_PRIMES = tuple(p for p in range(2, 100) if all(p % d for d in range(2, p)))
 # the least strong pseudoprime to the first 13 prime bases
@@ -294,15 +288,6 @@ def dl_value(s, u):
 def dl_add(s, u, v):
     """Group addition, on the rationals the elements denote."""
     return dl_of_rational(s, dl_value(s, u) + dl_value(s, v))
-
-
-def dl_neg(u):
-    return DirectLimitElement(u.level, -u.numerator)
-
-
-def dl_equal(s, u, v):
-    """Equality of the rationals the elements denote."""
-    return dl_value(s, u) == dl_value(s, v)
 
 
 def dl_of_rational(s, r):

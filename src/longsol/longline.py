@@ -8,8 +8,9 @@ its successor.  A point is coded as
 
 where gamma is an ordinal below w^w (all exponents finite), rho is a
 countable ordinal below epsilon_0, and t is an exact rational in [0,1).
-The right endpoint carries the flag ``end`` and is excluded from most
-operations, since stage circles identify both endpoints into a joint.
+Stage circles identify both endpoints into the joint, which a stage
+point writes as ``inner=None``; so the right endpoint has no code here,
+and 0, the left one, is excluded from classification.
 
 Points that are non-Gdelta, or limits of such, are exactly the positive
 multiples of omega_1; everything else lives in an open block between two
@@ -27,7 +28,7 @@ from functools import total_ordering
 
 from .errors import EndpointError, InvalidPointError
 from .ordinal import ONE, ZERO, CnfOrdinal, add, compare
-from .tokens import IDENTITY_TOKEN, IntervalAutToken
+from .tokens import IDENTITY_TOKEN, MAPPING_MODE, IntervalAutToken
 
 NG_KIND = "ng"
 INTERVAL_KIND = "interval"
@@ -42,19 +43,14 @@ UNKNOWN = "unknown"
 @total_ordering
 @dataclass(frozen=True)
 class LongPoint:
-    """A point omega_1 * gamma + rho + t, or the right endpoint."""
+    """A point omega_1 * gamma + rho + t."""
 
     gamma: CnfOrdinal = ZERO
     rho: CnfOrdinal = ZERO
     frac: Fraction = Fraction(0)
-    end: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "frac", Fraction(self.frac))
-        if self.end:
-            if not (self.gamma.is_zero and self.rho.is_zero and self.frac == 0):
-                raise InvalidPointError("the endpoint carries no coordinates")
-            return
         if not 0 <= self.frac < 1:
             raise InvalidPointError("the unit offset must lie in [0, 1)")
         for exp, _ in self.gamma.terms:
@@ -66,18 +62,9 @@ class LongPoint:
 
     @property
     def is_zero(self):
-        return (
-            not self.end
-            and self.gamma.is_zero
-            and self.rho.is_zero
-            and self.frac == 0
-        )
+        return self.gamma.is_zero and self.rho.is_zero and self.frac == 0
 
     def __lt__(self, other):
-        if self.end:
-            return False
-        if other.end:
-            return True
         by_gamma = compare(self.gamma, other.gamma)
         if by_gamma:
             return by_gamma < 0
@@ -87,8 +74,6 @@ class LongPoint:
         return self.frac < other.frac
 
     def __str__(self):
-        if self.end:
-            return "end"
         parts = []
         if not self.gamma.is_zero:
             parts.append("w1*(%s)" % self.gamma)
@@ -121,20 +106,13 @@ class OrbitAnswer:
     token: IntervalAutToken | None = None
 
 
-def _require_line_point(x):
-    if x.end:
-        raise EndpointError("the right endpoint is identified into the joint")
-
-
 def is_ng(x):
     """True when x is a positive multiple of omega_1."""
-    _require_line_point(x)
     return (not x.gamma.is_zero) and x.rho.is_zero and x.frac == 0
 
 
 def partition_class(x):
     """The orbit partition label of a nonzero interior point."""
-    _require_line_point(x)
     if x.is_zero:
         raise EndpointError("0 is identified into the joint and not classified here")
     if is_ng(x):
@@ -159,8 +137,6 @@ def distinct_orbit_proof(x, y):
     reported as not proven; in particular distinct multiples of omega_1
     with non-power counts stay open by design.
     """
-    _require_line_point(x)
-    _require_line_point(y)
     ng_x, ng_y = is_ng(x), is_ng(y)
     if ng_x != ng_y:
         return PROVEN_DISTINCT
@@ -181,8 +157,6 @@ def same_orbit_recipe(x, y):
     unknown; callers wanting a distinctness proof ask
     :func:`distinct_orbit_proof` separately.
     """
-    _require_line_point(x)
-    _require_line_point(y)
     if x.is_zero or y.is_zero:
         raise EndpointError("0 is identified into the joint and not classified here")
     if partition_class(x) != partition_class(y):
@@ -195,6 +169,6 @@ def same_orbit_recipe(x, y):
         token = IntervalAutToken(fixed_below=low, fixed_above=high)
     else:
         token = IntervalAutToken(
-            mode="mapping", source=x, target=y, fixed_below=low, fixed_above=high
+            mode=MAPPING_MODE, source=x, target=y, fixed_below=low, fixed_above=high
         )
     return OrbitAnswer(SAME, token)

@@ -51,11 +51,6 @@ class CnfOrdinal:
         """True for 0 and for naturals w^0*c."""
         return not self.terms or (len(self.terms) == 1 and self.terms[0][0].is_zero)
 
-    def as_int(self):
-        if not self.is_finite:
-            raise ValueError("%s is not a finite ordinal" % self)
-        return self.terms[0][1] if self.terms else 0
-
     @property
     def depth(self):
         """Nesting depth: 0 for 0, else 1 + the deepest exponent."""

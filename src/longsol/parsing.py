@@ -32,7 +32,7 @@ from .arcs import Arc
 from .errors import DepthBoundError, ParseError
 from .longline import LongPoint
 from .ordinal import DEFAULT_DEPTH_BOUND, OMEGA, ONE, ZERO, CnfOrdinal, add, nat
-from .stages import StagePoint, Thread, stage_size
+from .stages import LONG_MODE, TOWER_MODE, StagePoint, Thread, stage_size
 from .cohomology import SequenceDescriptor
 from .tower import Address, TowerPoint
 
@@ -309,11 +309,11 @@ def parse_stage_point(text, n, mode=None, kappa=None, offset=0):
         raise ParseError("inner literals read (i| POINT)", position=lead)
     index = _parse_int(index_text, lead + 1)
     body_off = lead + 2 + len(index_text)
-    if mode == "tower":
+    if mode == TOWER_MODE:
         if kappa is None:
             raise ParseError("tower points need a level", position=body_off)
         point = parse_tower_point(body, kappa, body_off)
-    elif mode == "long":
+    elif mode == LONG_MODE:
         point = parse_long_point(body, body_off)
     else:
         raise ParseError("inner points need a tower or long mode", position=body_off)

@@ -82,6 +82,8 @@ class StagePoint:
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 1:
             raise StageDomainError("stage sizes are integers >= 1")
+        if not isinstance(self.index, int):
+            raise StageDomainError("copy indices are integers")
         object.__setattr__(self, "index", self.index % self.n)
         _check_inner(self.inner)
 
@@ -109,7 +111,7 @@ def _check_inner(x):
                 "the tower joint is written as a stage joint, not an inner point"
             )
     elif isinstance(x, LongPoint):
-        if x.end or x.is_zero:
+        if x.is_zero:
             raise InvalidPointError(
                 "copy endpoints are identified into joints and are not inner"
             )
@@ -149,21 +151,9 @@ def fiber(m, n, q):
     return [StagePoint(m * n, j, q.inner) for j in fiber_indices(m, n, q)]
 
 
-def rotate(k, p):
-    """Rotate the stage by k copies; the inner coordinate rides along."""
-    return StagePoint(p.n, p.index + k, p.inner)
-
-
-def translate(k, p):
-    """Shift the top-level integer of every within-copy address by k.
-
-    Joints stay fixed.  Only tower points at level 2 or above carry a top
-    integer, so other inner points reject translation.
-    """
-    return p if p.is_joint else StagePoint(p.n, p.index, _shift_top(k, p.inner))
-
-
 def _shift_top(k, x):
+    """Shift the top-level integer of a within-copy address by k; only tower
+    points at level 2 or above carry one."""
     if not isinstance(x, TowerPoint) or x.kappa < 2:
         raise UnsupportedTranslationError(
             "translation needs an integer-indexed tower level (kappa >= 2)"
@@ -283,11 +273,14 @@ class HomeoRecipe:
     tracked: tuple | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "p", _exponents(self.p, len(self.rotations)))
-        if not self.rotations:
+        rotations = tuple(self.rotations)
+        if not all(isinstance(k, int) for k in (self.translate_by, *rotations)):
+            raise ThreadMismatchError("rotations and the translation are integers")
+        object.__setattr__(self, "p", _exponents(self.p, len(rotations)))
+        if not rotations:
             raise ThreadMismatchError("recipes need at least one level")
         sizes = accumulate(self.p, mul, initial=1)
-        reduced = tuple(l % n for l, n in zip(self.rotations, sizes))
+        reduced = tuple(l % n for l, n in zip(rotations, sizes))
         object.__setattr__(self, "rotations", reduced)
         if self.tracked is not None:
             object.__setattr__(self, "tracked", tuple(self.tracked))
@@ -300,14 +293,12 @@ class HomeoRecipe:
 
 
 def _hat_long(hat, x):
-    """Evaluate a long-line hat token at one inner coordinate."""
-    if hat.mode == "mapping" and x == hat.source:
+    """Evaluate a long-line mapping token at one inner coordinate."""
+    if x == hat.source:
         return hat.target
     if hat.fixed_below is not None and not hat.fixed_below < x:
         return x
     if hat.fixed_above is not None and not x < hat.fixed_above:
-        return x
-    if hat.mode == "identity" and hat.fixed_below is None and hat.fixed_above is None:
         return x
     raise TokenUndefinedError(
         "token is only evaluable at its source and its fixed region"
@@ -315,13 +306,13 @@ def _hat_long(hat, x):
 
 
 def _hat_tower(hat, x):
-    """Evaluate a tower hat token inside one copy.
+    """Evaluate a tower mapping token inside one copy.
 
     The token's level is one below the points' level when the map factors
     through a top-integer shift; at level 1 it acts on the base directly.
     """
     if hat.kappa == x.kappa:
-        if hat.mode == "mapping" and x == hat.source:
+        if x == hat.source:
             return hat.target
         if hat.fixed_above is not None:
             if x.address.is_base and compare_base(x, hat.fixed_above) >= 0:
@@ -336,7 +327,7 @@ def _hat_tower(hat, x):
     rest = strip_top(x)
     if rest is MIN:
         return x
-    if hat.mode == "mapping" and rest == hat.source:
+    if rest == hat.source:
         t = hat.target
         merged = Address((x.address.ints[0],) + t.address.ints, t.address.rho,
                          t.address.frac)
@@ -346,15 +337,11 @@ def _hat_tower(hat, x):
     )
 
 
-def apply_hat(hat, p):
-    """Apply an interval automorphism token inside every copy of a stage."""
-    return p if p.is_joint else StagePoint(p.n, p.index, _map_inner(hat, 0, p.inner))
-
-
 def _map_inner(hat, k, x):
     """The hat, then a top-integer shift by k, at one within-copy coordinate
     (None, the joint, stays None): what a level map does inside a copy,
-    the same for every copy and every level."""
+    the same for every copy and every level.  An identity hat is skipped,
+    so the hat evaluators only ever see mapping tokens."""
     if x is None:
         return None
     if not hat.is_identity:

@@ -6,7 +6,8 @@ it as a pointwise function.  The token is only evaluable at its recorded
 source point, at points of its fixed region, and at boundary markers;
 anywhere else evaluation raises ``token-undefined``.  Evaluation itself
 lives in :mod:`longsol.stages`, next to the stage maps that consume these
-tokens.
+tokens.  A token carries no shift: the top-integer translation a stage map
+composes with its hat lives in ``HomeoRecipe.translate_by``.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ class IntervalAutToken:
     fixed_below     points at or below this stay fixed (long-line style).
     fixed_above     points at or above this stay fixed.
     kappa           tower level of source and target, None for long-line.
-    translate_by    top-integer shift folded into the asserted map when the
-                    source lives in an integer-indexed tower level.
     """
 
     mode: str = IDENTITY_MODE
@@ -36,7 +35,6 @@ class IntervalAutToken:
     fixed_below: object = None
     fixed_above: object = None
     kappa: int | None = None
-    translate_by: int = 0
 
     def __post_init__(self):
         if self.mode not in (IDENTITY_MODE, MAPPING_MODE):
@@ -46,7 +44,7 @@ class IntervalAutToken:
 
     @property
     def is_identity(self):
-        return self.mode == IDENTITY_MODE and self.translate_by == 0
+        return self.mode == IDENTITY_MODE
 
 
 IDENTITY_TOKEN = IntervalAutToken()

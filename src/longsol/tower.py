@@ -29,7 +29,7 @@ from .errors import (
     NotSameOrbitError,
 )
 from .ordinal import CnfOrdinal, add, compare, nat
-from .tokens import IDENTITY_TOKEN, IntervalAutToken
+from .tokens import IDENTITY_TOKEN, MAPPING_MODE, IntervalAutToken
 
 
 class _MinMarker:
@@ -176,7 +176,8 @@ def base_automorphism_token(x, y):
     alpha countable and above both coordinates; beyond alpha everything is
     fixed.  For higher levels the map factors as a top-integer shift by
     the difference of leading address entries composed with an
-    automorphism of the stripped rest, and the token records that shift.
+    automorphism of the stripped rest; ``within_copy_hat`` splits off that
+    shift, which a recipe keeps as ``translate_by``.
     """
     if x.is_joint or y.is_joint:
         raise InvalidPointError("the joint has no within-copy component")
@@ -193,14 +194,11 @@ def base_automorphism_token(x, y):
         if x == y:
             return IntervalAutToken(kappa=1, fixed_above=ceiling)
         return IntervalAutToken(
-            mode="mapping", source=x, target=y, kappa=1, fixed_above=ceiling
+            mode=MAPPING_MODE, source=x, target=y, kappa=1, fixed_above=ceiling
         )
     if x == y:
         return IntervalAutToken(kappa=x.kappa)
-    shift = y.address.ints[0] - x.address.ints[0]
-    return IntervalAutToken(
-        mode="mapping", source=x, target=y, kappa=x.kappa, translate_by=shift
-    )
+    return IntervalAutToken(mode=MAPPING_MODE, source=x, target=y, kappa=x.kappa)
 
 
 def within_copy_hat(x, y):
@@ -222,5 +220,5 @@ def within_copy_hat(x, y):
     if sx is MIN or sy is MIN or sx == sy:
         return shift, IDENTITY_TOKEN
     return shift, IntervalAutToken(
-        mode="mapping", source=sx, target=sy, kappa=x.kappa - 1
+        mode=MAPPING_MODE, source=sx, target=sy, kappa=x.kappa - 1
     )

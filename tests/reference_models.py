@@ -143,7 +143,7 @@ def cnf_to_vec(x):
     out = {}
     for exp, coeff in x.terms:
         assert exp.is_finite, "vector model holds finite exponents only"
-        out[exp.as_int()] = coeff
+        out[exp.terms[0][1] if exp.terms else 0] = coeff
     if not out:
         return ()
     return vec_trim(tuple(out.get(i, 0) for i in range(max(out) + 1)))

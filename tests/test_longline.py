@@ -26,7 +26,6 @@ from longsol import (
 )
 
 W = omega_pow(nat(1))
-END = LongPoint(end=True)
 
 
 def block(gamma_int, rho=None, frac=0):
@@ -41,8 +40,6 @@ def test_point_validation():
     with pytest.raises(InvalidPointError):
         LongPoint(frac=Fraction(3, 2))
     with pytest.raises(InvalidPointError):
-        LongPoint(gamma=nat(1), end=True)
-    with pytest.raises(InvalidPointError):
         LongPoint(gamma=omega_pow(W))  # needs every exponent finite
 
 
@@ -54,7 +51,6 @@ def test_ordering():
         LongPoint(gamma=nat(1)),
         LongPoint(gamma=nat(1), rho=nat(3)),
         LongPoint(gamma=W),
-        END,
     ]
     for i, a in enumerate(pts):
         for j, b in enumerate(pts):
@@ -79,10 +75,6 @@ def test_partition_class_frozen():
 def test_excluded_points():
     with pytest.raises(EndpointError):
         partition_class(LongPoint())
-    with pytest.raises(EndpointError):
-        partition_class(END)
-    with pytest.raises(EndpointError):
-        is_ng(END)
     with pytest.raises(EndpointError):
         same_orbit_recipe(LongPoint(), block(1))
 

@@ -1,0 +1,74 @@
+"""The public names of the package, and the names the benchmark relies on.
+
+``bench/`` resolves library functions by name (the tracer wraps them with
+``getattr``) and imports values from ``longsol``; a removal that breaks it
+would otherwise surface only in ``python3 -m pytest bench``.
+"""
+
+import ast
+import importlib
+import sys
+import types
+from pathlib import Path
+
+import longsol
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+PUBLIC = [
+    "Address", "Arc", "CnfOrdinal", "CommandError", "DEFAULT_DEPTH_BOUND",
+    "DepthBoundError", "DirectLimitElement", "EndpointError", "HomeoRecipe",
+    "IDENTITY_TOKEN", "INTERVAL_KIND", "IntervalAutToken", "InvalidPointError",
+    "JOINT_MODE", "LONG_MODE", "LevelMismatchError", "LongPoint",
+    "LongSolError", "MIN", "NG_KIND", "NOT_PROVEN", "NotSameOrbitError",
+    "OMEGA", "ONE", "OrbitAnswer", "OrbitClassLabel", "PROVEN_DISTINCT",
+    "ParseError", "RECIPE", "SAME", "SequenceDescriptor", "StageDomainError",
+    "StagePoint", "SupernaturalNumber", "SynthesisResult", "TOWER_MODE",
+    "Thread", "ThreadMismatchError", "TokenUndefinedError", "TowerPoint",
+    "UNKNOWN", "UnsupportedTranslationError", "WitnessInputError",
+    "WitnessReport", "ZERO", "add", "apply_bond", "apply_recipe",
+    "arcs_intersect", "base_automorphism_token", "circular_chain_check",
+    "compare", "compare_base", "distinct_orbit_proof", "dl_add", "dl_element",
+    "dl_of_rational", "dl_value", "extend_thread", "fiber", "format_position",
+    "h1_action", "indecomposability_witness", "inequivalent_family", "is_ng",
+    "level_map", "mccord_equivalent", "member", "mul", "nat", "omega_pow",
+    "parse_arc", "parse_descriptor", "parse_long_point", "parse_ordinal",
+    "parse_rational", "parse_stage_point", "parse_thread", "parse_tower_point",
+    "partition_class", "point_type", "preimage_components", "same_orbit",
+    "same_orbit_recipe", "stage_size", "strip_top", "supernatural_of",
+    "synthesize_recipe", "uncovered_point", "verify_commutes",
+    "within_copy_hat",
+]
+
+
+def test_public_names_are_pinned():
+    # submodules join the namespace as they are imported, so they are left out
+    public = sorted(
+        name for name in dir(longsol)
+        if not name.startswith("_")
+        and not isinstance(getattr(longsol, name), types.ModuleType)
+    )
+    assert public == PUBLIC
+
+
+def test_bench_resolves_every_traced_name():
+    sys.path.insert(0, str(BENCH))
+    try:
+        tracing = importlib.import_module("tracing")  # standard library only
+    finally:
+        sys.path.remove(str(BENCH))
+    for layer, names in tracing.LAYER_FUNCTIONS.items():
+        module = importlib.import_module("longsol." + layer)
+        missing = [name for name in names if not callable(getattr(module, name, None))]
+        assert not missing, (layer, missing)
+    for layer, cls_name in tracing.BUILT_COUNTERS:
+        cls = getattr(importlib.import_module("longsol." + layer), cls_name)
+        assert "__post_init__" in vars(cls), cls_name
+    tree = ast.parse((BENCH / "oracle.py").read_text())
+    imported = [
+        alias.name for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "longsol"
+        for alias in node.names
+    ]
+    assert imported
+    assert not [name for name in imported if not hasattr(longsol, name)]

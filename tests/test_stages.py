@@ -24,7 +24,6 @@ from longsol import (
     TowerPoint,
     UnsupportedTranslationError,
     apply_bond,
-    apply_hat,
     apply_recipe,
     extend_thread,
     fiber,
@@ -32,10 +31,8 @@ from longsol import (
     mul,
     nat,
     omega_pow,
-    rotate,
     stage_size,
     synthesize_recipe,
-    translate,
     verify_commutes,
 )
 from longsol.stages import extension_indices, fiber_indices
@@ -51,6 +48,13 @@ def joint(n, i):
 def stop(n, i, *ints, kappa=None):
     kappa = kappa if kappa is not None else len(ints) + 1
     return StagePoint(n, i, TowerPoint(kappa, Address(ints)))
+
+
+def stage_map(n, rot=0, shift=0, hat=IDENTITY_TOKEN):
+    """The level-2 map of a recipe over p = (n,), on the size-n stage: the
+    rotation by rot, the translation by shift and the hat, or any one."""
+    recipe = HomeoRecipe(p=(n,), rotations=(0, rot), translate_by=shift, hat=hat)
+    return level_map(recipe, 2)
 
 
 def joints_thread(p, indices):
@@ -69,11 +73,12 @@ def test_stage_point_basics():
     with pytest.raises(InvalidPointError):
         StagePoint(2, 0, TowerPoint(2))
     with pytest.raises(InvalidPointError):
-        StagePoint(2, 0, LongPoint(end=True))
-    with pytest.raises(InvalidPointError):
         StagePoint(2, 0, LongPoint())
     with pytest.raises(InvalidPointError):
         StagePoint(2, 0, "not a point")
+    for index in (1.5, 1.0, Fraction(1), "1"):
+        with pytest.raises(StageDomainError):
+            StagePoint(3, index)
 
 
 def test_bond_frozen():
@@ -103,19 +108,20 @@ def test_bond_section_roundtrip(m, n, i):
 
 
 def test_rotate():
-    assert rotate(4, joint(6, 3)) == joint(6, 1)
+    assert stage_map(6, rot=4)(joint(6, 3)) == joint(6, 1)
     x = stop(4, 1, 7)
-    assert rotate(2, rotate(5, x)) == rotate(7, x) == StagePoint(4, 0, x.inner)
+    twice = stage_map(4, rot=2)(stage_map(4, rot=5)(x))
+    assert twice == stage_map(4, rot=7)(x) == StagePoint(4, 0, x.inner)
 
 
 def test_translate():
     x = StagePoint(5, 2, TowerPoint(3, Address((-2, 7))))
-    assert translate(3, x) == StagePoint(5, 2, TowerPoint(3, Address((1, 7))))
-    assert translate(9, joint(5, 2)) == joint(5, 2)
+    assert stage_map(5, shift=3)(x) == StagePoint(5, 2, TowerPoint(3, Address((1, 7))))
+    assert stage_map(5, shift=9)(joint(5, 2)) == joint(5, 2)
     with pytest.raises(UnsupportedTranslationError):
-        translate(1, StagePoint(5, 2, LongPoint(rho=W)))
+        stage_map(5, shift=1)(StagePoint(5, 2, LongPoint(rho=W)))
     with pytest.raises(UnsupportedTranslationError):
-        translate(1, StagePoint(5, 2, TowerPoint(1, Address((), W))))
+        stage_map(5, shift=1)(StagePoint(5, 2, TowerPoint(1, Address((), W))))
 
 
 def test_stage_size():
@@ -211,6 +217,10 @@ def test_recipe_normalization():
     r = HomeoRecipe(p=(2, 3), rotations=(5, 7, 11))
     assert r.rotations == (0, 1, 5)
     assert r.depth == 3
+    assert HomeoRecipe(p=(2, 3), rotations=iter((5, 7, 11))) == r
+    for bad in (dict(rotations=(0, 2.5)), dict(rotations=(0, 1), translate_by=0.5)):
+        with pytest.raises(ThreadMismatchError, match="integers"):
+            HomeoRecipe(p=(2,), **bad)
     with pytest.raises(ThreadMismatchError):
         HomeoRecipe(p=(2, 3), rotations=())
     with pytest.raises(ThreadMismatchError):
@@ -437,17 +447,18 @@ def test_hat_evaluation_domain():
         fixed_below=LongPoint(gamma=nat(1)),
         fixed_above=LongPoint(gamma=nat(2)),
     )
+    apply_hat = stage_map(3, hat=long_hat)
     src = StagePoint(3, 1, LongPoint(gamma=nat(1), rho=W))
-    assert apply_hat(long_hat, src).inner == LongPoint(gamma=nat(1), rho=W2)
+    assert apply_hat(src).inner == LongPoint(gamma=nat(1), rho=W2)
     below = StagePoint(3, 0, LongPoint(rho=nat(5)))
-    assert apply_hat(long_hat, below) == below
+    assert apply_hat(below) == below
     above = StagePoint(3, 0, LongPoint(gamma=nat(2), rho=nat(1)))
-    assert apply_hat(long_hat, above) == above
-    assert apply_hat(long_hat, joint(3, 2)) == joint(3, 2)
+    assert apply_hat(above) == above
+    assert apply_hat(joint(3, 2)) == joint(3, 2)
     with pytest.raises(TokenUndefinedError):
-        apply_hat(long_hat, StagePoint(3, 0, LongPoint(gamma=nat(1), rho=nat(9))))
+        apply_hat(StagePoint(3, 0, LongPoint(gamma=nat(1), rho=nat(9))))
     with pytest.raises(TokenUndefinedError):
-        apply_hat(long_hat, stop(3, 0, 2))
+        apply_hat(stop(3, 0, 2))
 
 
 def test_tower_hat_through_top_integer():
@@ -457,11 +468,12 @@ def test_tower_hat_through_top_integer():
         target=TowerPoint(1, Address((), W2)),
         kappa=1,
     )
+    apply_hat = stage_map(2, hat=hat)
     x = StagePoint(2, 0, TowerPoint(2, Address((4,), W)))
-    assert apply_hat(hat, x).inner == TowerPoint(2, Address((4,), W2))
+    assert apply_hat(x).inner == TowerPoint(2, Address((4,), W2))
     boundary = stop(2, 0, 5)
-    assert apply_hat(hat, boundary) == boundary
+    assert apply_hat(boundary) == boundary
     with pytest.raises(TokenUndefinedError):
-        apply_hat(hat, StagePoint(2, 0, TowerPoint(2, Address((4,), nat(3)))))
+        apply_hat(StagePoint(2, 0, TowerPoint(2, Address((4,), nat(3)))))
     with pytest.raises(TokenUndefinedError):
-        apply_hat(hat, StagePoint(2, 0, LongPoint(rho=W)))
+        apply_hat(StagePoint(2, 0, LongPoint(rho=W)))

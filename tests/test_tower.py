@@ -167,9 +167,8 @@ def test_base_token_translation():
     x = TowerPoint(2, Address((3,)))
     y = TowerPoint(2, Address((8,)))
     token = base_automorphism_token(x, y)
-    assert token.mode == "mapping"
-    assert token.translate_by == 5
-    assert token.kappa == 2
+    assert (token.mode, token.source, token.target, token.kappa) == ("mapping", x, y, 2)
+    assert within_copy_hat(x, y) == (5, IDENTITY_TOKEN)  # the shift goes to the recipe
     assert base_automorphism_token(x, x) == IDENTITY_TOKEN.__class__(kappa=2)
 
 
