@@ -1,0 +1,216 @@
+"""Value semantics shared by every value class of the package.
+
+Each class is an immutable record: built positionally or by keyword with
+the declared defaults, equal by value within its own class only, hashed
+as the tuple of its field values in declaration order, frozen, and shown
+as ``Name(field=value, ...)`` (``CnfOrdinal`` keeps ``ord[...]``).  Set
+and dict orders, and so every printed answer, depend on the hash rule.
+"""
+
+import copy
+import pickle
+from fractions import Fraction
+
+import pytest
+
+import longsol
+from longsol import (
+    IDENTITY_TOKEN,
+    OMEGA,
+    ONE,
+    ZERO,
+    Address,
+    Arc,
+    CnfOrdinal,
+    DirectLimitElement,
+    HomeoRecipe,
+    IntervalAutToken,
+    LongPoint,
+    OrbitAnswer,
+    OrbitClassLabel,
+    SequenceDescriptor,
+    StagePoint,
+    SupernaturalNumber,
+    SynthesisResult,
+    Thread,
+    TowerPoint,
+    WitnessReport,
+)
+
+IDENTITY_REPR = (
+    "IntervalAutToken(mode='identity', source=None, target=None, "
+    "fixed_below=None, fixed_above=None, kappa=None)"
+)
+ROOT = StagePoint(1, 0)
+
+# (class, fields in declaration order, one value per field, declared
+# defaults, a minimal keyword call, repr of the object built from the values)
+ROWS = [
+    (CnfOrdinal, ("terms",), (((ONE, 2), (ZERO, 3)),), {"terms": ()}, {},
+     "ord[w*2+3]"),
+    (IntervalAutToken,
+     ("mode", "source", "target", "fixed_below", "fixed_above", "kappa"),
+     ("mapping", 1, 2, 0, 5, 3),
+     {"mode": "identity", "source": None, "target": None, "fixed_below": None,
+      "fixed_above": None, "kappa": None}, {},
+     "IntervalAutToken(mode='mapping', source=1, target=2, fixed_below=0, "
+     "fixed_above=5, kappa=3)"),
+    (LongPoint, ("gamma", "rho", "frac"), (ONE, OMEGA, Fraction(1, 2)),
+     {"gamma": ZERO, "rho": ZERO, "frac": Fraction(0)}, {},
+     "LongPoint(gamma=ord[1], rho=ord[w], frac=Fraction(1, 2))"),
+    (OrbitClassLabel, ("kind", "gamma"), ("ng", ONE), {},
+     {"kind": "interval", "gamma": ZERO},
+     "OrbitClassLabel(kind='ng', gamma=ord[1])"),
+    (OrbitAnswer, ("status", "token"), ("same", IDENTITY_TOKEN), {"token": None},
+     {"status": "unknown"},
+     "OrbitAnswer(status='same', token=%s)" % IDENTITY_REPR),
+    (Address, ("ints", "rho", "frac"), ((1, -2), OMEGA, Fraction(1, 3)),
+     {"ints": (), "rho": None, "frac": None}, {},
+     "Address(ints=(1, -2), rho=ord[w], frac=Fraction(1, 3))"),
+    (TowerPoint, ("kappa", "address"), (2, Address((1,))), {"address": None},
+     {"kappa": 3},
+     "TowerPoint(kappa=2, address=Address(ints=(1,), rho=None, frac=None))"),
+    (StagePoint, ("n", "index", "inner"), (3, 1, LongPoint(ZERO, ONE)),
+     {"inner": None}, {"n": 2, "index": 1},
+     "StagePoint(n=3, index=1, inner=LongPoint(gamma=ord[0], rho=ord[1], "
+     "frac=Fraction(0, 1)))"),
+    (Thread, ("p", "points"), ((2,), (ROOT, StagePoint(2, 1))),
+     {"p": (), "points": ()}, {"points": (ROOT,)},
+     "Thread(p=(2,), points=(StagePoint(n=1, index=0, inner=None), "
+     "StagePoint(n=2, index=1, inner=None)))"),
+    (HomeoRecipe,
+     ("p", "rotations", "translate_by", "hat", "kappa", "tracked"),
+     ((2,), (0, 1), 1, IDENTITY_TOKEN, 2, (ROOT, StagePoint(2, 0))),
+     {"p": (), "rotations": (), "translate_by": 0, "hat": IDENTITY_TOKEN,
+      "kappa": None, "tracked": None}, {"rotations": (0,)},
+     "HomeoRecipe(p=(2,), rotations=(0, 1), translate_by=1, hat=%s, kappa=2, "
+     "tracked=(StagePoint(n=1, index=0, inner=None), "
+     "StagePoint(n=2, index=0, inner=None)))" % IDENTITY_REPR),
+    (SynthesisResult, ("status", "recipe"), ("recipe", HomeoRecipe(rotations=(0,))),
+     {"recipe": None}, {"status": "unknown"},
+     "SynthesisResult(status='recipe', recipe=HomeoRecipe(p=(), rotations=(0,), "
+     "translate_by=0, hat=%s, kappa=None, tracked=None))" % IDENTITY_REPR),
+    (Arc, ("n", "start", "end"), (3, Fraction(0), Fraction(5, 2)), {},
+     {"n": 2, "start": Fraction(1), "end": Fraction(0)},
+     "Arc(n=3, start=Fraction(0, 1), end=Fraction(5, 2))"),
+    (WitnessReport,
+     ("multiplicity", "stage", "c_components", "g_components", "c_separators",
+      "g_separators", "pair_uncovered"),
+     (2, 4, (1,), (2,), (3,), (4,), (5,)), {},
+     {"multiplicity": 1, "stage": 1, "c_components": (), "g_components": (),
+      "c_separators": (), "g_separators": (), "pair_uncovered": ()},
+     "WitnessReport(multiplicity=2, stage=4, c_components=(1,), g_components=(2,), "
+     "c_separators=(3,), g_separators=(4,), pair_uncovered=(5,))"),
+    (SequenceDescriptor, ("prefix", "cycle"), ((2,), (3, 5)),
+     {"prefix": (), "cycle": ()}, {"cycle": (2,)},
+     "SequenceDescriptor(prefix=(2,), cycle=(3, 5))"),
+    (SupernaturalNumber, ("finite", "infinite"), (((2, 1),), frozenset({3})),
+     {"finite": (), "infinite": frozenset()}, {},
+     "SupernaturalNumber(finite=((2, 1),), infinite=frozenset({3}))"),
+    (DirectLimitElement, ("level", "numerator"), (2, 3), {},
+     {"level": 0, "numerator": 1},
+     "DirectLimitElement(level=2, numerator=3)"),
+]
+IDS = [row[0].__name__ for row in ROWS]
+
+
+def build(row):
+    cls, _, values, _, _, _ = row
+    return cls(*values)
+
+
+def test_every_value_class_is_listed():
+    classes = {
+        name for name in dir(longsol)
+        if isinstance(getattr(longsol, name), type)
+        and not issubclass(getattr(longsol, name), Exception)
+    }
+    assert sorted(classes) == sorted(IDS) and len(IDS) == 16
+
+
+@pytest.mark.parametrize("row", ROWS, ids=IDS)
+def test_construction(row):
+    cls, fields, values, defaults, need, _ = row
+    obj = build(row)
+    assert list(vars(obj)) == list(fields)
+    assert tuple(getattr(obj, f) for f in fields) == values
+    assert cls(**dict(zip(fields, values))) == obj
+    least = cls(**need)
+    assert list(vars(least)) == list(fields)
+    assert vars(least) == {f: need[f] if f in need else defaults[f] for f in fields}
+    if len(defaults) < len(fields):
+        with pytest.raises(TypeError):
+            cls()
+    with pytest.raises(TypeError):
+        cls(*values, bogus=1)
+    with pytest.raises(TypeError):
+        cls(*values, None)
+
+
+@pytest.mark.parametrize("row", ROWS, ids=IDS)
+def test_equality_and_hash(row):
+    cls, fields, values, _, _, _ = row
+    obj = build(row)
+    twin = build(row)
+    assert obj is not twin
+    assert obj == twin and not obj != twin
+    assert hash(obj) == hash(twin) == hash(values)
+    assert hash(obj) == hash(tuple(getattr(obj, f) for f in fields))
+    assert obj.__eq__(object()) is NotImplemented
+    assert [other for other in map(build, ROWS) if other == obj] == [obj]
+    sub = type("Sub" + cls.__name__, (cls,), {})(*values)
+    assert sub != obj and obj != sub
+
+
+@pytest.mark.parametrize("row", ROWS, ids=IDS)
+def test_frozen(row):
+    _, fields, values, _, _, _ = row
+    obj = build(row)
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    with pytest.raises(AttributeError):
+        obj.bogus = 1
+    assert tuple(vars(obj).values()) == values
+
+
+@pytest.mark.parametrize("row", ROWS, ids=IDS)
+def test_repr(row):
+    assert repr(build(row)) == row[5]
+
+
+@pytest.mark.parametrize("row", ROWS, ids=IDS)
+def test_copy_and_pickle(row):
+    obj = build(row)
+    for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+        assert twin == obj and type(twin) is type(obj)
+        assert list(vars(twin)) == list(row[1])
+
+
+def test_post_init_runs_once_per_construction():
+    # the benchmark counts objects built by wrapping these methods on the
+    # class, so construction must look __post_init__ up there every time
+    calls = {}
+    classes = (CnfOrdinal, StagePoint, Thread)
+    originals = {cls: cls.__dict__["__post_init__"] for cls in classes}
+
+    def counting(cls, fn):
+        def post_init(obj):
+            calls[cls] = calls.get(cls, 0) + 1
+            fn(obj)
+        return post_init
+
+    root = StagePoint(1, 0)
+    try:
+        for cls, fn in originals.items():
+            cls.__post_init__ = counting(cls, fn)
+        CnfOrdinal(((ZERO, 2),))
+        StagePoint(2, 1)
+        Thread((2,), (root,))
+    finally:
+        for cls, fn in originals.items():
+            cls.__post_init__ = fn
+    assert calls == {CnfOrdinal: 1, StagePoint: 1, Thread: 1}
+    assert all(cls.__dict__["__post_init__"] is fn for cls, fn in originals.items())
