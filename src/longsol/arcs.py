@@ -17,19 +17,17 @@ component of each preimage never covers the whole covering stage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import StageDomainError, WitnessInputError
+from .errors import Record, StageDomainError, WitnessInputError
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(Record):
     """Closed cyclic interval on the size-n stage, start to end, increasing."""
 
-    n: int
-    start: Fraction
-    end: Fraction
+    def __init__(self, n, start, end):
+        self.__dict__.update(n=n, start=start, end=end)
+        self.__post_init__()
 
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 1:
@@ -98,8 +96,7 @@ def preimage_components(arc, m):
     return components
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(Record):
     """Exhibits why no pair of connected lifts can cover the covering stage.
 
     c_components / g_components   the preimage components of each arc.
@@ -110,13 +107,13 @@ class WitnessReport:
                                   each preimage, a point in neither.
     """
 
-    multiplicity: int
-    stage: int
-    c_components: tuple
-    g_components: tuple
-    c_separators: tuple
-    g_separators: tuple
-    pair_uncovered: tuple
+    def __init__(self, multiplicity, stage, c_components, g_components,
+                 c_separators, g_separators, pair_uncovered):
+        self.__dict__.update(
+            multiplicity=multiplicity, stage=stage, c_components=c_components,
+            g_components=g_components, c_separators=c_separators,
+            g_separators=g_separators, pair_uncovered=pair_uncovered,
+        )
 
     @property
     def witnesses_indecomposability(self):

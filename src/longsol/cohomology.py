@@ -37,21 +37,20 @@ guessed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 import functools
 import itertools
 from math import gcd, isqrt, log2, prod
 
-from .errors import DepthBoundError, InvalidPointError, StageDomainError
+from .errors import DepthBoundError, InvalidPointError, Record, StageDomainError
 
 
-@dataclass(frozen=True)
-class SequenceDescriptor:
+class SequenceDescriptor(Record):
     """Eventually periodic bonding sequence: finite prefix, repeating cycle."""
 
-    prefix: tuple = ()
-    cycle: tuple = ()
+    def __init__(self, prefix=(), cycle=()):
+        self.__dict__.update(prefix=prefix, cycle=cycle)
+        self.__post_init__()
 
     def __post_init__(self):
         object.__setattr__(self, "prefix", tuple(self.prefix))
@@ -81,12 +80,12 @@ class SequenceDescriptor:
         )
 
 
-@dataclass(frozen=True)
-class SupernaturalNumber:
+class SupernaturalNumber(Record):
     """Prime multiplicities, finitely many finite plus a set at infinity."""
 
-    finite: tuple = ()
-    infinite: frozenset = frozenset()
+    def __init__(self, finite=(), infinite=frozenset()):
+        self.__dict__.update(finite=finite, infinite=infinite)
+        self.__post_init__()
 
     def __post_init__(self):
         pairs = tuple(sorted(dict(self.finite).items()))
@@ -261,12 +260,12 @@ def member(s, r):
     return prod(s.prefix) % _strip(r.denominator, prod(s.cycle)) == 0
 
 
-@dataclass(frozen=True)
-class DirectLimitElement:
+class DirectLimitElement(Record):
     """numerator over the product of the first `level` bonding exponents."""
 
-    level: int
-    numerator: int
+    def __init__(self, level, numerator):
+        self.__dict__.update(level=level, numerator=numerator)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.level < 0:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types and the value-record base shared across the package.
 
 Every error carries a stable ``code`` string so the command line layer can
 report failures structurally without inspecting exception classes.
@@ -71,3 +71,31 @@ class CommandError(LongSolError):
     """Bad command line usage that argparse itself cannot express."""
 
     code = "bad-command"
+
+
+class Record:
+    """Base of the immutable value classes.
+
+    Each subclass's ``__init__`` writes its fields, in declaration order,
+    into the instance ``__dict__`` and nothing else; equality, hash and
+    repr follow those fields exactly as for a frozen dataclass, so set and
+    dict orders do too.
+    """
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __hash__(self):
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self):
+        fields = ", ".join("%s=%r" % item for item in self.__dict__.items())
+        return "%s(%s)" % (type(self).__qualname__, fields)

@@ -22,12 +22,11 @@ proven rather than guessed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 
-from .errors import EndpointError, InvalidPointError
-from .ordinal import ONE, ZERO, CnfOrdinal, add, compare
+from .errors import EndpointError, InvalidPointError, Record
+from .ordinal import ONE, ZERO, add, compare
 from .tokens import IDENTITY_TOKEN, MAPPING_MODE, IntervalAutToken
 
 NG_KIND = "ng"
@@ -41,13 +40,12 @@ UNKNOWN = "unknown"
 
 
 @total_ordering
-@dataclass(frozen=True)
-class LongPoint:
+class LongPoint(Record):
     """A point omega_1 * gamma + rho + t."""
 
-    gamma: CnfOrdinal = ZERO
-    rho: CnfOrdinal = ZERO
-    frac: Fraction = Fraction(0)
+    def __init__(self, gamma=ZERO, rho=ZERO, frac=Fraction(0)):
+        self.__dict__.update(gamma=gamma, rho=rho, frac=frac)
+        self.__post_init__()
 
     def __post_init__(self):
         object.__setattr__(self, "frac", Fraction(self.frac))
@@ -84,12 +82,12 @@ class LongPoint:
         return "+".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
-class OrbitClassLabel:
+class OrbitClassLabel(Record):
     """Either the multiple-of-omega_1 with index gamma, or its open block."""
 
-    kind: str
-    gamma: CnfOrdinal
+    def __init__(self, kind, gamma):
+        self.__dict__.update(kind=kind, gamma=gamma)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.kind not in (NG_KIND, INTERVAL_KIND):
@@ -98,12 +96,11 @@ class OrbitClassLabel:
             raise ValueError("multiples of omega_1 start at gamma = 1")
 
 
-@dataclass(frozen=True)
-class OrbitAnswer:
+class OrbitAnswer(Record):
     """Outcome of a same-orbit query: same with a witness token, or unknown."""
 
-    status: str
-    token: IntervalAutToken | None = None
+    def __init__(self, status, token=None):
+        self.__dict__.update(status=status, token=token)
 
 
 def is_ng(x):

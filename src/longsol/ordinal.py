@@ -16,18 +16,17 @@ normalize; exceeding the bound raises :class:`DepthBoundError`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import DepthBoundError
+from .errors import DepthBoundError, Record
 
 DEFAULT_DEPTH_BOUND = 16
 
 
-@dataclass(frozen=True, repr=False)
-class CnfOrdinal:
+class CnfOrdinal(Record):
     """An ordinal below epsilon_0 as a tuple of (exponent, coefficient) terms."""
 
-    terms: tuple = ()
+    def __init__(self, terms=()):
+        self.__dict__["terms"] = terms
+        self.__post_init__()
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))

@@ -32,13 +32,13 @@ identified into joints, so inner points exclude them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from math import prod
 from operator import mul
 
 from .errors import (
     InvalidPointError,
+    Record,
     StageDomainError,
     ThreadMismatchError,
     TokenUndefinedError,
@@ -53,7 +53,7 @@ from .longline import (
     is_ng,
     same_orbit_recipe,
 )
-from .tokens import IDENTITY_TOKEN, IntervalAutToken
+from .tokens import IDENTITY_TOKEN
 from .tower import (
     MIN,
     Address,
@@ -71,13 +71,12 @@ TOWER_MODE = "tower"
 LONG_MODE = "long"
 
 
-@dataclass(frozen=True)
-class StagePoint:
+class StagePoint(Record):
     """A point of the size-n stage: a joint, or an inner point of one copy."""
 
-    n: int
-    index: int
-    inner: object = None
+    def __init__(self, n, index, inner=None):
+        self.__dict__.update(n=n, index=index, inner=inner)
+        self.__post_init__()
 
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 1:
@@ -182,8 +181,7 @@ def stage_size(p_seq, level):
     return prod(p_seq[: level - 1], start=1)
 
 
-@dataclass(frozen=True)
-class Thread:
+class Thread(Record):
     """A finite-depth inverse-limit point over the bonding exponents p.
 
     points[0] lives on the size-1 stage and each deeper point maps onto
@@ -191,8 +189,9 @@ class Thread:
     the current depth; extension consumes it.
     """
 
-    p: tuple = ()
-    points: tuple = ()
+    def __init__(self, p=(), points=()):
+        self.__dict__.update(p=p, points=points)
+        self.__post_init__()
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
@@ -256,8 +255,7 @@ def extend_thread(thread, levels):
     return [Thread(thread.p, pts) for pts in stacks]
 
 
-@dataclass(frozen=True)
-class HomeoRecipe:
+class HomeoRecipe(Record):
     """Level-wise map: rotation per level, one shared translation and hat.
 
     kappa records the tower level of the within-copy points the recipe
@@ -265,12 +263,11 @@ class HomeoRecipe:
     integer-stop addresses enter the verification set.
     """
 
-    p: tuple = ()
-    rotations: tuple = ()
-    translate_by: int = 0
-    hat: IntervalAutToken = IDENTITY_TOKEN
-    kappa: int | None = None
-    tracked: tuple | None = None
+    def __init__(self, p=(), rotations=(), translate_by=0, hat=IDENTITY_TOKEN,
+                 kappa=None, tracked=None):
+        self.__dict__.update(p=p, rotations=rotations, translate_by=translate_by,
+                             hat=hat, kappa=kappa, tracked=tracked)
+        self.__post_init__()
 
     def __post_init__(self):
         rotations = tuple(self.rotations)
@@ -406,12 +403,11 @@ def verify_commutes(recipe):
     return True, None
 
 
-@dataclass(frozen=True)
-class SynthesisResult:
+class SynthesisResult(Record):
     """Outcome of recipe synthesis: recipe, proven_distinct, or unknown."""
 
-    status: str
-    recipe: HomeoRecipe | None = None
+    def __init__(self, status, recipe=None):
+        self.__dict__.update(status=status, recipe=recipe)
 
 
 def _check_same_shape(x, y):

@@ -12,14 +12,13 @@ composes with its hat lives in ``HomeoRecipe.translate_by``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .errors import Record
 
 IDENTITY_MODE = "identity"
 MAPPING_MODE = "mapping"
 
 
-@dataclass(frozen=True)
-class IntervalAutToken:
+class IntervalAutToken(Record):
     """Witness of an automorphism fixing the ends of its ambient interval.
 
     mode            "identity" or "mapping".
@@ -29,12 +28,12 @@ class IntervalAutToken:
     kappa           tower level of source and target, None for long-line.
     """
 
-    mode: str = IDENTITY_MODE
-    source: object = None
-    target: object = None
-    fixed_below: object = None
-    fixed_above: object = None
-    kappa: int | None = None
+    def __init__(self, mode=IDENTITY_MODE, source=None, target=None,
+                 fixed_below=None, fixed_above=None, kappa=None):
+        self.__dict__.update(mode=mode, source=source, target=target,
+                             fixed_below=fixed_below, fixed_above=fixed_above,
+                             kappa=kappa)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.mode not in (IDENTITY_MODE, MAPPING_MODE):

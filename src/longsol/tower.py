@@ -20,15 +20,15 @@ classifier for the small levels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
     InvalidPointError,
     LevelMismatchError,
     NotSameOrbitError,
+    Record,
 )
-from .ordinal import CnfOrdinal, add, compare, nat
+from .ordinal import add, compare, nat
 from .tokens import IDENTITY_TOKEN, MAPPING_MODE, IntervalAutToken
 
 
@@ -42,13 +42,12 @@ class _MinMarker:
 MIN = _MinMarker()
 
 
-@dataclass(frozen=True)
-class Address:
+class Address(Record):
     """Within-copy address; an integer stop when rho is None, else a base."""
 
-    ints: tuple = ()
-    rho: CnfOrdinal | None = None
-    frac: Fraction | None = None
+    def __init__(self, ints=(), rho=None, frac=None):
+        self.__dict__.update(ints=ints, rho=rho, frac=frac)
+        self.__post_init__()
 
     def __post_init__(self):
         object.__setattr__(self, "ints", tuple(self.ints))
@@ -88,12 +87,12 @@ class Address:
         return "[%s; %s]" % (ints, "+".join(parts))
 
 
-@dataclass(frozen=True)
-class TowerPoint:
+class TowerPoint(Record):
     """A point of the level-kappa quotient circle; address None is the joint."""
 
-    kappa: int
-    address: Address | None = None
+    def __init__(self, kappa, address=None):
+        self.__dict__.update(kappa=kappa, address=address)
+        self.__post_init__()
 
     def __post_init__(self):
         if not isinstance(self.kappa, int) or self.kappa < 1:

@@ -7,13 +7,16 @@ would otherwise surface only in ``python3 -m pytest bench``.
 
 import ast
 import importlib
+import os
+import subprocess
 import sys
 import types
 from pathlib import Path
 
 import longsol
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
 
 PUBLIC = [
     "Address", "Arc", "CnfOrdinal", "CommandError", "DEFAULT_DEPTH_BOUND",
@@ -51,12 +54,16 @@ def test_public_names_are_pinned():
     assert public == PUBLIC
 
 
-def test_bench_resolves_every_traced_name():
+def bench_tracing():
     sys.path.insert(0, str(BENCH))
     try:
-        tracing = importlib.import_module("tracing")  # standard library only
+        return importlib.import_module("tracing")  # standard library only
     finally:
         sys.path.remove(str(BENCH))
+
+
+def test_bench_resolves_every_traced_name():
+    tracing = bench_tracing()
     for layer, names in tracing.LAYER_FUNCTIONS.items():
         module = importlib.import_module("longsol." + layer)
         missing = [name for name in names if not callable(getattr(module, name, None))]
@@ -72,3 +79,16 @@ def test_bench_resolves_every_traced_name():
     ]
     assert imported
     assert not [name for name in imported if not hasattr(longsol, name)]
+
+
+def test_cli_import_loads_every_layer_and_no_dataclasses():
+    # the tracer patches each layer module in sys.modules right after
+    # ``import longsol.cli``; dataclasses, with the inspect it imports,
+    # would add about 10 ms to every cold call and no answer uses them
+    code = "import sys, longsol.cli; print(*sorted(sys.modules))"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    loaded = set(run.stdout.split())
+    assert not {"dataclasses", "inspect"} & loaded
+    assert {"longsol." + layer for layer in bench_tracing().LAYER_FUNCTIONS} <= loaded
