@@ -49,12 +49,10 @@ class SequenceDescriptor(Record):
     """Eventually periodic bonding sequence: finite prefix, repeating cycle."""
 
     def __init__(self, prefix=(), cycle=()):
-        self.__dict__.update(prefix=prefix, cycle=cycle)
+        self.__dict__.update(prefix=tuple(prefix), cycle=tuple(cycle))
         self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "prefix", tuple(self.prefix))
-        object.__setattr__(self, "cycle", tuple(self.cycle))
         if not self.cycle:
             raise InvalidPointError("the repeating cycle must be nonempty")
         for entry in self.prefix + self.cycle:
@@ -84,14 +82,12 @@ class SupernaturalNumber(Record):
     """Prime multiplicities, finitely many finite plus a set at infinity."""
 
     def __init__(self, finite=(), infinite=frozenset()):
-        self.__dict__.update(finite=finite, infinite=infinite)
+        self.__dict__.update(finite=tuple(sorted(dict(finite).items())),
+                             infinite=frozenset(infinite))
         self.__post_init__()
 
     def __post_init__(self):
-        pairs = tuple(sorted(dict(self.finite).items()))
-        object.__setattr__(self, "finite", pairs)
-        object.__setattr__(self, "infinite", frozenset(self.infinite))
-        for prime, mult in pairs:
+        for prime, mult in self.finite:
             if mult < 1:
                 raise InvalidPointError("finite multiplicities are >= 1")
             if prime in self.infinite:

@@ -44,11 +44,10 @@ class LongPoint(Record):
     """A point omega_1 * gamma + rho + t."""
 
     def __init__(self, gamma=ZERO, rho=ZERO, frac=Fraction(0)):
-        self.__dict__.update(gamma=gamma, rho=rho, frac=frac)
+        self.__dict__.update(gamma=gamma, rho=rho, frac=Fraction(frac))
         self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "frac", Fraction(self.frac))
         if not 0 <= self.frac < 1:
             raise InvalidPointError("the unit offset must lie in [0, 1)")
         for exp, _ in self.gamma.terms:

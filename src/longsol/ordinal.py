@@ -25,11 +25,10 @@ class CnfOrdinal(Record):
     """An ordinal below epsilon_0 as a tuple of (exponent, coefficient) terms."""
 
     def __init__(self, terms=()):
-        self.__dict__["terms"] = terms
+        self.__dict__["terms"] = tuple(terms)
         self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(self.terms))
         prev = None
         for term in self.terms:
             exp, coeff = term

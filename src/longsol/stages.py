@@ -190,11 +190,10 @@ class Thread(Record):
     """
 
     def __init__(self, p=(), points=()):
-        self.__dict__.update(p=p, points=points)
+        self.__dict__.update(p=p, points=tuple(points))
         self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
         object.__setattr__(self, "p", _exponents(self.p, len(self.points)))
         if not self.points:
             raise ThreadMismatchError("threads carry at least one point")

@@ -46,11 +46,10 @@ class Address(Record):
     """Within-copy address; an integer stop when rho is None, else a base."""
 
     def __init__(self, ints=(), rho=None, frac=None):
-        self.__dict__.update(ints=ints, rho=rho, frac=frac)
+        self.__dict__.update(ints=tuple(ints), rho=rho, frac=frac)
         self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "ints", tuple(self.ints))
         for z in self.ints:
             if not isinstance(z, int):
                 raise InvalidPointError("address entries must be integers")
