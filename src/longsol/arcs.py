@@ -15,8 +15,6 @@ single preimage component and therefore misses the others, and one
 component of each preimage never covers the whole covering stage.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 from .errors import Record, StageDomainError, WitnessInputError
@@ -26,18 +24,14 @@ class Arc(Record):
     """Closed cyclic interval on the size-n stage, start to end, increasing."""
 
     def __init__(self, n, start, end):
-        self.__dict__.update(n=n, start=start, end=end)
-        self.__post_init__()
-
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+        if not isinstance(n, int) or n < 1:
             raise StageDomainError("stage sizes are integers >= 1")
-        object.__setattr__(self, "start", Fraction(self.start))
-        object.__setattr__(self, "end", Fraction(self.end))
-        if not (0 <= self.start < self.n and 0 <= self.end < self.n):
+        start, end = Fraction(start), Fraction(end)
+        if not (0 <= start < n and 0 <= end < n):
             raise StageDomainError("arc endpoints must lie in [0, n)")
-        if self.start == self.end:
+        if start == end:
             raise StageDomainError("degenerate arcs are not used here")
+        self.__dict__.update(n=n, start=start, end=end)
 
     @property
     def length(self):

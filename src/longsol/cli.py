@@ -14,8 +14,6 @@ with ``representation-overflow`` while they are read; so does an answer
 or message that would print an integer past that limit.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import operator
@@ -160,17 +158,12 @@ def _cmd_classify(args):
     return {"class": label.kind, "gamma": str(label.gamma)}
 
 
-def _parse_pair_of_threads(args):
+def _cmd_orbit(args):
     mode, kappa = _mode(args)
     exps = _exponents(args)
     x = parsing.parse_thread(exps, args.x, mode, kappa)
     y = parsing.parse_thread(exps, args.y, mode, kappa)
-    return exps, kappa, x, y
-
-
-def _cmd_orbit(args):
-    _, kappa, x, y = _parse_pair_of_threads(args)
-    result = synthesize_recipe(x, y, kappa=kappa)
+    result = synthesize_recipe(x, y)
     doc = {"status": result.status}
     if result.status == RECIPE:
         recipe = result.recipe

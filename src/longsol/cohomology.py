@@ -35,8 +35,6 @@ within it raises ``representation-overflow``; no factorisation is ever
 guessed.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 import functools
 import itertools
@@ -49,15 +47,13 @@ class SequenceDescriptor(Record):
     """Eventually periodic bonding sequence: finite prefix, repeating cycle."""
 
     def __init__(self, prefix=(), cycle=()):
-        self.__dict__.update(prefix=tuple(prefix), cycle=tuple(cycle))
-        self.__post_init__()
-
-    def __post_init__(self):
-        if not self.cycle:
+        prefix, cycle = tuple(prefix), tuple(cycle)
+        if not cycle:
             raise InvalidPointError("the repeating cycle must be nonempty")
-        for entry in self.prefix + self.cycle:
+        for entry in prefix + cycle:
             if not isinstance(entry, int) or entry < 2:
                 raise InvalidPointError("bonding entries are integers >= 2")
+        self.__dict__.update(prefix=prefix, cycle=cycle)
 
     def entry(self, i):
         """The 1-based i-th bonding exponent."""
@@ -82,18 +78,15 @@ class SupernaturalNumber(Record):
     """Prime multiplicities, finitely many finite plus a set at infinity."""
 
     def __init__(self, finite=(), infinite=frozenset()):
-        self.__dict__.update(finite=tuple(sorted(dict(finite).items())),
-                             infinite=frozenset(infinite))
-        self.__post_init__()
-
-    def __post_init__(self):
-        for prime, mult in self.finite:
+        finite, infinite = tuple(sorted(dict(finite).items())), frozenset(infinite)
+        for prime, mult in finite:
             if mult < 1:
                 raise InvalidPointError("finite multiplicities are >= 1")
-            if prime in self.infinite:
+            if prime in infinite:
                 raise InvalidPointError(
                     "a prime is either finite or infinite, not both"
                 )
+        self.__dict__.update(finite=finite, infinite=infinite)
 
 
 _SMALL_PRIMES = tuple(p for p in range(2, 100) if all(p % d for d in range(2, p)))
@@ -260,12 +253,9 @@ class DirectLimitElement(Record):
     """numerator over the product of the first `level` bonding exponents."""
 
     def __init__(self, level, numerator):
-        self.__dict__.update(level=level, numerator=numerator)
-        self.__post_init__()
-
-    def __post_init__(self):
-        if self.level < 0:
+        if level < 0:
             raise InvalidPointError("levels are non-negative")
+        self.__dict__.update(level=level, numerator=numerator)
 
 
 def dl_element(s, level, numerator):

@@ -76,10 +76,14 @@ class CommandError(LongSolError):
 class Record:
     """Base of the immutable value classes.
 
-    Each subclass's ``__init__`` writes its fields, in declaration order,
-    into the instance ``__dict__`` and nothing else; equality, hash and
+    Each subclass's ``__init__`` checks and coerces its arguments, then
+    stores the final values once, in declaration order, with
+    ``self.__dict__.update``; nothing else is stored.  Equality, hash and
     repr follow those fields exactly as for a frozen dataclass, so set and
-    dict orders do too.
+    dict orders do too.  ``CnfOrdinal``, ``StagePoint`` and ``Thread``
+    instead store first and then validate in a ``__post_init__`` looked up
+    on the class: the benchmark counts the objects built by wrapping that
+    method, failed constructions included.
     """
 
     def __setattr__(self, name, value):

@@ -20,8 +20,6 @@ argument patterns; the remaining cross-block cases are reported as not
 proven rather than guessed.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from functools import total_ordering
 
@@ -44,18 +42,16 @@ class LongPoint(Record):
     """A point omega_1 * gamma + rho + t."""
 
     def __init__(self, gamma=ZERO, rho=ZERO, frac=Fraction(0)):
-        self.__dict__.update(gamma=gamma, rho=rho, frac=Fraction(frac))
-        self.__post_init__()
-
-    def __post_init__(self):
-        if not 0 <= self.frac < 1:
+        frac = Fraction(frac)
+        if not 0 <= frac < 1:
             raise InvalidPointError("the unit offset must lie in [0, 1)")
-        for exp, _ in self.gamma.terms:
+        for exp, _ in gamma.terms:
             if not exp.is_finite:
                 raise InvalidPointError(
                     "the omega_1 block count must stay below w^w "
                     "(every exponent finite)"
                 )
+        self.__dict__.update(gamma=gamma, rho=rho, frac=frac)
 
     @property
     def is_zero(self):
@@ -85,14 +81,11 @@ class OrbitClassLabel(Record):
     """Either the multiple-of-omega_1 with index gamma, or its open block."""
 
     def __init__(self, kind, gamma):
-        self.__dict__.update(kind=kind, gamma=gamma)
-        self.__post_init__()
-
-    def __post_init__(self):
-        if self.kind not in (NG_KIND, INTERVAL_KIND):
-            raise ValueError("unknown orbit class kind %r" % self.kind)
-        if self.kind == NG_KIND and self.gamma.is_zero:
+        if kind not in (NG_KIND, INTERVAL_KIND):
+            raise ValueError("unknown orbit class kind %r" % kind)
+        if kind == NG_KIND and gamma.is_zero:
             raise ValueError("multiples of omega_1 start at gamma = 1")
+        self.__dict__.update(kind=kind, gamma=gamma)
 
 
 class OrbitAnswer(Record):

@@ -14,8 +14,6 @@ cannot silently build towers the rest of the code cannot afford to
 normalize; exceeding the bound raises :class:`DepthBoundError`.
 """
 
-from __future__ import annotations
-
 from .errors import DepthBoundError, Record
 
 DEFAULT_DEPTH_BOUND = 16

@@ -23,8 +23,6 @@ so does the ``DepthBoundError`` for an ordinal literal nesting too deep
 (see ``parse_ordinal``) or an integer literal too long (see ``_decimal``).
 """
 
-from __future__ import annotations
-
 import sys
 from fractions import Fraction
 

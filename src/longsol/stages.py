@@ -30,8 +30,6 @@ addresses) or long-line points.  Both endpoints of each copy are
 identified into joints, so inner points exclude them.
 """
 
-from __future__ import annotations
-
 from itertools import accumulate
 from math import prod
 from operator import mul
@@ -264,24 +262,20 @@ class HomeoRecipe(Record):
 
     def __init__(self, p=(), rotations=(), translate_by=0, hat=IDENTITY_TOKEN,
                  kappa=None, tracked=None):
-        self.__dict__.update(p=p, rotations=rotations, translate_by=translate_by,
-                             hat=hat, kappa=kappa, tracked=tracked)
-        self.__post_init__()
-
-    def __post_init__(self):
-        rotations = tuple(self.rotations)
-        if not all(isinstance(k, int) for k in (self.translate_by, *rotations)):
+        rotations = tuple(rotations)
+        if not all(isinstance(k, int) for k in (translate_by, *rotations)):
             raise ThreadMismatchError("rotations and the translation are integers")
-        object.__setattr__(self, "p", _exponents(self.p, len(rotations)))
+        p = _exponents(p, len(rotations))
         if not rotations:
             raise ThreadMismatchError("recipes need at least one level")
-        sizes = accumulate(self.p, mul, initial=1)
-        reduced = tuple(l % n for l, n in zip(rotations, sizes))
-        object.__setattr__(self, "rotations", reduced)
-        if self.tracked is not None:
-            object.__setattr__(self, "tracked", tuple(self.tracked))
-            if len(self.tracked) != len(self.rotations):
+        sizes = accumulate(p, mul, initial=1)
+        rotations = tuple(l % n for l, n in zip(rotations, sizes))
+        if tracked is not None:
+            tracked = tuple(tracked)
+            if len(tracked) != len(rotations):
                 raise ThreadMismatchError("tracked points must match the depth")
+        self.__dict__.update(p=p, rotations=rotations, translate_by=translate_by,
+                             hat=hat, kappa=kappa, tracked=tracked)
 
     @property
     def depth(self):
@@ -421,7 +415,7 @@ def _check_same_shape(x, y):
         raise ThreadMismatchError("threads live at different tower levels")
 
 
-def synthesize_recipe(x, y, kappa=None):
+def synthesize_recipe(x, y):
     """Build a recipe mapping thread x onto thread y, or explain why not.
 
     Tower mode is a complete decision: equal types yield a rotation plus
@@ -429,13 +423,10 @@ def synthesize_recipe(x, y, kappa=None):
     Long-line mode lifts the line-level verdicts; cross-block pairs whose
     distinctness is not covered by a recorded proof stay unknown, as does
     the joint against a multiple-of-omega_1 thread.
-
-    kappa only matters when both threads are all-joints and the caller
-    wants the tower verification set; it is ignored otherwise.
     """
     _check_same_shape(x, y)
     xj, yj = x.points[0].is_joint, y.points[0].is_joint
-    shift, hat = 0, IDENTITY_TOKEN  # what two all-joint threads keep
+    shift, hat, kappa = 0, IDENTITY_TOKEN, None  # what all-joint threads keep
     if TOWER_MODE in (x.mode, y.mode):
         kappa = (x if x.mode == TOWER_MODE else y).points[0].inner.kappa
         tx = kappa + 1 if xj else point_type(x.points[0].inner)
@@ -453,7 +444,7 @@ def synthesize_recipe(x, y, kappa=None):
         answer = same_orbit_recipe(xin, yin)
         if answer.status != SAME:
             return SynthesisResult(UNKNOWN)
-        hat, kappa = answer.token, None
+        hat = answer.token
     rotations = tuple(b.index - a.index for a, b in zip(x.points, y.points))
     return SynthesisResult(RECIPE, HomeoRecipe(
         p=x.p, rotations=rotations, translate_by=shift, hat=hat, kappa=kappa,

@@ -10,8 +10,6 @@ tokens.  A token carries no shift: the top-integer translation a stage map
 composes with its hat lives in ``HomeoRecipe.translate_by``.
 """
 
-from __future__ import annotations
-
 from .errors import Record
 
 IDENTITY_MODE = "identity"
@@ -30,16 +28,13 @@ class IntervalAutToken(Record):
 
     def __init__(self, mode=IDENTITY_MODE, source=None, target=None,
                  fixed_below=None, fixed_above=None, kappa=None):
+        if mode not in (IDENTITY_MODE, MAPPING_MODE):
+            raise ValueError("unknown token mode %r" % mode)
+        if mode == MAPPING_MODE and (source is None or target is None):
+            raise ValueError("mapping tokens need a source and a target")
         self.__dict__.update(mode=mode, source=source, target=target,
                              fixed_below=fixed_below, fixed_above=fixed_above,
                              kappa=kappa)
-        self.__post_init__()
-
-    def __post_init__(self):
-        if self.mode not in (IDENTITY_MODE, MAPPING_MODE):
-            raise ValueError("unknown token mode %r" % self.mode)
-        if self.mode == MAPPING_MODE and (self.source is None or self.target is None):
-            raise ValueError("mapping tokens need a source and a target")
 
     @property
     def is_identity(self):

@@ -18,8 +18,6 @@ validated in the test suite against an independent neighborhood-germ
 classifier for the small levels.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 from .errors import (
@@ -46,25 +44,22 @@ class Address(Record):
     """Within-copy address; an integer stop when rho is None, else a base."""
 
     def __init__(self, ints=(), rho=None, frac=None):
-        self.__dict__.update(ints=tuple(ints), rho=rho, frac=frac)
-        self.__post_init__()
-
-    def __post_init__(self):
-        for z in self.ints:
+        ints = tuple(ints)
+        for z in ints:
             if not isinstance(z, int):
                 raise InvalidPointError("address entries must be integers")
-        if self.rho is None:
-            if self.frac is not None:
+        if rho is None:
+            if frac is not None:
                 raise InvalidPointError("an integer stop carries no base coordinate")
         else:
-            frac = Fraction(self.frac) if self.frac is not None else Fraction(0)
-            object.__setattr__(self, "frac", frac)
+            frac = Fraction(frac) if frac is not None else Fraction(0)
             if not 0 <= frac < 1:
                 raise InvalidPointError("the unit offset must lie in [0, 1)")
-            if self.rho.is_zero and frac == 0:
+            if rho.is_zero and frac == 0:
                 raise InvalidPointError(
                     "a zero base coordinate is written as the integer stop above it"
                 )
+        self.__dict__.update(ints=ints, rho=rho, frac=frac)
 
     @property
     def is_base(self):
@@ -90,27 +85,21 @@ class TowerPoint(Record):
     """A point of the level-kappa quotient circle; address None is the joint."""
 
     def __init__(self, kappa, address=None):
-        self.__dict__.update(kappa=kappa, address=address)
-        self.__post_init__()
-
-    def __post_init__(self):
-        if not isinstance(self.kappa, int) or self.kappa < 1:
+        if not isinstance(kappa, int) or kappa < 1:
             raise InvalidPointError("tower levels start at 1")
-        a = self.address
-        if a is None:
-            return
-        if a.is_base:
-            if a.depth != self.kappa - 1:
-                raise InvalidPointError(
-                    "a base address at level %d needs exactly %d integers"
-                    % (self.kappa, self.kappa - 1)
-                )
-        else:
-            if not 1 <= a.depth <= self.kappa - 1:
+        if address is not None:
+            if address.is_base:
+                if address.depth != kappa - 1:
+                    raise InvalidPointError(
+                        "a base address at level %d needs exactly %d integers"
+                        % (kappa, kappa - 1)
+                    )
+            elif not 1 <= address.depth <= kappa - 1:
                 raise InvalidPointError(
                     "an integer stop at level %d needs 1..%d integers"
-                    % (self.kappa, self.kappa - 1)
+                    % (kappa, kappa - 1)
                 )
+        self.__dict__.update(kappa=kappa, address=address)
 
     @property
     def is_joint(self):

@@ -253,7 +253,7 @@ def test_05_synthesis_decisions():
         top = stage_size(p, depth)
         x = _tower_thread(p, depth, None if a.is_joint else a, rng.randrange(top))
         y = _tower_thread(p, depth, None if b.is_joint else b, rng.randrange(top))
-        result = synthesize_recipe(x, y, kappa=kappa)
+        result = synthesize_recipe(x, y)
         if result.status != RECIPE:
             failures.append("trial %d: no recipe for equal types" % trial)
             continue
@@ -275,7 +275,7 @@ def test_05_synthesis_decisions():
         top = stage_size(p, depth)
         x = _tower_thread(p, depth, None if a.is_joint else a, rng.randrange(top))
         y = _tower_thread(p, depth, None if b.is_joint else b, rng.randrange(top))
-        result = synthesize_recipe(x, y, kappa=kappa)
+        result = synthesize_recipe(x, y)
         if result.status != PROVEN_DISTINCT:
             failures.append(
                 "trial %d: types %d vs %d gave %s"
@@ -486,3 +486,55 @@ def test_10_inequivalent_generator():
             if mccord_equivalent(s_a, s_b):
                 failures.append("%s ~ %s" % (s_a, s_b))
     _finish(10, "inequivalent-generator", start, 10, failures)
+
+
+_LONG_GAMMAS = [ZERO, nat(1), nat(2), W, add(W, ONE), omega_pow(nat(2))]
+_LONG_RHOS = [ZERO, nat(3), W, omega_pow(nat(2))]
+
+
+def _long_inner(rng):
+    """A long-line inner point, or None (the joint) when all parts are 0;
+    multiples of omega_1 and block counts that are powers of w both occur."""
+    gamma, rho = rng.choice(_LONG_GAMMAS), rng.choice(_LONG_RHOS)
+    frac = rng.choice((F(0), F(0), F(1, 2)))
+    if gamma.is_zero and rho.is_zero and frac == 0:
+        return None
+    return LongPoint(gamma, rho, frac)
+
+
+def _drawn_pair(rng):
+    p = tuple(rng.choice((1, 2, 3)) for _ in range(rng.randrange(0, 4)))
+    depth = len(p) + 1
+    top = stage_size(p, depth)
+    if rng.random() < 0.5:
+        kappa = rng.randrange(1, 4)
+        t1 = rng.randrange(1, kappa + 2)
+        t2 = t1 if rng.random() < 0.5 else rng.randrange(1, kappa + 2)
+        a = _tower_point_of_type(kappa, t1, rng)
+        b = _tower_point_of_type(kappa, t2, rng)
+        a, b = (None if pt.is_joint else pt for pt in (a, b))
+    else:
+        a, b = _long_inner(rng), _long_inner(rng)
+    return (_tower_thread(p, depth, a, rng.randrange(top)),
+            _tower_thread(p, depth, b, rng.randrange(top)))
+
+
+def test_11_orbit_symmetry():
+    # metamorphic: being in one orbit is symmetric, so the verdicts for
+    # (x, y) and (y, x) agree and each recipe maps its first thread onto
+    # the second, though no oracle predicts the verdict itself
+    start = time.perf_counter()
+    failures = []
+    rng = random.Random(13)
+    for trial in range(4000):
+        x, y = _drawn_pair(rng)
+        there, back = synthesize_recipe(x, y), synthesize_recipe(y, x)
+        if there.status != back.status:
+            failures.append("trial %d: %s one way, %s back"
+                            % (trial, there.status, back.status))
+        elif there.status == RECIPE and (apply_recipe(there.recipe, x) != y
+                                         or apply_recipe(back.recipe, y) != x):
+            failures.append("trial %d: a recipe misses its target" % trial)
+        if failures:
+            break
+    _finish(11, "orbit-symmetry", start, 10, failures)

@@ -14,6 +14,7 @@ import types
 from pathlib import Path
 
 import longsol
+from longsol.errors import Record
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
@@ -71,6 +72,11 @@ def test_bench_resolves_every_traced_name():
     for layer, cls_name in tracing.BUILT_COUNTERS:
         cls = getattr(importlib.import_module("longsol." + layer), cls_name)
         assert "__post_init__" in vars(cls), cls_name
+    # every other record checks and stores its fields in __init__ alone
+    assert {
+        (cls.__module__.removeprefix("longsol."), cls.__name__)
+        for cls in Record.__subclasses__() if "__post_init__" in vars(cls)
+    } == set(tracing.BUILT_COUNTERS)
     tree = ast.parse((BENCH / "oracle.py").read_text())
     imported = [
         alias.name for node in ast.walk(tree)

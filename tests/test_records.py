@@ -181,6 +181,27 @@ def test_repr(row):
     assert repr(build(row)) == row[5]
 
 
+def test_init_stores_coerced_fields():
+    # the repr shows each stored value's type: tuples, Fractions, frozensets
+    built = [
+        (LongPoint(ZERO, ONE, 0),
+         "LongPoint(gamma=ord[0], rho=ord[1], frac=Fraction(0, 1))"),
+        (Address([1, 2], OMEGA, 0.5),
+         "Address(ints=(1, 2), rho=ord[w], frac=Fraction(1, 2))"),
+        (Address((1,), OMEGA), "Address(ints=(1,), rho=ord[w], frac=Fraction(0, 1))"),
+        (Arc(3, 0, 2.5), "Arc(n=3, start=Fraction(0, 1), end=Fraction(5, 2))"),
+        (HomeoRecipe([2], [-2, 3], tracked=[ROOT, StagePoint(2, 1)]),
+         "HomeoRecipe(p=(2,), rotations=(0, 1), translate_by=0, hat=%s, kappa=None, "
+         "tracked=(StagePoint(n=1, index=0, inner=None), "
+         "StagePoint(n=2, index=1, inner=None)))" % IDENTITY_REPR),
+        (SequenceDescriptor([2], [3]), "SequenceDescriptor(prefix=(2,), cycle=(3,))"),
+        (SupernaturalNumber({3: 1, 2: 2}, [5]),
+         "SupernaturalNumber(finite=((2, 2), (3, 1)), infinite=frozenset({5}))"),
+    ]
+    for obj, shown in built:
+        assert repr(obj) == shown
+
+
 @pytest.mark.parametrize("row", ROWS, ids=IDS)
 def test_copy_and_pickle(row):
     obj = build(row)
