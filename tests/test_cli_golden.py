@@ -223,7 +223,24 @@ _PINNED = [
     ["fiber", "--m", "2", "--n", "3", "--tower", "2", "--point", "([1|2]| [3])"],
 ]
 
-ARGVS = _README + _TEST_CLI + _ERRORS + _PINNED
+# fibers and thread extensions printed from an inner coordinate's template:
+# tower and long inners near the default stage bound, a one-point fiber,
+# both formats, extensions over three levels
+_LISTINGS = [
+    ["fiber", "--m", "6", "--n", "8", "--tower", "3",
+     "--point", "(5| [1,-2; w^2*3+1/2])"],
+    ["fiber", "--m", "4", "--n", "12", "--long",
+     "--point", "(7| w1*(w+1)+w^2*3+1/3)"],
+    ["fiber", "--m", "1", "--n", "3", "--tower", "1", "--point", "(2| [; w*2])"],
+    ["--format", "text", "fiber", "--m", "3", "--n", "4", "--tower", "2",
+     "--point", "(2| [3; w+1/4])"],
+    ["--format", "text", "thread", "extend", "--long", "--p", "2,3,2",
+     "--points", "(0| w1*(2)+1/2)", "--levels", "3"],
+    ["thread", "extend", "--tower", "3", "--p", "2,2,3,2",
+     "--points", "(0| [1,-2; w^2+1/4]); (1| [1,-2; w^2+1/4])", "--levels", "3"],
+]
+
+ARGVS = _README + _TEST_CLI + _ERRORS + _PINNED + _LISTINGS
 
 
 def call(argv):
