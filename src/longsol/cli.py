@@ -126,6 +126,41 @@ def _recipe_doc(recipe):
     ]
 
 
+class _Listing:
+    """An answer's strings as one %d template and indices, written on output.
+
+    A fiber (no ``root``) lists ``template % j`` for j in ``indices``.  For a
+    thread extension ``indices`` are the levels of ``extension_indices``, each
+    extending its parents' strings (``root`` at first) by ``template % j``.
+    JSON escapes one character at a time, so ``json()`` escapes both once."""
+
+    def __init__(self, template, indices, root=None):
+        self.template, self.indices, self.root = template, indices, root
+
+    def _strings(self, text):
+        template = text(self.template)
+        if self.root is None:
+            return [template % j for j in self.indices]
+        strings = [text(self.root)]
+        for level in self.indices:
+            strings = [strings[i] + template % j for i, j in level]
+        return strings
+
+    def __iter__(self):
+        return iter(self._strings(str))
+
+    def json(self):
+        """The JSON array of the strings, byte for byte as ``json.dumps``."""
+        def escape(text):  # as written between a JSON string's quotes
+            return json.dumps(text)[1:-1]
+        if self.root is None and self.indices:
+            head, tail = escape(self.template).split("%d")
+            joined = (tail + '", "' + head).join(map(str, self.indices))
+            return '["%s%s%s"]' % (head, joined, tail)
+        strings = self._strings(escape)
+        return '["%s"]' % '", "'.join(strings) if strings else "[]"
+
+
 def _cmd_ord(args):
     given = sum(value is not None for value in (
         args.expr, args.add, args.mul, args.cmp, args.omega_pow))
@@ -185,8 +220,7 @@ def _cmd_fiber(args):
     joint = args.point.strip().startswith("inf")
     mode, kappa = (None, None) if joint else _mode(args)
     q = parsing.parse_stage_point(args.point, args.n, mode, kappa)
-    text = point_format(q.inner)
-    points = [text % j for j in fiber_indices(args.m, args.n, q)]
+    points = _Listing(point_format(q.inner), fiber_indices(args.m, args.n, q))
     return {"stage": args.m * args.n, "points": points}
 
 
@@ -212,12 +246,9 @@ def _cmd_thread_extend(args):
     if args.levels < 1:
         raise CommandError("--levels is positive")
     _check_depth(thread.depth + args.levels)
-    # render the inner coordinate once; each level extends its parents' text
+    levels = extension_indices(thread, args.levels)
     text = "; " + point_format(thread.points[0].inner)
-    threads = [str(thread)]
-    for level in extension_indices(thread, args.levels):
-        threads = [threads[i] + text % j for i, j in level]
-    return {"count": len(threads), "threads": threads}
+    return {"count": len(levels[-1]), "threads": _Listing(text, levels, str(thread))}
 
 
 def _cmd_indecomp(args):
@@ -394,22 +425,30 @@ _PARSER = build_parser()
 
 
 def _flatten(doc, prefix=""):
-    lines = []
     if isinstance(doc, dict):
-        for key in sorted(doc):
-            lines.extend(_flatten(doc[key], prefix + key + "."))
-    elif isinstance(doc, (list, tuple)):
-        for i, item in enumerate(doc):
-            lines.extend(_flatten(item, prefix + "%d." % i))
-    else:
-        lines.append("%s: %s" % (prefix[:-1], doc))
-    return lines
+        return [line for key in sorted(doc)
+                for line in _flatten(doc[key], prefix + key + ".")]
+    nested = (dict, list, tuple)
+    if isinstance(doc, (list, tuple)) and any(isinstance(x, nested) for x in doc):
+        return [line for i, item in enumerate(doc)
+                for line in _flatten(item, "%s%d." % (prefix, i))]
+    if isinstance(doc, (list, tuple, _Listing)):
+        # scalars, as a listing's are: one line each, by the faster f-string
+        return [f"{prefix}{i}: {item}" for i, item in enumerate(doc)]
+    return ["%s: %s" % (prefix[:-1], doc)]
 
 
 def _render(doc, fmt="json"):
     if fmt == "text":
         return "\n".join(_flatten(doc))
-    return json.dumps(doc, sort_keys=True)
+    if not any(isinstance(value, _Listing) for value in doc.values()):
+        return json.dumps(doc, sort_keys=True)
+    # a listing writes its own array; json.dumps writes each other value
+    return "{%s}" % ", ".join(
+        "%s: %s" % (json.dumps(key), value.json() if isinstance(value, _Listing)
+                    else json.dumps(value))
+        for key, value in sorted(doc.items())
+    )
 
 
 def main(argv=None):

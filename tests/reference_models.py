@@ -27,9 +27,14 @@ implementation:
   stage, joints and integer stops alike, instead of copy 0 alone;
 * thread extensions come from trying every point of each new stage and
   keeping the ones the bond sends onto the level below, instead of from
-  the index rule.
+  the index rule;
+* the command line's fiber and thread-extend answers come from lists of
+  strings, one ``%`` format per point, rendered by one ``json.dumps`` or
+  flattened one item at a time, instead of from a template escaped once
+  and a join over the indices.
 """
 
+import json
 from fractions import Fraction
 
 from longsol import (
@@ -44,6 +49,7 @@ from longsol import (
     nat,
     stage_size,
 )
+from longsol.stages import extension_indices, fiber_indices, point_format
 
 # ---------------------------------------------------------------------------
 # dense-vector ordinal model (finite exponents only)
@@ -331,3 +337,44 @@ def ref_extensions(thread, levels):
         ]
         n *= m
     return stacks
+
+
+# ---------------------------------------------------------------------------
+# command line answers as materialised strings
+
+
+def ref_fiber_points(m, n, q):
+    """The fiber of q under the m-fold bond, one string per point."""
+    text = point_format(q.inner)
+    return [text % j for j in fiber_indices(m, n, q)]
+
+
+def ref_extension_threads(thread, levels):
+    """Every extension's text: each level extends its parents' strings."""
+    text = "; " + point_format(thread.points[0].inner)
+    threads = [str(thread)]
+    for level in extension_indices(thread, levels):
+        threads = [threads[i] + text % j for i, j in level]
+    return threads
+
+
+def ref_flatten(doc, prefix=""):
+    """``key: value`` lines, one recursive call per dict value or list item."""
+    lines = []
+    if isinstance(doc, dict):
+        for key in sorted(doc):
+            lines.extend(ref_flatten(doc[key], prefix + key + "."))
+    elif isinstance(doc, (list, tuple)):
+        for i, item in enumerate(doc):
+            lines.extend(ref_flatten(item, prefix + "%d." % i))
+    else:
+        lines.append("%s: %s" % (prefix[:-1], doc))
+    return lines
+
+
+def ref_render(doc, fmt="json"):
+    """The stdout text of an answer in either ``--format``, without the
+    final newline."""
+    if fmt == "text":
+        return "\n".join(ref_flatten(doc))
+    return json.dumps(doc, sort_keys=True)

@@ -14,7 +14,9 @@ from io import StringIO
 from math import prod
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
+from reference_models import ref_extension_threads, ref_fiber_points, ref_render
 from test_cli_golden import ARGVS
 
 from longsol import (
@@ -31,7 +33,14 @@ from longsol import (
     nat,
     omega_pow,
 )
-from longsol.cli import _PARSER, COMMANDS, OPERATION_COVERAGE, build_parser, main
+from longsol.cli import (
+    _PARSER,
+    COMMANDS,
+    OPERATION_COVERAGE,
+    _Listing,
+    build_parser,
+    main,
+)
 
 
 def run(capsys, *argv):
@@ -590,6 +599,102 @@ def test_thread_extend_text_matches_library(p, given_depth, top, inner, data):
             "--points", str(thread), "--levels", str(levels)] + flags
     threads = [str(t) for t in extend_thread(thread, levels)]
     assert _stdout(argv) == _json_line({"count": len(threads), "threads": threads})
+
+
+# The command line keeps both answers as a template and indices and writes
+# them in one join; reference_models keeps the strings-then-json.dumps
+# renderer.  Both must print the same bytes, at sizes up to the bench's.
+
+BIG_BOUNDS = {"LONGSOL_INDEX_BOUND": "65536", "LONGSOL_DEPTH": "13"}
+FORMATS = st.sampled_from(["json", "text"])
+
+
+def _stdout_under(env, argv):
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in env.items():
+            mp.setenv(name, value)
+        return _stdout(argv)
+
+
+def assert_same_text(got, want):
+    # say where the outputs part: pytest's own diff takes minutes on
+    # megabyte strings
+    if got != want:
+        at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                  min(len(got), len(want)))
+        low = max(at - 40, 0)
+        pytest.fail("outputs part at character %d: %r != %r"
+                    % (at, got[low : at + 40], want[low : at + 40]))
+
+
+@st.composite
+def fiber_sizes(draw):
+    """(m, n, index) with m*n up to 65536."""
+    n = draw(st.integers(1, 256))
+    return draw(st.integers(1, 65536 // n)), n, draw(st.integers(0, n - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@example((65536, 1, 0), ([], None), "text")
+@example((256, 256, 255), (["--long"], LongPoint(nat(2), nat(3), F(1, 2))), "json")
+@given(fiber_sizes(), inner_points(), FORMATS)
+def test_fiber_renders_as_materialised(size, inner, fmt):
+    (m, n, index), (flags, x) = size, inner
+    q = StagePoint(n, index, x)
+    argv = ["--format", fmt, "fiber", "--m", str(m), "--n", str(n),
+            "--point", str(q)] + flags
+    doc = {"stage": m * n, "points": ref_fiber_points(m, n, q)}
+    assert_same_text(_stdout_under(BIG_BOUNDS, argv), ref_render(doc, fmt) + "\n")
+
+
+@st.composite
+def extensions(draw):
+    """(flags, thread, levels): depth up to 13, stages up to 65536 and at
+    most 4096 extensions."""
+    flags, x = draw(inner_points())
+    p = draw(st.lists(st.sampled_from([1, 2, 3, 4]), min_size=1, max_size=12))
+    while prod(p) > 65536:
+        p.pop()
+    given_depth = draw(st.integers(1, len(p)))
+    levels = draw(st.integers(1, len(p) - given_depth + 1))
+    while prod(p[given_depth - 1 : given_depth - 1 + levels]) > 4096:
+        levels -= 1
+    top = draw(st.integers(0, 65535))
+    sizes = [prod(p[:k]) for k in range(given_depth)]
+    thread = Thread(tuple(p), tuple(StagePoint(n, top, x) for n in sizes))
+    return flags, thread, levels
+
+
+@settings(max_examples=40, deadline=None)
+@example(([], Thread((2,) * 12, (StagePoint(1, 0),)), 12), "json")
+@example((["--tower", "4"], Thread((2,) * 12, (StagePoint(
+    1, 0, TowerPoint(4, Address((1, -2, 3), nat(5), F(1, 3)))),)), 12), "text")
+@given(extensions(), FORMATS)
+def test_thread_extend_renders_as_materialised(case, fmt):
+    flags, thread, levels = case
+    argv = ["--format", fmt, "thread", "extend", "--p", ",".join(map(str, thread.p)),
+            "--points", str(thread), "--levels", str(levels)] + flags
+    threads = ref_extension_threads(thread, levels)
+    doc = {"count": len(threads), "threads": threads}
+    assert_same_text(_stdout_under(BIG_BOUNDS, argv), ref_render(doc, fmt) + "\n")
+
+
+def test_listing_json_escapes_template_as_json_dumps_does():
+    # a quote, a backslash, control characters and non-ASCII characters,
+    # each of which json.dumps writes as an escape
+    template = 'a"b\\c\x01d\u00e9 %d \u2028\x7f\t"'
+    indices = range(3, 40, 7)
+    fiber = _Listing(template, indices)
+    assert fiber.json() == json.dumps([template % j for j in indices])
+    assert list(fiber) == [template % j for j in indices]
+    assert _Listing(template, range(0)).json() == json.dumps([])
+    root, t = '"\\\x1f\u0663', "; " + template
+    levels = [[(0, 1), (0, 2)], [(1, 5), (0, 6), (1, 7)]]
+    first = [root + t % 1, root + t % 2]
+    threads = [first[1] + t % 5, first[0] + t % 6, first[1] + t % 7]
+    extension = _Listing(t, levels, root)
+    assert extension.json() == json.dumps(threads)
+    assert list(extension) == threads
 
 
 # ---------------------------------------------------------------------------
