@@ -36,10 +36,10 @@ from .tower import Address, TowerPoint
 
 
 def _decimal(text, position, message):
-    """The value of ``text``, which must be ``str.isdecimal`` (what ``int``
-    reads unsigned) and no longer than ``sys.get_int_max_str_digits()``
-    (0: no limit); otherwise a positioned error, never one from ``int``."""
-    if not text.isdecimal():
+    """The value of ``text``, which must be ASCII digits (``int`` reads any
+    script's) no more than ``sys.get_int_max_str_digits()`` long (0: no
+    limit); otherwise a positioned error, never one from ``int``."""
+    if not (text.isascii() and text.isdecimal()):
         raise ParseError(message, position=position)
     limit = sys.get_int_max_str_digits()
     if limit and len(text) > limit:
@@ -81,7 +81,7 @@ class _Scanner:
     def nat(self):
         self.ws()
         start = self.i
-        while self.i < len(self.text) and self.text[self.i].isdecimal():
+        while self.i < len(self.text) and "0" <= self.text[self.i] <= "9":
             self.i += 1
         digits = self.text[start : self.i]
         return _decimal(digits, self.offset + start, "expected a number")
@@ -152,7 +152,7 @@ def _omega(s, nest):
 def _term(s, nest):
     s.ws()
     ch = s.peek()
-    if ch.isdecimal():
+    if "0" <= ch <= "9":
         return nat(s.nat())
     if ch != "w":
         s.error("expected a term")
@@ -178,7 +178,7 @@ def _exponent(s, nest):
         value = _ordinal(s, nest)
         s.expect(")")
         return value
-    if ch.isdecimal():
+    if "0" <= ch <= "9":
         return nat(s.nat())
     if ch != "w":
         s.error("expected an exponent")

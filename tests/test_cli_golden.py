@@ -196,6 +196,9 @@ _ERRORS = [
     ["--format", "text", "fiber", "--m", "7", "--n", "7", "--point", "inf0"],
     ["ord", "--expr", "w", "--zzz"],
     ["ord", "--expr"],
+    # literals read ASCII digits only: ARABIC-INDIC DIGIT THREE and ONE
+    ["ord", "--expr", "\u0663"],
+    ["fiber", "--m", "2", "--n", "3", "--point", "inf\u0661"],
 ]
 
 # answers no other entry reaches: hats that are mappings (a level-1 base

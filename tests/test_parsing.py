@@ -206,6 +206,26 @@ def test_parse_rational():
         assert err.value.position == position
 
 
+def test_literals_read_ascii_digits_only():
+    # int() reads the decimal digits of every script; the grammar's are 0-9.
+    # Each literal below holds one other digit (Arabic-Indic, Devanagari,
+    # fullwidth, mathematical bold) where the grammar reads a number.
+    cases = [
+        (parse_ordinal, ("\u0663",), 0),
+        (parse_ordinal, ("w*\u0967",), 2),
+        (parse_ordinal, ("w^\uff12",), 2),
+        (parse_stage_point, ("inf\u0661", 3), 0),
+        (parse_tower_point, ("[1,\U0001d7d0]", 2), 3),
+        (parse_long_point, ("w+1/\u0663",), 4),
+        (parse_descriptor, (":\u0662",), 1),
+        (parse_rational, ("\u0663/4",), 0),
+    ]
+    for parse, args, position in cases:
+        with pytest.raises(ParseError) as err:
+            parse(*args)
+        assert err.value.position == position, (parse.__name__, args)
+
+
 def test_parse_arc():
     assert parse_arc("1+1/2..0", 2) == Arc(2, F(3, 2), 0)
     assert parse_arc("0..1+1/2", 2) == Arc(2, 0, F(3, 2))
