@@ -243,7 +243,21 @@ _LISTINGS = [
      "--points", "(0| [1,-2; w^2+1/4]); (1| [1,-2; w^2+1/4])", "--levels", "3"],
 ]
 
-ARGVS = _README + _TEST_CLI + _ERRORS + _PINNED + _LISTINGS
+# parse errors no other entry reaches: a stage point that is neither a joint
+# nor a bracketed copy, an arc end with two fractions, a long-line point with
+# two unit offsets, an omega_1 block in a tower coordinate, a block count
+# without its closing parenthesis, and text after a complete point
+_RAISES = [
+    ["fiber", "--m", "2", "--n", "3", "--tower", "2", "--point", "x"],
+    ["indecomp", "--pn", "2", "--n", "1", "--c-arc", "0+1/2+1/3..0+1/4",
+     "--g-arc", "0+1/5..0+1/10"],
+    ["classify", "--long", "--point", "w1*(2)+1/2+1/3"],
+    ["classify", "--tower", "1", "--point", "[;w1*(2)]"],
+    ["classify", "--long", "--point", "w1*(2)x"],
+    ["classify", "--long", "--point", "1/2x"],
+]
+
+ARGVS = _README + _TEST_CLI + _ERRORS + _PINNED + _LISTINGS + _RAISES
 
 
 def call(argv):
