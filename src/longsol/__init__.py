@@ -96,7 +96,6 @@ from .stages import (
     apply_recipe,
     extend_thread,
     fiber,
-    level_map,
     stage_size,
     synthesize_recipe,
     verify_commutes,

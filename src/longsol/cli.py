@@ -360,8 +360,8 @@ COMMANDS = (
         ("--y", dict(_REQUIRED, help="second thread")),
     ), ("longline.distinct_orbit_proof", "longline.same_orbit_recipe",
         "tower.same_orbit", "tower.base_automorphism_token", "tower.strip_top",
-        "tower.within_copy_hat", "stages.level_map", "stages.apply_recipe",
-        "stages.verify_commutes", "stages.synthesize_recipe")),
+        "tower.within_copy_hat", "stages.apply_recipe", "stages.verify_commutes",
+        "stages.synthesize_recipe")),
     ("fiber", _cmd_fiber, "preimages of a point under a bonding map", (
         ("--m", dict(_REQUIRED_INT, help="covering degree")),
         ("--n", dict(_REQUIRED_INT, help="base stage size")),

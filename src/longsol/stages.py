@@ -15,9 +15,10 @@ commuting with every bond on a finite verification set (see
 ``verify_commutes``).  Bonds keep the inner coordinate, and translation and
 hat ignore copy and level, so the square at level k commutes at a point
 exactly when rotations[k] = rotations[k-1] (mod n_k) and the hat and
-translation are defined at its inner coordinate.  Synthesis from a pair of
-threads answers with a recipe, a distinctness proof, or unknown;
-conjectural cases are never upgraded.
+translation are defined at its inner coordinate.  A thread has one inner
+coordinate, so applying or verifying a recipe evaluates it once.
+Synthesis from a pair of threads answers with a recipe, a distinctness
+proof, or unknown; conjectural cases are never upgraded.
 
 Bonds keep the within-copy coordinate x, so fibers and extensions are
 index arithmetic (``fiber_indices``, ``extension_indices``): the fiber of
@@ -257,7 +258,8 @@ class HomeoRecipe(Record):
 
     kappa records the tower level of the within-copy points the recipe
     acts on (None in long-line or joint-only use); it decides which
-    integer-stop addresses enter the verification set.
+    integer-stop addresses enter the verification set, as does the point
+    of tracked, the Thread the recipe was built from (or None).
     """
 
     def __init__(self, p=(), rotations=(), translate_by=0, hat=IDENTITY_TOKEN,
@@ -270,10 +272,11 @@ class HomeoRecipe(Record):
             raise ThreadMismatchError("recipes need at least one level")
         sizes = accumulate(p, mul, initial=1)
         rotations = tuple(l % n for l, n in zip(rotations, sizes))
-        if tracked is not None:
-            tracked = tuple(tracked)
-            if len(tracked) != len(rotations):
-                raise ThreadMismatchError("tracked points must match the depth")
+        d = len(rotations)
+        if tracked is not None and not (isinstance(tracked, Thread)
+                                        and tracked.depth == d
+                                        and tracked.p[: d - 1] == p[: d - 1]):
+            raise ThreadMismatchError("tracked is a thread of the recipe's shape")
         self.__dict__.update(p=p, rotations=rotations, translate_by=translate_by,
                              hat=hat, kappa=kappa, tracked=tracked)
 
@@ -347,40 +350,40 @@ def _map_inner(hat, k, x):
     return _shift_top(k, x) if k else x
 
 
-def level_map(recipe, level):
-    """The stage map at a 1-based level: hat, then translation, then rotation."""
-    l, hat, k = recipe.rotations[level - 1], recipe.hat, recipe.translate_by
-    return lambda p: StagePoint(p.n, p.index + l, _map_inner(hat, k, p.inner))
-
-
 def apply_recipe(recipe, thread):
-    """Apply the recipe level by level; the image is re-checked as a thread."""
+    """Map the thread's one inner coordinate once and rotate each level by
+    its offset; the image is re-checked as a thread."""
     d = recipe.depth
     if d != thread.depth or recipe.p[: d - 1] != thread.p[: d - 1]:
         raise ThreadMismatchError("recipe and thread disagree on depth or exponents")
-    new_points = tuple(
-        level_map(recipe, idx + 1)(pt) for idx, pt in enumerate(thread.points)
-    )
-    return Thread(thread.p, new_points)
+    image = _map_inner(recipe.hat, recipe.translate_by, thread.points[0].inner)
+    return Thread(thread.p, (
+        StagePoint(pt.n, pt.index + l, image)
+        for pt, l in zip(thread.points, recipe.rotations)
+    ))
 
 
 def verify_commutes(recipe):
-    """Check bond-compatibility of the recipe on the verification set: per
-    level, in this order, the joint inf0, the integer stops [-8]..[8] when
-    kappa >= 2, and the tracked point, each decided by the congruence rule.
-    The joint is defined under every recipe and comes first, so it is the
-    first failure of an incongruent level; level 1 (n = 1) is congruent and
-    the stops' images ignore the level, so they are evaluated once, there.
+    """Check bond-compatibility of the recipe on the verification set: the
+    joints, the integer stops [-8]..[8] when kappa >= 2 and the tracked
+    point, each decided by the congruence rule.  Stop and tracked images
+    ignore copy and level, and level 1 (n = 1) is congruent, so each is
+    evaluated once, first; an incongruent level then fails first at its
+    joint inf0, which every recipe maps.
 
     Returns (True, None) when every level pair commutes, otherwise
     (False, record) with the first offending level and point.
     """
+    if recipe.depth == 1:
+        return True, None
     hat, k = recipe.hat, recipe.translate_by
-    if recipe.depth > 1 and recipe.kappa is not None and recipe.kappa >= 2:
+    if recipe.kappa is not None and recipe.kappa >= 2:
         for z in range(-8, 9):
             _map_inner(hat, k, TowerPoint(recipe.kappa, Address((z,))))
+    if recipe.tracked is not None:
+        _map_inner(hat, k, recipe.tracked.points[0].inner)
     joint, sizes = point_format(None), accumulate(recipe.p, mul, initial=1)
-    for level, (m, n) in enumerate(zip(recipe.p[: recipe.depth - 1], sizes), 1):
+    for level, n in zip(range(1, recipe.depth), sizes):
         low, high = recipe.rotations[level - 1], recipe.rotations[level] % n
         if low != high:
             return False, {
@@ -389,10 +392,6 @@ def verify_commutes(recipe):
                 "bond_then_low": joint % low,
                 "high_then_bond": joint % high,
             }
-        if recipe.tracked is not None:
-            pt = recipe.tracked[level]
-            _map_inner(hat, k, pt.inner)
-            _check_bond(m, n, pt, m * n, "bond")
     return True, None
 
 
@@ -448,5 +447,5 @@ def synthesize_recipe(x, y):
     rotations = tuple(b.index - a.index for a, b in zip(x.points, y.points))
     return SynthesisResult(RECIPE, HomeoRecipe(
         p=x.p, rotations=rotations, translate_by=shift, hat=hat, kappa=kappa,
-        tracked=x.points,
+        tracked=x,
     ))

@@ -25,6 +25,8 @@ implementation:
   of the covering stage and counting passes through the base joint;
 * bond-compatibility of a recipe comes from checking every copy of every
   stage, joints and integer stops alike, instead of copy 0 alone;
+* a recipe's image of a thread comes from mapping each level's point by
+  that level's own map, instead of mapping the one inner coordinate once;
 * thread extensions come from trying every point of each new stage and
   keeping the ones the bond sends onto the level below, instead of from
   the index rule;
@@ -43,13 +45,13 @@ from longsol import (
     CnfOrdinal,
     DirectLimitElement,
     StagePoint,
+    Thread,
     TowerPoint,
     apply_bond,
-    level_map,
     nat,
     stage_size,
 )
-from longsol.stages import extension_indices, fiber_indices, point_format
+from longsol.stages import _map_inner, extension_indices, fiber_indices, point_format
 
 # ---------------------------------------------------------------------------
 # dense-vector ordinal model (finite exponents only)
@@ -288,10 +290,25 @@ def ref_h1_action(m, n):
     return crossings
 
 
+def level_map(recipe, level):
+    """The stage map at a 1-based level, one point at a time: hat, then
+    translation, then rotation."""
+    l, hat, k = recipe.rotations[level - 1], recipe.hat, recipe.translate_by
+    return lambda p: StagePoint(p.n, p.index + l, _map_inner(hat, k, p.inner))
+
+
+def ref_apply_recipe(recipe, thread):
+    """Each level's point of a thread of the recipe's depth and exponents
+    through its own level map, checked as a thread."""
+    return Thread(thread.p, [
+        level_map(recipe, level)(pt) for level, pt in enumerate(thread.points, 1)
+    ])
+
+
 def ref_verify_commutes(recipe):
     """Check the recipe against every bond on all n joints and all 17*n
     integer stops [-8]..[8] of each copy (when kappa >= 2), then the
-    tracked point; the whole check list of a stage is built before the
+    tracked thread's point; the whole check list of a stage is built before the
     first comparison on it."""
     for level in range(1, recipe.depth):
         m = recipe.p[level - 1]
@@ -305,7 +322,7 @@ def ref_verify_commutes(recipe):
                 for z in range(-8, 9)
             ]
         if recipe.tracked is not None:
-            pts.append(recipe.tracked[level])
+            pts.append(recipe.tracked.points[level])
         low_map = level_map(recipe, level)
         high_map = level_map(recipe, level + 1)
         for pt in pts:

@@ -35,7 +35,7 @@ PUBLIC = [
     "compare", "compare_base", "distinct_orbit_proof", "dl_add", "dl_element",
     "dl_of_rational", "dl_value", "extend_thread", "fiber", "format_position",
     "h1_action", "indecomposability_witness", "inequivalent_family", "is_ng",
-    "level_map", "mccord_equivalent", "member", "mul", "nat", "omega_pow",
+    "mccord_equivalent", "member", "mul", "nat", "omega_pow",
     "parse_arc", "parse_descriptor", "parse_long_point", "parse_ordinal",
     "parse_rational", "parse_stage_point", "parse_thread", "parse_tower_point",
     "partition_class", "point_type", "preimage_components", "same_orbit",

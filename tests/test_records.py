@@ -80,12 +80,12 @@ ROWS = [
      "StagePoint(n=2, index=1, inner=None)))"),
     (HomeoRecipe,
      ("p", "rotations", "translate_by", "hat", "kappa", "tracked"),
-     ((2,), (0, 1), 1, IDENTITY_TOKEN, 2, (ROOT, StagePoint(2, 0))),
+     ((2,), (0, 1), 1, IDENTITY_TOKEN, 2, Thread((2,), (ROOT, StagePoint(2, 0)))),
      {"p": (), "rotations": (), "translate_by": 0, "hat": IDENTITY_TOKEN,
       "kappa": None, "tracked": None}, {"rotations": (0,)},
      "HomeoRecipe(p=(2,), rotations=(0, 1), translate_by=1, hat=%s, kappa=2, "
-     "tracked=(StagePoint(n=1, index=0, inner=None), "
-     "StagePoint(n=2, index=0, inner=None)))" % IDENTITY_REPR),
+     "tracked=Thread(p=(2,), points=(StagePoint(n=1, index=0, inner=None), "
+     "StagePoint(n=2, index=0, inner=None))))" % IDENTITY_REPR),
     (SynthesisResult, ("status", "recipe"), ("recipe", HomeoRecipe(rotations=(0,))),
      {"recipe": None}, {"status": "unknown"},
      "SynthesisResult(status='recipe', recipe=HomeoRecipe(p=(), rotations=(0,), "
@@ -190,10 +190,10 @@ def test_init_stores_coerced_fields():
          "Address(ints=(1, 2), rho=ord[w], frac=Fraction(1, 2))"),
         (Address((1,), OMEGA), "Address(ints=(1,), rho=ord[w], frac=Fraction(0, 1))"),
         (Arc(3, 0, 2.5), "Arc(n=3, start=Fraction(0, 1), end=Fraction(5, 2))"),
-        (HomeoRecipe([2], [-2, 3], tracked=[ROOT, StagePoint(2, 1)]),
+        (HomeoRecipe([2], [-2, 3], tracked=Thread([2], [ROOT, StagePoint(2, 1)])),
          "HomeoRecipe(p=(2,), rotations=(0, 1), translate_by=0, hat=%s, kappa=None, "
-         "tracked=(StagePoint(n=1, index=0, inner=None), "
-         "StagePoint(n=2, index=1, inner=None)))" % IDENTITY_REPR),
+         "tracked=Thread(p=(2,), points=(StagePoint(n=1, index=0, inner=None), "
+         "StagePoint(n=2, index=1, inner=None))))" % IDENTITY_REPR),
         (SequenceDescriptor([2], [3]), "SequenceDescriptor(prefix=(2,), cycle=(3,))"),
         (SupernaturalNumber({3: 1, 2: 2}, [5]),
          "SupernaturalNumber(finite=((2, 2), (3, 1)), infinite=frozenset({5}))"),

@@ -4,7 +4,12 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
-from reference_models import ref_extensions, ref_verify_commutes
+from reference_models import (
+    level_map,
+    ref_apply_recipe,
+    ref_extensions,
+    ref_verify_commutes,
+)
 
 from longsol import (
     IDENTITY_TOKEN,
@@ -27,7 +32,6 @@ from longsol import (
     apply_recipe,
     extend_thread,
     fiber,
-    level_map,
     mul,
     nat,
     omega_pow,
@@ -35,6 +39,7 @@ from longsol import (
     synthesize_recipe,
     verify_commutes,
 )
+from longsol import stages
 from longsol.stages import extension_indices, fiber_indices
 
 W = omega_pow(nat(1))
@@ -322,29 +327,24 @@ def _hat(draw, kappa):
     )
 
 
+def _thread(draw, p, depth, kappa):
+    """A thread of the given depth over p, at a drawn copy and inner point."""
+    seed, inner = draw(st.integers(0, 30)), _inner(draw, kappa)
+    return Thread(p, [StagePoint(stage_size(p, lvl), seed, inner)
+                      for lvl in range(1, depth + 1)])
+
+
 @st.composite
 def recipes(draw):
     p = tuple(draw(st.lists(st.sampled_from([1, 2, 3]), min_size=1, max_size=3)))
     depth = draw(st.integers(1, len(p) + 1))
-    sizes = [stage_size(p, lvl) for lvl in range(1, depth + 1)]
     base = draw(st.integers(0, 30))
     rotations = tuple(
-        base if draw(st.booleans()) else draw(st.integers(-30, 30)) for _ in sizes
+        base if draw(st.booleans()) else draw(st.integers(-30, 30))
+        for _ in range(depth)
     )
     kappa = draw(st.sampled_from([None, 1, 2, 3]))
-    tracked = None
-    if draw(st.booleans()):
-        seed, inner = draw(st.integers(0, 30)), _inner(draw, kappa)
-        tracked = []
-        for size in sizes:
-            # now and then the points stop bonding, or leave their stage
-            if draw(st.integers(0, 4)) == 0:
-                seed = draw(st.integers(0, 30))
-            if draw(st.integers(0, 4)) == 0:
-                inner = _inner(draw, kappa)
-            if draw(st.integers(0, 6)) == 0:
-                size += 1
-            tracked.append(StagePoint(size, seed, inner))
+    tracked = _thread(draw, p, depth, kappa) if draw(st.booleans()) else None
     return HomeoRecipe(
         p=p,
         rotations=rotations,
@@ -355,9 +355,9 @@ def recipes(draw):
     )
 
 
-def _outcome(verify, recipe):
+def _outcome(fn, *args):
     try:
-        return verify(recipe)
+        return fn(*args)
     except Exception as err:  # the error itself is part of the answer
         return type(err), str(err)
 
@@ -368,6 +368,65 @@ def test_verify_commutes_matches_every_copy(recipe):
     assert outcome == _outcome(ref_verify_commutes, recipe)
     # the split shows under --hypothesis-show-statistics
     event("error" if isinstance(outcome[0], type) else "ok" if outcome[0] else "fail")
+
+
+@st.composite
+def recipes_and_threads(draw):
+    recipe = draw(recipes())
+    return recipe, _thread(draw, recipe.p, recipe.depth, recipe.kappa)
+
+
+@given(recipes_and_threads())
+def test_apply_recipe_matches_every_level(pair):
+    outcome = _outcome(apply_recipe, *pair)
+    assert outcome == _outcome(ref_apply_recipe, *pair)
+    event("error" if isinstance(outcome, tuple) else "image")
+
+
+def test_tracked_is_a_thread_of_the_recipe():
+    t = joints_thread((2, 3), (0, 1, 3))
+    assert HomeoRecipe(p=(2, 3), rotations=(0, 0, 0), tracked=t).tracked is t
+    # a deeper exponent list is fine; only the first depth - 1 must agree
+    assert HomeoRecipe(p=(2, 3), rotations=(0, 0), tracked=joints_thread((2, 5), (0, 1)))
+    rejected = [
+        t.points,  # the points alone, bonding or not
+        list(t.points),
+        (joint(1, 0), joint(2, 1), joint(6, 2)),  # inf2 does not bond onto inf1
+        (joint(1, 0), joint(3, 1), joint(6, 1)),  # level 2 off its stage
+        joints_thread((2, 3), (0, 1)),  # another depth
+        joints_thread((2, 3, 2), (0, 1, 3, 3)),
+        joints_thread((3, 2), (0, 1, 4)),  # other exponents
+    ]
+    for tracked in rejected:
+        with pytest.raises(ThreadMismatchError, match="tracked is a thread"):
+            HomeoRecipe(p=(2, 3), rotations=(0, 0, 0), tracked=tracked)
+
+
+@pytest.mark.parametrize("depth", [2, 10])
+@pytest.mark.parametrize("kappa", [None, 2])
+def test_inner_coordinate_is_mapped_once(monkeypatch, depth, kappa):
+    calls = []
+
+    def counted(hat, k, x):
+        calls.append(x)
+        return map_inner(hat, k, x)
+
+    map_inner = stages._map_inner
+    monkeypatch.setattr(stages, "_map_inner", counted)
+    p = (2,) * (depth - 1)
+    inner = None if kappa is None else TowerPoint(kappa, Address((3,), W))
+    x = Thread(p, [StagePoint(stage_size(p, lvl), 1, inner)
+                   for lvl in range(1, depth + 1)])
+    recipe = HomeoRecipe(p=p, rotations=(1,) * depth, translate_by=2 if kappa else 0,
+                         kappa=kappa, tracked=x)
+    y = apply_recipe(recipe, x)
+    assert len(calls) == 1
+    assert y.points[0].inner == (None if kappa is None
+                                 else TowerPoint(2, Address((5,), W)))
+    calls.clear()
+    assert verify_commutes(recipe) == (True, None)
+    assert len(calls) == (18 if kappa else 1)
+    assert calls[-1] == inner
 
 
 def test_translation_recipe_round_trip():
