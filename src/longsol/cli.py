@@ -86,6 +86,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _mode(args, required=True):
+    if args.tower is not None and args.long:
+        raise CommandError("choose --tower KAPPA or --long, not both")
     if args.tower is not None:
         if args.tower < 1:
             raise CommandError("--tower takes a level >= 1")

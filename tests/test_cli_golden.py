@@ -132,6 +132,7 @@ _ERRORS = [
     ["orbit", "--tower", "2", "--x", "inf0", "--y", "inf0"],
     ["orbit", "--tower", "2"],
     ["orbit", "--long", "--p", "2", "--x", "inf0; inf1", "--y", "inf0; inf0"],
+    ["orbit", "--tower", "2", "--long", "--p", "2", "--x", "inf0", "--y", "inf0"],
     # fiber: positivity before the stage bound, mode only for inner points
     ["fiber", "--m", "0", "--n", "3", "--point", "inf0"],
     ["fiber", "--m", "2", "--n", "0", "--point", "inf0"],
@@ -148,6 +149,7 @@ _ERRORS = [
     ["thread", "verify", "--p", "100,0", "--points", "inf0"],
     ["thread", "verify", "--p", "0,100", "--points", "inf0"],
     ["thread", "verify", "--p", "2,3", "--tower", "0", "--points", "inf0"],
+    ["thread", "verify", "--p", "2", "--tower", "2", "--long", "--points", "inf0"],
     ["thread", "verify", "--long", "--p", "2", "--points", "(0| w); (1| w)"],
     ["thread", "verify", "--tower", "2", "--p", "2", "--points", "(0| [3]); (1| [3])"],
     ["thread", "verify", "--p", "2", "--points", "(0| [3])"],
