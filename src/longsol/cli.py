@@ -53,13 +53,21 @@ DEFAULT_DEPTH = 6
 DEFAULT_INDEX_BOUND = 48
 
 
+def _int(text):
+    """An integer flag value, read by the literals' rule (``parsing``)."""
+    try:
+        return parsing._parse_int(text, 0)
+    except LongSolError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+
+
 def _env_int(name, default):
     raw = os.environ.get(name)
     if raw is None:
         return default
     try:
-        value = int(raw)
-    except ValueError:
+        value = parsing._parse_int(raw, 0)
+    except LongSolError:
         raise CommandError("%s must be an integer" % name) from None
     if value < 1:
         raise CommandError("%s must be positive" % name)
@@ -325,11 +333,11 @@ def _cmd_coh_degree(args):
 
 
 _MODE = (
-    ("--tower", {"type": int, "help": "tower level kappa"}),
+    ("--tower", {"type": _int, "help": "tower level kappa"}),
     ("--long", {"action": "store_true", "help": "long line mode"}),
 )
 _REQUIRED = {"required": True}
-_REQUIRED_INT = {"type": int, "required": True}
+_REQUIRED_INT = {"type": _int, "required": True}
 _EXPONENTS = ("--p", dict(_REQUIRED, help="bonding exponents k(1),k(2),..."))
 _THREAD = (
     _EXPONENTS,
@@ -372,7 +380,7 @@ COMMANDS = (
     ("thread verify", _cmd_thread_verify, "check a thread against its bonds",
      _THREAD, ("stages.stage_size",)),
     ("thread extend", _cmd_thread_extend, "every extension by more levels",
-     _THREAD + (("--levels", {"type": int, "default": 1}),),
+     _THREAD + (("--levels", {"type": _int, "default": 1}),),
      ("stages.extension_indices",)),
     ("indecomp", _cmd_indecomp, "two-arc indecomposability witness", (
         ("--pn", dict(_REQUIRED_INT, help="covering multiplicity")),

@@ -219,6 +219,17 @@ def test_index_bound_env(capsys, monkeypatch):
     assert "exceeds" in doc["error"]["message"]
 
 
+@pytest.mark.parametrize("value", [" \u0669", "1_0", "+9", "", "9" * 4301])
+def test_bound_env_reads_ascii_integers(capsys, monkeypatch, value):
+    # a bound is read by the rule of every integer literal, not by int()
+    monkeypatch.setenv("LONGSOL_INDEX_BOUND", value)
+    assert run(capsys, "fiber", "--m", "2", "--n", "1", "--point", "inf0") == (
+        1, {"error": {"code": "bad-command",
+                      "message": "LONGSOL_INDEX_BOUND must be an integer"}})
+    monkeypatch.setenv("LONGSOL_INDEX_BOUND", " 9 ")
+    assert run(capsys, "fiber", "--m", "9", "--n", "1", "--point", "inf0")[0] == 0
+
+
 def test_indecomp(capsys):
     code, doc = run(
         capsys, "indecomp", "--pn", "2", "--n", "1",

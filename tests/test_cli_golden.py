@@ -201,6 +201,10 @@ _ERRORS = [
     # literals read ASCII digits only: ARABIC-INDIC DIGIT THREE and ONE
     ["ord", "--expr", "\u0663"],
     ["fiber", "--m", "2", "--n", "3", "--point", "inf\u0661"],
+    # and so do integer flags: no other script's digits, underscores or '+'
+    ["fiber", "--m", "\u0663", "--n", "1", "--point", "inf0"],
+    ["fiber", "--m", "1_0", "--n", "1", "--point", "inf0"],
+    ["fiber", "--m", "+2", "--n", "1", "--point", "inf0"],
 ]
 
 # answers no other entry reaches: hats that are mappings (a level-1 base
