@@ -431,7 +431,7 @@ def build_parser():
     return parser
 
 
-_PARSER = build_parser()
+_parser = None  # built by the first main() call: a call uses one leaf of it
 
 
 def _flatten(doc, prefix=""):
@@ -462,8 +462,11 @@ def _render(doc, fmt="json"):
 
 
 def main(argv=None):
+    global _parser
     try:
-        args = _PARSER.parse_args(argv)
+        if _parser is None:
+            _parser = build_parser()
+        args = _parser.parse_args(argv)
         text, code = _render(args.handler(args), args.format), 0
     except Exception as err:
         if isinstance(err, ValueError) and "integer string conversion" in str(err):

@@ -34,7 +34,6 @@ from longsol import (
     omega_pow,
 )
 from longsol.cli import (
-    _PARSER,
     COMMANDS,
     OPERATION_COVERAGE,
     _Listing,
@@ -513,10 +512,10 @@ def test_operation_coverage_table(monkeypatch):
     # call every operation the row names
     for name in ("LONGSOL_DEPTH", "LONGSOL_INDEX_BOUND"):
         monkeypatch.delenv(name, raising=False)
-    called = {}
+    called, parser = {}, build_parser()
     for argv in ARGVS + COVERAGE_SAMPLES:
         try:
-            handler = _PARSER.parse_args(argv).handler
+            handler = parser.parse_args(argv).handler
         except LongSolError:
             continue
         called.setdefault(handler, set()).update(_codes_called(argv))
