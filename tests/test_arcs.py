@@ -55,6 +55,8 @@ def test_uncovered_point():
     covering = Arc(1, F(1, 3), 0)
     assert uncovered_point(a, covering) is None
     assert uncovered_point(covering, a) is None
+    with pytest.raises(StageDomainError, match="arcs live on different stages"):
+        uncovered_point(a, Arc(2, 0, F(1, 2)))
 
 
 def test_preimage_components_frozen():

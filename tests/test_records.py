@@ -16,6 +16,7 @@ import pytest
 import longsol
 from longsol import (
     IDENTITY_TOKEN,
+    NG_KIND,
     OMEGA,
     ONE,
     ZERO,
@@ -25,6 +26,7 @@ from longsol import (
     DirectLimitElement,
     HomeoRecipe,
     IntervalAutToken,
+    InvalidPointError,
     LongPoint,
     OrbitAnswer,
     OrbitClassLabel,
@@ -35,6 +37,7 @@ from longsol import (
     Thread,
     TowerPoint,
     WitnessReport,
+    nat,
 )
 
 IDENTITY_REPR = (
@@ -179,6 +182,47 @@ def test_frozen(row):
 @pytest.mark.parametrize("row", ROWS, ids=IDS)
 def test_repr(row):
     assert repr(build(row)) == row[5]
+
+
+# (build, exception type, message) for each check a constructor makes
+REJECTIONS = [
+    (lambda: Address((1.5,)), InvalidPointError, "address entries must be integers"),
+    (lambda: Address((1,), frac=Fraction(1, 2)), InvalidPointError,
+     "an integer stop carries no base coordinate"),
+    (lambda: Address((), OMEGA, 1), InvalidPointError,
+     "the unit offset must lie in [0, 1)"),
+    (lambda: Address((), OMEGA, Fraction(-1, 2)), InvalidPointError,
+     "the unit offset must lie in [0, 1)"),
+    (lambda: Address((), ZERO), InvalidPointError,
+     "a zero base coordinate is written as the integer stop above it"),
+    (lambda: TowerPoint(0), InvalidPointError, "tower levels start at 1"),
+    (lambda: TowerPoint(2, Address((), OMEGA)), InvalidPointError,
+     "a base address at level 2 needs exactly 1 integers"),
+    (lambda: TowerPoint(2, Address((1, 2))), InvalidPointError,
+     "an integer stop at level 2 needs 1..1 integers"),
+    (lambda: CnfOrdinal(((1, 1),)), TypeError, "exponents must be CnfOrdinal instances"),
+    (lambda: CnfOrdinal(((ZERO, 0),)), ValueError, "coefficients must be integers >= 1"),
+    (lambda: CnfOrdinal(((ZERO, 1), (ONE, 1))), ValueError,
+     "exponents must be strictly decreasing"),
+    (lambda: CnfOrdinal(((ONE, 1), (ONE, 2))), ValueError,
+     "exponents must be strictly decreasing"),
+    (lambda: nat(-1), ValueError, "naturals must be integers >= 0"),
+    (lambda: nat(2.0), ValueError, "naturals must be integers >= 0"),
+    (lambda: OrbitClassLabel("block", ONE), ValueError,
+     "unknown orbit class kind 'block'"),
+    (lambda: OrbitClassLabel(NG_KIND, ZERO), ValueError,
+     "multiples of omega_1 start at gamma = 1"),
+    (lambda: IntervalAutToken(mode="shift"), ValueError, "unknown token mode 'shift'"),
+    (lambda: IntervalAutToken(mode="mapping", source=TowerPoint(1)), ValueError,
+     "mapping tokens need a source and a target"),
+]
+
+
+@pytest.mark.parametrize("build, error, message", REJECTIONS)
+def test_constructor_rejections(build, error, message):
+    with pytest.raises(error) as caught:
+        build()
+    assert type(caught.value) is error and str(caught.value) == message
 
 
 def test_init_stores_coerced_fields():

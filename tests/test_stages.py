@@ -28,6 +28,7 @@ from longsol import (
     TokenUndefinedError,
     TowerPoint,
     UnsupportedTranslationError,
+    add,
     apply_bond,
     apply_recipe,
     extend_thread,
@@ -94,6 +95,8 @@ def test_bond_frozen():
         apply_bond(2, 3, joint(4, 0))
     with pytest.raises(StageDomainError):
         apply_bond(0, 3, joint(0, 0))
+    with pytest.raises(StageDomainError, match="bond multiplicity"):
+        apply_bond(0, 3, joint(3, 0))
 
 
 def test_fiber_frozen():
@@ -518,6 +521,41 @@ def test_hat_evaluation_domain():
         apply_hat(StagePoint(3, 0, LongPoint(gamma=nat(1), rho=nat(9))))
     with pytest.raises(TokenUndefinedError):
         apply_hat(stop(3, 0, 2))
+
+
+def test_tower_hat_fixed_region():
+    # a token at the points' own level fixes the bases at or above fixed_above
+    hat = IntervalAutToken(
+        mode="mapping",
+        source=TowerPoint(1, Address((), W)),
+        target=TowerPoint(1, Address((), mul(W, nat(2)))),
+        kappa=1,
+        fixed_above=TowerPoint(1, Address((), W2)),
+    )
+    recipe = HomeoRecipe(p=(2,), rotations=(0, 1), hat=hat, kappa=1)
+
+    def thread(rho):
+        inner = TowerPoint(1, Address((), rho))
+        return Thread((2,), (StagePoint(1, 0, inner), StagePoint(2, 0, inner)))
+
+    for rho in (W2, omega_pow(nat(3)), add(W2, nat(1))):
+        image = apply_recipe(recipe, thread(rho))
+        assert [str(pt) for pt in image.points] == [
+            "(0| [; %s])" % rho, "(1| [; %s])" % rho]
+    assert apply_recipe(recipe, thread(W)) == Thread(
+        (2,), (StagePoint(1, 0, hat.target), StagePoint(2, 1, hat.target)))
+    with pytest.raises(TokenUndefinedError, match="source and its fixed region"):
+        apply_recipe(recipe, thread(mul(W, nat(3))))
+
+
+def test_apply_recipe_shape_rejections():
+    recipe = HomeoRecipe(p=(2, 3), rotations=(0, 1))
+    for thread in (joints_thread((2, 3), (0, 1, 3)), joints_thread((3,), (0, 1)),
+                   joints_thread((2, 3), (0,))):
+        with pytest.raises(ThreadMismatchError, match="disagree on depth"):
+            apply_recipe(recipe, thread)
+    assert apply_recipe(recipe, joints_thread((2, 3), (0, 0))) == joints_thread(
+        (2, 3), (0, 1))
 
 
 def test_tower_hat_through_top_integer():

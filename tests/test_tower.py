@@ -205,3 +205,7 @@ def test_within_copy_hat():
     with pytest.raises(NotSameOrbitError):
         within_copy_hat(TowerPoint(2, Address((1,))),
                         TowerPoint(2, Address((1,), nat(3))))
+    for pair in ((TowerPoint(2), TowerPoint(2, Address((1,)))),
+                 (TowerPoint(2, Address((1,))), TowerPoint(2))):
+        with pytest.raises(InvalidPointError, match="joint has no within-copy"):
+            within_copy_hat(*pair)
