@@ -423,13 +423,11 @@ def test_inner_coordinate_is_mapped_once(monkeypatch, depth, kappa):
     recipe = HomeoRecipe(p=p, rotations=(1,) * depth, translate_by=2 if kappa else 0,
                          kappa=kappa, tracked=x)
     y = apply_recipe(recipe, x)
-    assert len(calls) == 1
-    assert y.points[0].inner == (None if kappa is None
-                                 else TowerPoint(2, Address((5,), W)))
+    assert calls == [inner]
     calls.clear()
     assert verify_commutes(recipe) == (True, None)
-    assert len(calls) == (18 if kappa else 1)
-    assert calls[-1] == inner
+    assert len(calls) == (18 if kappa else 1) and calls[-1] == inner
+    assert y == ref_apply_recipe(recipe, x)
 
 
 def test_translation_recipe_round_trip():
