@@ -294,6 +294,13 @@ def parse_tower_point(text, kappa, offset=0):
 
 def parse_stage_point(text, n, mode=None, kappa=None, offset=0):
     """Stage point literal; mode is needed only for inner points."""
+    return _stage_point(text, n, mode, kappa, offset, {})
+
+
+def _stage_point(text, n, mode, kappa, offset, inners):
+    """``parse_stage_point``, taking the inner point from ``inners`` when
+    its body text was read before under the same mode and kappa, and
+    recording it there otherwise."""
     stripped = text.strip()
     lead = offset + (len(text) - len(text.lstrip()))
     if stripped.startswith("inf"):
@@ -306,25 +313,35 @@ def parse_stage_point(text, n, mode=None, kappa=None, offset=0):
     if not bar:
         raise ParseError("inner literals read (i| POINT)", position=lead)
     index = _parse_int(index_text, lead + 1)
-    body_off = lead + 2 + len(index_text)
-    if mode == TOWER_MODE:
-        if kappa is None:
-            raise ParseError("tower points need a level", position=body_off)
-        point = parse_tower_point(body, kappa, body_off)
-    elif mode == LONG_MODE:
-        point = parse_long_point(body, body_off)
-    else:
-        raise ParseError("inner points need a tower or long mode", position=body_off)
+    point = inners.get(body)
+    if point is None:
+        body_off = lead + 2 + len(index_text)
+        if mode == TOWER_MODE:
+            if kappa is None:
+                raise ParseError("tower points need a level", position=body_off)
+            point = parse_tower_point(body, kappa, body_off)
+        elif mode == LONG_MODE:
+            point = parse_long_point(body, body_off)
+        else:
+            raise ParseError("inner points need a tower or long mode", position=body_off)
+        inners[body] = point
     return StagePoint(n, index, point)
 
 
 def parse_thread(p, text, mode=None, kappa=None, offset=0):
-    """A thread literal: stage point literals joined by ';'."""
+    """A thread literal: stage point literals joined by ';'.
+
+    Every bond keeps the inner coordinate, so a thread writes one inner
+    literal at each level.  Each distinct body text is read once, at its
+    first level, and its value is shared with the levels that repeat it:
+    the value depends only on the text, the mode and kappa, and the offset
+    only on where an error is reported, which is always the first reading.
+    """
     pieces = _split_top(text, ";", offset)
-    points = []
+    points, inners = [], {}
     for level, (piece, start) in enumerate(pieces, start=1):
         size = stage_size(p, level)
-        points.append(parse_stage_point(piece, size, mode, kappa, start))
+        points.append(_stage_point(piece, size, mode, kappa, start, inners))
     return Thread(tuple(p), tuple(points))
 
 
