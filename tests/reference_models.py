@@ -27,6 +27,8 @@ implementation:
   stage, joints and integer stops alike, instead of copy 0 alone;
 * a recipe's image of a thread comes from mapping each level's point by
   that level's own map, instead of mapping the one inner coordinate once;
+* a thread literal is read one level at a time, each level's inner literal
+  parsed anew, instead of each distinct inner literal once per thread;
 * thread extensions come from trying every point of each new stage and
   keeping the ones the bond sends onto the level below, instead of from
   the index rule;
@@ -49,8 +51,10 @@ from longsol import (
     TowerPoint,
     apply_bond,
     nat,
+    parse_stage_point,
     stage_size,
 )
+from longsol.parsing import _split_top
 from longsol.stages import _map_inner, extension_indices, fiber_indices, point_format
 
 # ---------------------------------------------------------------------------
@@ -336,6 +340,15 @@ def ref_verify_commutes(recipe):
                     "high_then_bond": str(lhs),
                 }
     return True, None
+
+
+def ref_parse_thread(p, text, mode=None, kappa=None, offset=0):
+    """A thread literal read one stage point literal per level, each with
+    its own ``parse_stage_point`` call."""
+    points = []
+    for level, (piece, start) in enumerate(_split_top(text, ";", offset), start=1):
+        points.append(parse_stage_point(piece, stage_size(p, level), mode, kappa, start))
+    return Thread(tuple(p), tuple(points))
 
 
 def ref_extensions(thread, levels):

@@ -1,9 +1,12 @@
 """Literal grammars round-trip with printing, and errors carry positions."""
 
 from fractions import Fraction as F
+from itertools import accumulate
+from operator import mul as times
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from reference_models import ref_parse_thread
 
 from longsol import (
     OMEGA,
@@ -14,6 +17,7 @@ from longsol import (
     Arc,
     DepthBoundError,
     LongPoint,
+    LongSolError,
     ParseError,
     SequenceDescriptor,
     StagePoint,
@@ -33,6 +37,7 @@ from longsol import (
     parse_thread,
     parse_tower_point,
 )
+from longsol import parsing
 
 W = OMEGA
 W2 = omega_pow(nat(2))
@@ -322,6 +327,95 @@ def test_thread_round_trip(p, seed):
         pts.append(StagePoint(size, pts[-1].index + (seed % m) * (size // m)))
     t = Thread(tuple(p), tuple(pts))
     assert parse_thread(tuple(p), str(t)) == t
+
+
+# ---------------------------------------------------------------------------
+# a thread reads each distinct inner literal once, with the per-level
+# reader's values and errors
+
+finite_ordinals = st.lists(
+    st.tuples(st.integers(0, 5).map(nat), st.integers(1, 4)), max_size=3
+).map(_build)
+long_points = st.builds(LongPoint, finite_ordinals, ordinals, unit_fracs)
+
+# printed forms carry no blanks; these write the same value with some
+SPACED = [
+    lambda t: t,
+    lambda t: " " + t + "\t",
+    lambda t: t.replace(",", " , ").replace("+", " + "),
+    lambda t: t.replace("[", "[ ").replace(";", " ;"),
+]
+BAD_INDICES = ["", "x", "1.5", "\u0663", "--1", "1 2"]
+
+
+@st.composite
+def thread_literals(draw):
+    """(p, text, mode, kappa): one inner literal at every level, written with
+    blanks that vary by level, maybe one level with another inner, and
+    maybe a bad index, a joint or a malformed inner at a later level."""
+    if draw(st.booleans()):
+        inner, other = draw(tower_points()), draw(tower_points())
+        mode, kappa = "tower", inner.kappa
+    else:
+        inner, other = draw(long_points), draw(long_points)
+        mode, kappa = "long", None
+    p = tuple(draw(st.lists(st.sampled_from([2, 3, 5]), max_size=5)))
+    depth = len(p) + 1
+    top = draw(st.integers(0, 10**4))
+    indices = [str(top % n) for n in accumulate(p, times, initial=1)]
+    bodies = [draw(st.sampled_from(SPACED))(str(inner)) for _ in range(depth)]
+    if draw(st.booleans()):
+        bodies[draw(st.integers(0, depth - 1))] = str(other)
+    fault = draw(st.sampled_from(["none", "index", "joint", "inner"]))
+    if fault != "none" and depth > 1:
+        level = draw(st.integers(1, depth - 1))
+        if fault == "index":
+            indices[level] = draw(st.sampled_from(BAD_INDICES))
+        elif fault == "inner":
+            body = bodies[level]
+            at = draw(st.integers(0, len(body)))
+            bodies[level] = body[:at] + draw(st.sampled_from("@;|()[]w+/,-0 ")) + body[at:]
+    pieces = ["(%s| %s)" % pair for pair in zip(indices, bodies)]
+    if fault == "joint" and depth > 1:
+        pieces[level] = "inf" + indices[level]
+    return p, draw(st.sampled_from([";", "; ", " ;  "])).join(pieces), mode, kappa
+
+
+def _outcome(read, *args):
+    try:
+        return read(*args)
+    except LongSolError as err:
+        return type(err), err.code, err.position, str(err)
+
+
+@settings(max_examples=200)
+@given(thread_literals(), st.integers(0, 3))
+def test_thread_reader_matches_per_level_reader(case, offset):
+    p, text, mode, kappa = case
+    args = (p, text, mode, kappa, offset)
+    assert _outcome(parse_thread, *args) == _outcome(ref_parse_thread, *args)
+
+
+@pytest.mark.parametrize("mode, kappa, bodies", [
+    ("tower", 3, ["[1,-2; w^2*2+7/9]"]),
+    ("tower", 3, ["[1,-2; w^2*2+7/9]", " [1, -2; w^2*2 + 7/9]"]),
+    ("long", None, ["w1*(3) + w + 1/2"]),
+    ("long", None, ["w1*(3) + w + 1/2", "w1*(3)+w+1/2"]),
+])
+def test_thread_reads_each_inner_literal_once(monkeypatch, mode, kappa, bodies):
+    name = "parse_tower_point" if mode == "tower" else "parse_long_point"
+    reader, calls = getattr(parsing, name), []
+
+    def counted(text, *args):
+        calls.append(text)
+        return reader(text, *args)
+
+    monkeypatch.setattr(parsing, name, counted)
+    p = (2,) * 9
+    text = "; ".join("(1|%s)" % bodies[level % len(bodies)] for level in range(10))
+    thread = parse_thread(p, text, mode, kappa)
+    assert calls == bodies
+    assert thread == ref_parse_thread(p, text, mode, kappa)
 
 
 @given(st.lists(st.sampled_from([2, 3, 12]), max_size=2),
