@@ -29,10 +29,7 @@ division below 100, Miller-Rabin with the first 13 prime bases (exact
 below 3317044064679887385961981; Sorenson and Webster, Math. Comp. 2017);
 a cofactor it does not prove prime loses its primes below 2^22 by gcd
 with products of runs of them, then its perfect powers, and Pollard-Brent
-rho (Brent, BIT 1980) from fixed start values splits the rest.  A
-composite cofactor below 2^44 has a prime below 2^22, which rho finds in
-a few thousand steps, so it goes to rho first and builds the prime table
-only if rho gives up within SMALL_RHO_STEPS.  One step
+rho (Brent, BIT 1980) from fixed start values splits the rest.  One step
 budget per call pays for the gcds and rho; a cofactor rho does not split
 within it raises ``representation-overflow``; no factorisation is ever
 guessed.
@@ -101,10 +98,6 @@ PRIME_CUT, _RUN = 1 << 22, 1 << 12
 # 1 + b^2 / 2^18, roughly its cost against one below 512 bits, and so does
 # each gcd of a b-bit n with a run product, at 1 + b / 48
 RHO_STEP_BUDGET = 1 << 20
-# a composite below PRIME_CUT**2 has a prime factor p below the cut, which
-# rho finds in about sqrt(p) < 2^11 steps (at most 2^14 charged when
-# measured); so many steps it may spend before the gcd pass is tried
-SMALL_RHO_STEPS = 1 << 16
 
 
 def _run(flags, start):
@@ -176,10 +169,8 @@ def _rho_split(n, budget):
 
 def _factorize(numbers):
     """Proven prime -> multiplicity for each n >= 1, under one rho budget.
-    Miller-Rabin decides below MR_EXACT_BELOW; a composite below
-    PRIME_CUT**2 goes to rho first, up to SMALL_RHO_STEPS; any other
-    cofactor, or one rho did not split, loses its primes below PRIME_CUT,
-    then its perfect powers, then rho splits it.
+    Miller-Rabin decides below MR_EXACT_BELOW; any other cofactor loses its
+    primes below PRIME_CUT, then its perfect powers, then rho splits it.
     Every later cofactor of n divides n, so one gcd pass per n finds all
     its primes below PRIME_CUT; the pass draws on the budget first."""
     budget, result = RHO_STEP_BUDGET, []
@@ -197,13 +188,6 @@ def _factorize(numbers):
             if n < MR_EXACT_BELOW and not _is_composite(n):
                 out[n] = out.get(n, 0) + e
                 continue
-            if n < PRIME_CUT**2:  # rho first: cheaper than building the sieve
-                spend = min(budget, SMALL_RHO_STEPS)
-                factor, left = _rho_split(n, spend)
-                budget -= spend - left
-                if factor is not None:
-                    pending += [(n // factor, e), (factor, e)]
-                    continue
             flags, runs = _sieve()
             found = []
             if not sieved:

@@ -34,8 +34,7 @@ from longsol import (
     member,
     supernatural_of,
 )
-from longsol import cohomology
-from longsol.cohomology import MR_EXACT_BELOW, PRIME_CUT, _factorize, _sieve
+from longsol.cohomology import MR_EXACT_BELOW, PRIME_CUT, _factorize
 from reference_models import (
     prime_counts,
     ref_dl_element,
@@ -324,47 +323,14 @@ def test_factorize_hand_cases():
     ]
 
 
-# composites below PRIME_CUT**2 (2^44): products of up to four primes
-# below 2000 (45^2 > 2000, so trial division by 2..44 decides them)
-MID_PRIMES = [q for q in range(101, 2000) if all(q % k for k in range(2, 45))]
-small_composites = st.lists(st.sampled_from(MID_PRIMES), min_size=2, max_size=4).map(prod)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.lists(small_composites, max_size=2),
-       st.lists(small_composites | st.sampled_from([2, 6, 97]), min_size=1, max_size=3))
-def test_small_composites_skip_the_sieve(prefix, cycle):
-    s = d(prefix, cycle)
-    _sieve.cache_clear()
-    got = supernatural_of(s)
-    assert _sieve.cache_info().currsize == 0
-    finite, infinite = ref_supernatural(s)
-    assert dict(got.finite) == finite and got.infinite == frozenset(infinite)
-
-
-def test_small_cofactors_go_to_rho_first(monkeypatch):
-    numbers = [4194301 * 4194287, 101**3 * 103, 2**10 * 3215031751, 10403]
-    want = [{4194287: 1, 4194301: 1}, {101: 3, 103: 1},
-            {2: 10, 151: 1, 751: 1, 28351: 1}, {101: 1, 103: 1}]
-    assert max(numbers) < PRIME_CUT**2
-    _sieve.cache_clear()
-    assert _factorize(numbers) == want
-    assert _sieve.cache_info().currsize == 0
-    # a rho that gives up at once falls back to the gcd pass over the sieve
-    monkeypatch.setattr(cohomology, "SMALL_RHO_STEPS", 0)
-    assert _factorize(numbers) == want
-    assert _sieve.cache_info().currsize == 1
-
-
-def test_small_cofactor_rho_draws_on_the_budget(monkeypatch):
-    # each split costs 4094 steps: three fit in 2^14, not in 2^13
-    pairs = [(4194277, 4194271), (4194247, 4194217), (4194199, 4194191)]
-    numbers = [a * b for a, b in pairs]
-    monkeypatch.setattr(cohomology, "RHO_STEP_BUDGET", 1 << 14)
-    assert _factorize(numbers) == [{a: 1, b: 1} for a, b in pairs]
-    monkeypatch.setattr(cohomology, "RHO_STEP_BUDGET", 1 << 13)
-    with pytest.raises(DepthBoundError):
-        _factorize(numbers)
+def test_many_small_semiprimes_fit_the_budget():
+    # each gcd pass over a 44-bit entry is charged 1024 steps, so 300 of
+    # them fit the budget; a way round the pass must cost no more per entry
+    primes = [p for p in range(PRIME_CUT - 1, PRIME_CUT - 20000, -2)
+              if all(p % q for q in range(3, 2049, 2))][:600]
+    pairs = list(zip(primes[::2], primes[1::2]))
+    assert len(pairs) == 300 and max(primes) < PRIME_CUT
+    assert _factorize([a * b for a, b in pairs]) == [{a: 1, b: 1} for a, b in pairs]
 
 
 def test_factorize_overflow_gives_the_cofactor_size():
