@@ -9,16 +9,17 @@ point per stage, each mapped to the previous one by its bond.
 
 Homeomorphism recipes act level by level as a rotation composed with an
 optional top-integer translation and a hat, where the hat applies one
-interval automorphism token inside every copy.  Recipes carry the shared
-translation and token plus a rotation offset per level; validity means
-commuting with every bond on a finite verification set (see
-``verify_commutes``).  Bonds keep the inner coordinate, and translation and
-hat ignore copy and level, so the square at level k commutes at a point
-exactly when rotations[k] = rotations[k-1] (mod n_k) and the hat and
-translation are defined at its inner coordinate.  A thread has one inner
-coordinate, so applying or verifying a recipe evaluates it once.
-Synthesis from a pair of threads answers with a recipe, a distinctness
-proof, or unknown; conjectural cases are never upgraded.
+interval automorphism token inside every copy; a tower hat lives one level
+below its points and maps the rest of each address, keeping the top
+integer.  Recipes carry the shared translation and token plus a rotation
+offset per level; validity means commuting with every bond on a finite
+verification set (see ``verify_commutes``).  Bonds keep the inner
+coordinate, and translation and hat ignore copy and level, so the square
+at level k commutes at a point exactly when rotations[k] = rotations[k-1]
+(mod n_k) and the hat and translation are defined at its inner coordinate.
+A thread has one inner coordinate, so applying or verifying a recipe
+evaluates it once.  Synthesis from a pair of threads answers with a recipe,
+a distinctness proof, or unknown; conjectural cases are never upgraded.
 
 Bonds keep the within-copy coordinate x, so fibers and extensions are
 index arithmetic (``fiber_indices``, ``extension_indices``): the fiber of
@@ -285,48 +286,33 @@ class HomeoRecipe(Record):
         return len(self.rotations)
 
 
-def _hat_long(hat, x):
-    """Evaluate a long-line mapping token at one inner coordinate."""
+def _hat(hat, x):
+    """Evaluate a mapping token at one inner coordinate: the source goes to
+    the target and the fixed region stays.  A tower point one level above
+    the token keeps its top integer and maps its rest by the same rule; a
+    depth-1 stop strips to the fixed minimum and stays."""
+    if hat.kappa is not None and hat.kappa != x.kappa:
+        if hat.kappa != x.kappa - 1:
+            raise TokenUndefinedError(
+                "token lives at level %s, point at level %d" % (hat.kappa, x.kappa)
+            )
+        rest = strip_top(x)
+        if rest is MIN:
+            return x
+        a = _hat(hat, rest).address
+        return TowerPoint(x.kappa, Address(x.address.ints[:1] + a.ints, a.rho, a.frac))
     if x == hat.source:
         return hat.target
-    if hat.fixed_below is not None and not hat.fixed_below < x:
-        return x
-    if hat.fixed_above is not None and not x < hat.fixed_above:
+    if hat.kappa is not None:
+        fixed = (hat.fixed_above is not None and x.address.is_base
+                 and compare_base(x, hat.fixed_above) >= 0)
+    else:
+        fixed = ((hat.fixed_below is not None and not hat.fixed_below < x)
+                 or (hat.fixed_above is not None and not x < hat.fixed_above))
+    if fixed:
         return x
     raise TokenUndefinedError(
         "token is only evaluable at its source and its fixed region"
-    )
-
-
-def _hat_tower(hat, x):
-    """Evaluate a tower mapping token inside one copy.
-
-    The token's level is one below the points' level when the map factors
-    through a top-integer shift; at level 1 it acts on the base directly.
-    """
-    if hat.kappa == x.kappa:
-        if x == hat.source:
-            return hat.target
-        if hat.fixed_above is not None:
-            if x.address.is_base and compare_base(x, hat.fixed_above) >= 0:
-                return x
-        raise TokenUndefinedError(
-            "token is only evaluable at its source and its fixed region"
-        )
-    if hat.kappa != x.kappa - 1:
-        raise TokenUndefinedError(
-            "token lives at level %s, point at level %d" % (hat.kappa, x.kappa)
-        )
-    rest = strip_top(x)
-    if rest is MIN:
-        return x
-    if rest == hat.source:
-        t = hat.target
-        merged = Address((x.address.ints[0],) + t.address.ints, t.address.rho,
-                         t.address.frac)
-        return TowerPoint(x.kappa, merged)
-    raise TokenUndefinedError(
-        "token is only evaluable at its source and at boundary stops"
     )
 
 
@@ -334,18 +320,16 @@ def _map_inner(hat, k, x):
     """The hat, then a top-integer shift by k, at one within-copy coordinate
     (None, the joint, stays None): what a level map does inside a copy,
     the same for every copy and every level.  An identity hat is skipped,
-    so the hat evaluators only ever see mapping tokens."""
+    so the hat evaluator only ever sees mapping tokens."""
     if x is None:
         return None
     if not hat.is_identity:
-        if isinstance(x, TowerPoint):
-            if hat.kappa is None:
-                raise TokenUndefinedError("long-line token applied to a tower point")
-            x = _hat_tower(hat, x)
-        elif hat.kappa is not None:
-            raise TokenUndefinedError("tower token applied to a long-line point")
-        else:
-            x = _hat_long(hat, x)
+        if isinstance(x, TowerPoint) != (hat.kappa is not None):
+            raise TokenUndefinedError(
+                "long-line token applied to a tower point" if hat.kappa is None
+                else "tower token applied to a long-line point"
+            )
+        x = _hat(hat, x)
         _check_inner(x)
     return _shift_top(k, x) if k else x
 

@@ -3,11 +3,12 @@
 An :class:`IntervalAutToken` asserts that an endpoint-fixing automorphism
 of a long interval (or of one tower level) exists, without materializing
 it as a pointwise function.  The token is only evaluable at its recorded
-source point, at points of its fixed region, and at boundary markers;
-anywhere else evaluation raises ``token-undefined``.  Evaluation itself
-lives in :mod:`longsol.stages`, next to the stage maps that consume these
-tokens.  A token carries no shift: the top-integer translation a stage map
-composes with its hat lives in ``HomeoRecipe.translate_by``.
+source point and at points of its fixed region, and a tower token acts the
+same way on the rest of a point one level up, inside each top-integer
+copy; anywhere else evaluation raises ``token-undefined``.  Evaluation
+itself lives in :mod:`longsol.stages`, next to the stage maps that consume
+these tokens.  A token carries no shift: the top-integer translation a
+stage map composes with its hat lives in ``HomeoRecipe.translate_by``.
 """
 
 from .errors import Record

@@ -191,10 +191,11 @@ def base_automorphism_token(x, y):
 def within_copy_hat(x, y):
     """Split a same-orbit pair into (top shift, hat token one level down).
 
-    The hat token is what a stage recipe stores: it acts on the stripped
-    rest of an address inside every copy, after the recorded shift has
-    aligned the leading integers.  Depth-1 integer stops strip to the
-    fixed minimum marker, so their hat is the identity.
+    The hat token is what a stage recipe stores: the level-(kappa - 1)
+    ``base_automorphism_token`` of the stripped rests, which acts inside
+    every top-integer copy after the recorded shift has aligned the
+    leading integers.  Depth-1 integer stops strip to the fixed minimum
+    marker, so their hat is the identity.
     """
     if x.is_joint or y.is_joint:
         raise InvalidPointError("the joint has no within-copy component")
@@ -206,6 +207,4 @@ def within_copy_hat(x, y):
     sx, sy = strip_top(x), strip_top(y)
     if sx is MIN or sy is MIN or sx == sy:
         return shift, IDENTITY_TOKEN
-    return shift, IntervalAutToken(
-        mode=MAPPING_MODE, source=sx, target=sy, kappa=x.kappa - 1
-    )
+    return shift, base_automorphism_token(sx, sy)

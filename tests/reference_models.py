@@ -27,6 +27,10 @@ implementation:
   stage, joints and integer stops alike, instead of copy 0 alone;
 * a recipe's image of a thread comes from mapping each level's point by
   that level's own map, instead of mapping the one inner coordinate once;
+* a hat's value comes from the token's own assertions, with a point one
+  level above the token cut at its top integer by slicing the address and
+  its base compared in the dense-vector ordinal model, instead of from the
+  library's evaluator, ``strip_top`` and ``compare_base``;
 * a thread literal is read one level at a time, each level's inner literal
   parsed anew, instead of each distinct inner literal once per thread;
 * thread extensions come from trying every point of each new stage and
@@ -48,14 +52,16 @@ from longsol import (
     DirectLimitElement,
     StagePoint,
     Thread,
+    TokenUndefinedError,
     TowerPoint,
+    UnsupportedTranslationError,
     apply_bond,
     nat,
     parse_stage_point,
     stage_size,
 )
 from longsol.parsing import _split_top
-from longsol.stages import _map_inner, extension_indices, fiber_indices, point_format
+from longsol.stages import extension_indices, fiber_indices, point_format
 
 # ---------------------------------------------------------------------------
 # dense-vector ordinal model (finite exponents only)
@@ -294,11 +300,64 @@ def ref_h1_action(m, n):
     return crossings
 
 
+def _base_key(p):
+    """A tower base coordinate as a sort key: rho in the dense-vector model,
+    then the unit offset."""
+    v = cnf_to_vec(p.address.rho)
+    return len(v), tuple(reversed(v)), p.address.frac
+
+
+def ref_hat(hat, x):
+    """A mapping token at one inner point, from what the token asserts: its
+    source goes to its target and its fixed region stays.  A tower point one
+    level above the token is a copy of the token's level at its top integer:
+    a lone integer is that copy's minimum and stays, anything else keeps the
+    top integer and maps the address after it."""
+    if hat.kappa is not None and hat.kappa == x.kappa - 1:
+        a = x.address
+        if not a.is_base and len(a.ints) == 1:
+            return x
+        rest = ref_hat(hat, TowerPoint(hat.kappa, Address(a.ints[1:], a.rho, a.frac)))
+        b = rest.address
+        return TowerPoint(x.kappa, Address(a.ints[:1] + b.ints, b.rho, b.frac))
+    if hat.kappa is not None and hat.kappa != x.kappa:
+        raise TokenUndefinedError(
+            "token lives at level %s, point at level %d" % (hat.kappa, x.kappa))
+    if x == hat.source:
+        return hat.target
+    low, high = hat.fixed_below, hat.fixed_above
+    if hat.kappa is not None:
+        if high is not None and x.address.is_base and _base_key(x) >= _base_key(high):
+            return x
+    elif (low is not None and not low < x) or (high is not None and not x < high):
+        return x
+    raise TokenUndefinedError("token is only evaluable at its source and its fixed region")
+
+
+def _ref_map_inner(hat, k, x):
+    """Hat, then translation, at one within-copy point; the joint stays."""
+    if x is None:
+        return None
+    if not hat.is_identity:
+        if isinstance(x, TowerPoint) and hat.kappa is None:
+            raise TokenUndefinedError("long-line token applied to a tower point")
+        if not isinstance(x, TowerPoint) and hat.kappa is not None:
+            raise TokenUndefinedError("tower token applied to a long-line point")
+        x = ref_hat(hat, x)
+    if not k:
+        return x
+    if not isinstance(x, TowerPoint) or x.kappa < 2:
+        raise UnsupportedTranslationError(
+            "translation needs an integer-indexed tower level (kappa >= 2)")
+    a = x.address
+    return TowerPoint(x.kappa, Address((a.ints[0] + k,) + a.ints[1:], a.rho, a.frac))
+
+
 def level_map(recipe, level):
     """The stage map at a 1-based level, one point at a time: hat, then
     translation, then rotation."""
     l, hat, k = recipe.rotations[level - 1], recipe.hat, recipe.translate_by
-    return lambda p: StagePoint(p.n, p.index + l, _map_inner(hat, k, p.inner))
+    return lambda p: StagePoint(p.n, p.index + l, _ref_map_inner(hat, k, p.inner))
 
 
 def ref_apply_recipe(recipe, thread):

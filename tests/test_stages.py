@@ -39,6 +39,7 @@ from longsol import (
     stage_size,
     synthesize_recipe,
     verify_commutes,
+    within_copy_hat,
 )
 from longsol import stages
 from longsol.stages import extension_indices, fiber_indices
@@ -58,9 +59,12 @@ def stop(n, i, *ints, kappa=None):
 
 def stage_map(n, rot=0, shift=0, hat=IDENTITY_TOKEN):
     """The level-2 map of a recipe over p = (n,), on the size-n stage: the
-    rotation by rot, the translation by shift and the hat, or any one."""
+    rotation by rot, the translation by shift and the hat, or any one.  It
+    runs the library's apply_recipe on the depth-2 thread through the point
+    (``level_map`` is the reference model's)."""
     recipe = HomeoRecipe(p=(n,), rotations=(0, rot), translate_by=shift, hat=hat)
-    return level_map(recipe, 2)
+    return lambda pt: apply_recipe(
+        recipe, Thread((n,), (StagePoint(1, 0, pt.inner), pt))).points[1]
 
 
 def joints_thread(p, indices):
@@ -572,3 +576,22 @@ def test_tower_hat_through_top_integer():
         apply_hat(StagePoint(2, 0, TowerPoint(2, Address((4,), nat(3)))))
     with pytest.raises(TokenUndefinedError):
         apply_hat(StagePoint(2, 0, LongPoint(rho=W)))
+
+
+def test_tower_hat_fixes_rests_above_its_ceiling():
+    # the kappa = 2 hat of ([4; 3], [6; w]) is the level-1 base token of the
+    # rests, which fixes every base from its ceiling [; w+2] up
+    x, y = TowerPoint(2, Address((4,), nat(3))), TowerPoint(2, Address((6,), W))
+    shift, hat = within_copy_hat(x, y)
+    apply_hat = stage_map(2, hat=hat)
+    high = StagePoint(2, 1, TowerPoint(2, Address((9,), W2)))
+    assert apply_hat(high) == high
+    assert apply_hat(StagePoint(2, 1, TowerPoint(2, Address((9,), nat(3))))) == (
+        StagePoint(2, 1, TowerPoint(2, Address((9,), W))))
+    with pytest.raises(TokenUndefinedError, match="source and its fixed region"):
+        apply_hat(StagePoint(2, 1, TowerPoint(2, Address((9,), nat(5)))))
+    recipe = HomeoRecipe(p=(2,), rotations=(0, 1), translate_by=shift, hat=hat, kappa=2)
+    thread = Thread((2,), (StagePoint(1, 0, high.inner), high))
+    moved = TowerPoint(2, Address((11,), W2))
+    assert apply_recipe(recipe, thread) == Thread(
+        (2,), (StagePoint(1, 0, moved), StagePoint(2, 0, moved)))

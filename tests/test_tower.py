@@ -185,6 +185,17 @@ def test_base_token_rejections():
         )
 
 
+def test_within_copy_hat_is_the_base_token_of_the_rests():
+    # kappa = 2: the hat is the level-1 base token of the rests, ceiling and all
+    x, y = TowerPoint(2, Address((4,), nat(3))), TowerPoint(2, Address((6,), W))
+    shift, hat = within_copy_hat(x, y)
+    assert (shift, hat) == (2, base_automorphism_token(strip_top(x), strip_top(y)))
+    assert hat.fixed_above == base(add(W, nat(2)))
+    x, y = TowerPoint(3, Address((1, 4), W)), TowerPoint(3, Address((2, 9), mul(W, nat(2))))
+    assert within_copy_hat(x, y) == (
+        1, base_automorphism_token(strip_top(x), strip_top(y)))
+
+
 def test_within_copy_hat():
     shift, hat = within_copy_hat(TowerPoint(2, Address((3,))),
                                  TowerPoint(2, Address((8,))))
