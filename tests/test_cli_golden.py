@@ -210,8 +210,8 @@ _ERRORS = [
 # answers no other entry reaches: hats that are mappings (a level-1 base
 # pair, a base pair under a top shift, a depth-2 stop pair, a long-line
 # same-block pair), the long-line distinctness verdicts, direct-limit sums
-# whose canonical level is above 0, and a '|' inside the brackets of a
-# stage-point literal
+# whose canonical level is above 0, a '|' inside the brackets of a
+# stage-point literal, and a stray --a beside --expr or --omega-pow
 _PINNED = [
     ["orbit", "--tower", "1", "--p", "2", "--x", "(0| [; w]); (1| [; w])",
      "--y", "(0| [; w*2+1/2]); (0| [; w*2+1/2])"],
@@ -230,6 +230,8 @@ _PINNED = [
     ["fiber", "--m", "2", "--n", "3", "--tower", "2", "--point", "([1|2])"],
     ["fiber", "--m", "2", "--n", "3", "--tower", "2", "--point", "(1)|(2)"],
     ["fiber", "--m", "2", "--n", "3", "--tower", "2", "--point", "([1|2]| [3])"],
+    ["ord", "--expr", "w", "--a", "3"],
+    ["ord", "--omega-pow", "2", "--a", "3"],
 ]
 
 # fibers and thread extensions printed from an inner coordinate's template:
