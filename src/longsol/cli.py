@@ -173,7 +173,7 @@ class _Listing:
 
 def _cmd_ord(args):
     given = sum(value is not None for value in (
-        args.expr, args.add, args.mul, args.cmp, args.omega_pow))
+        args.expr, args.a, args.add, args.mul, args.cmp, args.omega_pow))
     if args.expr is not None:
         if given != 1:
             raise CommandError("--expr stands alone")
@@ -182,7 +182,7 @@ def _cmd_ord(args):
         if given != 1:
             raise CommandError("--omega-pow stands alone")
         return {"result": str(omega_pow(parsing.parse_ordinal(args.omega_pow)))}
-    if args.a is None or given != 1:
+    if args.a is None or given != 2:
         raise CommandError("give --a with exactly one of --add, --mul, --cmp")
     a = parsing.parse_ordinal(args.a)
     if args.add is not None:
