@@ -46,7 +46,6 @@ from .stages import (
     synthesize_recipe,
     verify_commutes,
 )
-from .tokens import MAPPING_MODE
 from .tower import point_type
 
 DEFAULT_DEPTH = 6
@@ -119,10 +118,10 @@ def _exponents(args):
 
 
 def _token_doc(token):
-    doc = {"mode": token.mode}
+    doc = {"mode": "identity" if token.is_identity else "mapping"}
     if token.kappa is not None:
         doc["kappa"] = token.kappa
-    if token.mode == MAPPING_MODE:
+    if not token.is_identity:
         doc["source"] = str(token.source)
         doc["target"] = str(token.target)
     return doc

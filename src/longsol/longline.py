@@ -21,11 +21,10 @@ proven rather than guessed.
 """
 
 from fractions import Fraction
-from functools import total_ordering
 
 from .errors import EndpointError, InvalidPointError, Record
 from .ordinal import ONE, ZERO, add, compare
-from .tokens import IDENTITY_TOKEN, MAPPING_MODE, IntervalAutToken
+from .tokens import IDENTITY_TOKEN, IntervalAutToken
 
 NG_KIND = "ng"
 INTERVAL_KIND = "interval"
@@ -37,7 +36,6 @@ SAME = "same"
 UNKNOWN = "unknown"
 
 
-@total_ordering
 class LongPoint(Record):
     """A point omega_1 * gamma + rho + t."""
 
@@ -141,23 +139,18 @@ def same_orbit_recipe(x, y):
     """Same-orbit witness for equal partition labels, unknown otherwise.
 
     Inside one open block the witness token fixes the two bounding
-    multiples of omega_1 and maps x to y.  Equal labels on multiples of
-    omega_1 force x == y and yield the identity.  Distinct labels return
-    unknown; callers wanting a distinctness proof ask
-    :func:`distinct_orbit_proof` separately.
+    multiples of omega_1 and maps x to y.  Equal points, and equal labels
+    on multiples of omega_1 (which force x == y), yield
+    ``IDENTITY_TOKEN``.  Distinct labels return unknown; callers wanting
+    a distinctness proof ask :func:`distinct_orbit_proof` separately.
     """
     if x.is_zero or y.is_zero:
         raise EndpointError("0 is identified into the joint and not classified here")
     if partition_class(x) != partition_class(y):
         return OrbitAnswer(UNKNOWN)
-    if is_ng(x):
-        return OrbitAnswer(SAME, IDENTITY_TOKEN)
-    low = LongPoint(gamma=x.gamma)
-    high = LongPoint(gamma=add(x.gamma, ONE))
     if x == y:
-        token = IntervalAutToken(fixed_below=low, fixed_above=high)
-    else:
-        token = IntervalAutToken(
-            mode=MAPPING_MODE, source=x, target=y, fixed_below=low, fixed_above=high
-        )
-    return OrbitAnswer(SAME, token)
+        return OrbitAnswer(SAME, IDENTITY_TOKEN)
+    return OrbitAnswer(SAME, IntervalAutToken(
+        source=x, target=y, fixed_below=LongPoint(gamma=x.gamma),
+        fixed_above=LongPoint(gamma=add(x.gamma, ONE)),
+    ))

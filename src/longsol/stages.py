@@ -288,7 +288,8 @@ class HomeoRecipe(Record):
 
 def _hat(hat, x):
     """Evaluate a mapping token at one inner coordinate: the source goes to
-    the target and the fixed region stays.  A tower point one level above
+    the target and the fixed region stays (for a tower token, the level-1
+    bases at or above its ceiling).  A tower point one level above
     the token keeps its top integer and maps its rest by the same rule; a
     depth-1 stop strips to the fixed minimum and stays."""
     if hat.kappa is not None and hat.kappa != x.kappa:
@@ -304,8 +305,7 @@ def _hat(hat, x):
     if x == hat.source:
         return hat.target
     if hat.kappa is not None:
-        fixed = (hat.fixed_above is not None and x.address.is_base
-                 and compare_base(x, hat.fixed_above) >= 0)
+        fixed = hat.fixed_above is not None and compare_base(x, hat.fixed_above) >= 0
     else:
         fixed = ((hat.fixed_below is not None and not hat.fixed_below < x)
                  or (hat.fixed_above is not None and not x < hat.fixed_above))

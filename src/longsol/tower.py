@@ -27,7 +27,7 @@ from .errors import (
     Record,
 )
 from .ordinal import add, compare, nat
-from .tokens import IDENTITY_TOKEN, MAPPING_MODE, IntervalAutToken
+from .tokens import IDENTITY_TOKEN, IntervalAutToken
 
 
 class _MinMarker:
@@ -159,12 +159,13 @@ def compare_base(x, y):
 def base_automorphism_token(x, y):
     """Witness an endpoint-fixing automorphism of the level with A(x) = y.
 
-    For level 1 the witness lives on an initial segment [0, alpha] with
-    alpha countable and above both coordinates; beyond alpha everything is
-    fixed.  For higher levels the map factors as a top-integer shift by
-    the difference of leading address entries composed with an
-    automorphism of the stripped rest; ``within_copy_hat`` splits off that
-    shift, which a recipe keeps as ``translate_by``.
+    Equal points give ``IDENTITY_TOKEN``.  For level 1 the witness lives
+    on an initial segment [0, alpha] with alpha countable and above both
+    coordinates; beyond alpha everything is fixed.  For higher levels the
+    token is the bare pair: the map factors as a top-integer shift by the
+    difference of leading address entries composed with an automorphism
+    of the stripped rest; ``within_copy_hat`` splits off that shift, which
+    a recipe keeps as ``translate_by``.
     """
     if x.is_joint or y.is_joint:
         raise InvalidPointError("the joint has no within-copy component")
@@ -176,16 +177,12 @@ def base_automorphism_token(x, y):
         raise NotSameOrbitError(
             "types %d and %d are never related" % (point_type(x), point_type(y))
         )
+    if x == y:
+        return IDENTITY_TOKEN
     if x.kappa == 1:
         ceiling = TowerPoint(1, Address((), _countable_ceiling(x, y), Fraction(0)))
-        if x == y:
-            return IntervalAutToken(kappa=1, fixed_above=ceiling)
-        return IntervalAutToken(
-            mode=MAPPING_MODE, source=x, target=y, kappa=1, fixed_above=ceiling
-        )
-    if x == y:
-        return IntervalAutToken(kappa=x.kappa)
-    return IntervalAutToken(mode=MAPPING_MODE, source=x, target=y, kappa=x.kappa)
+        return IntervalAutToken(source=x, target=y, fixed_above=ceiling, kappa=1)
+    return IntervalAutToken(source=x, target=y, kappa=x.kappa)
 
 
 def within_copy_hat(x, y):
@@ -194,17 +191,18 @@ def within_copy_hat(x, y):
     The hat token is what a stage recipe stores: the level-(kappa - 1)
     ``base_automorphism_token`` of the stripped rests, which acts inside
     every top-integer copy after the recorded shift has aligned the
-    leading integers.  Depth-1 integer stops strip to the fixed minimum
-    marker, so their hat is the identity.
+    leading integers.  At level 1 the hat is the pair's own token, with no
+    shift; depth-1 integer stops strip to the fixed minimum marker, so
+    their hat is the identity.
     """
     if x.is_joint or y.is_joint:
         raise InvalidPointError("the joint has no within-copy component")
     if not same_orbit(x, y):
         raise NotSameOrbitError("within-copy pair must share an orbit class")
     if x.kappa == 1:
-        return 0, (IDENTITY_TOKEN if x == y else base_automorphism_token(x, y))
+        return 0, base_automorphism_token(x, y)
     shift = y.address.ints[0] - x.address.ints[0]
-    sx, sy = strip_top(x), strip_top(y)
-    if sx is MIN or sy is MIN or sx == sy:
+    rest = strip_top(x)
+    if rest is MIN:
         return shift, IDENTITY_TOKEN
-    return shift, base_automorphism_token(sx, sy)
+    return shift, base_automorphism_token(rest, strip_top(y))

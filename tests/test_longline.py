@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from longsol import (
     EndpointError,
+    IDENTITY_TOKEN,
     INTERVAL_KIND,
     InvalidPointError,
     LongPoint,
@@ -114,7 +115,7 @@ def test_same_within_block():
     answer = same_orbit_recipe(x, y)
     assert answer.status == SAME
     token = answer.token
-    assert token.mode == "mapping"
+    assert not token.is_identity
     assert (token.source, token.target) == (x, y)
     assert token.fixed_below == LongPoint(gamma=nat(2))
     assert token.fixed_above == LongPoint(gamma=nat(3))
@@ -124,8 +125,7 @@ def test_same_point_within_block_identity_mode():
     x = block(1, frac=Fraction(1, 7))
     answer = same_orbit_recipe(x, x)
     assert answer.status == SAME
-    assert answer.token.is_identity
-    assert answer.token.fixed_below == LongPoint(gamma=nat(1))
+    assert answer.token == IDENTITY_TOKEN  # no fixed region on an identity
 
 
 def test_cross_block_unknown():

@@ -41,8 +41,8 @@ from longsol import (
 )
 
 IDENTITY_REPR = (
-    "IntervalAutToken(mode='identity', source=None, target=None, "
-    "fixed_below=None, fixed_above=None, kappa=None)"
+    "IntervalAutToken(source=None, target=None, fixed_below=None, "
+    "fixed_above=None, kappa=None)"
 )
 ROOT = StagePoint(1, 0)
 
@@ -52,12 +52,12 @@ ROWS = [
     (CnfOrdinal, ("terms",), (((ONE, 2), (ZERO, 3)),), {"terms": ()}, {},
      "ord[w*2+3]"),
     (IntervalAutToken,
-     ("mode", "source", "target", "fixed_below", "fixed_above", "kappa"),
-     ("mapping", 1, 2, 0, 5, 3),
-     {"mode": "identity", "source": None, "target": None, "fixed_below": None,
-      "fixed_above": None, "kappa": None}, {},
-     "IntervalAutToken(mode='mapping', source=1, target=2, fixed_below=0, "
-     "fixed_above=5, kappa=3)"),
+     ("source", "target", "fixed_below", "fixed_above", "kappa"),
+     (1, 2, None, 5, 1),
+     {"source": None, "target": None, "fixed_below": None, "fixed_above": None,
+      "kappa": None}, {},
+     "IntervalAutToken(source=1, target=2, fixed_below=None, fixed_above=5, "
+     "kappa=1)"),
     (LongPoint, ("gamma", "rho", "frac"), (ONE, OMEGA, Fraction(1, 2)),
      {"gamma": ZERO, "rho": ZERO, "frac": Fraction(0)}, {},
      "LongPoint(gamma=ord[1], rho=ord[w], frac=Fraction(1, 2))"),
@@ -212,9 +212,20 @@ REJECTIONS = [
      "unknown orbit class kind 'block'"),
     (lambda: OrbitClassLabel(NG_KIND, ZERO), ValueError,
      "multiples of omega_1 start at gamma = 1"),
-    (lambda: IntervalAutToken(mode="shift"), ValueError, "unknown token mode 'shift'"),
-    (lambda: IntervalAutToken(mode="mapping", source=TowerPoint(1)), ValueError,
+    (lambda: IntervalAutToken(source=TowerPoint(1)), ValueError,
      "mapping tokens need a source and a target"),
+    (lambda: IntervalAutToken(target=TowerPoint(1)), ValueError,
+     "mapping tokens need a source and a target"),
+    (lambda: IntervalAutToken(kappa=2), ValueError,
+     "the identity token carries nothing else"),
+    (lambda: IntervalAutToken(fixed_below=LongPoint(ONE)), ValueError,
+     "the identity token carries nothing else"),
+    (lambda: IntervalAutToken(fixed_above=LongPoint(ONE)), ValueError,
+     "the identity token carries nothing else"),
+    (lambda: IntervalAutToken(1, 2, fixed_below=0, kappa=1), ValueError,
+     "a tower token fixes only bases above a level-1 ceiling"),
+    (lambda: IntervalAutToken(1, 2, fixed_above=5, kappa=2), ValueError,
+     "a tower token fixes only bases above a level-1 ceiling"),
 ]
 
 

@@ -246,7 +246,6 @@ def test_recipe_normalization():
 def test_level_map_order():
     # hat first, then translation, then rotation
     hat = IntervalAutToken(
-        mode="mapping",
         source=TowerPoint(1, Address((), W)),
         target=TowerPoint(1, Address((), W2)),
         kappa=1,
@@ -297,46 +296,69 @@ def _long_inner(draw):
     )
 
 
-def _inner(draw, kappa):
-    kind = draw(st.sampled_from(["joint", "tower", "other tower", "long"]))
+CEILING = TowerPoint(1, Address((), W2))
+
+
+def _token_inner(draw, hat):
+    """A point where the mapping token hat is put to work: its source at the
+    token's level, a point one level up whose rest is the source or the
+    target, or a base at or above a level-1 ceiling, alone or as a rest."""
+    kinds = ["source", "rest"]
+    if hat.kappa is not None and hat.fixed_above is not None:
+        kinds.insert(0, "above ceiling")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "source" or hat.kappa is None:
+        return hat.source
+    if kind == "rest":
+        rest = draw(st.sampled_from([hat.source, hat.target]))
+    else:
+        rho = draw(st.sampled_from([W2, add(W2, nat(1)), omega_pow(nat(3))]))
+        rest = TowerPoint(1, Address((), rho, draw(st.sampled_from([0, Fraction(1, 3)]))))
+        if draw(st.booleans()):
+            return rest
+    a = rest.address
+    top = draw(st.integers(-9, 9))
+    return TowerPoint(rest.kappa + 1, Address((top,) + a.ints, a.rho, a.frac))
+
+
+def _inner(draw, kappa, hat):
+    kinds = ["joint", "tower", "other tower", "long"]
+    if not hat.is_identity:
+        kinds.insert(0, "token")  # Hypothesis favours the first choice
+    kind = draw(st.sampled_from(kinds))
     if kind == "joint":
         return None
     if kind == "long":
         return _long_inner(draw)
+    if kind == "token":
+        return _token_inner(draw, hat)
     if kind == "other tower" or kappa is None or kappa < 2:
         kappa = draw(st.integers(1, 4))
     return _tower_inner(draw, kappa)
 
 
 def _hat(draw, kappa):
-    kind = draw(st.sampled_from(["identity", "identity", "tower", "long"]))
+    kind = draw(st.sampled_from(["tower", "long", "identity"]))
     if kind == "identity":
         return IDENTITY_TOKEN
     if kind == "long":
         source, target = _long_inner(draw), _long_inner(draw)
         return IntervalAutToken(
-            mode="mapping", source=source, target=target,
+            source=source, target=target,
             fixed_below=draw(st.sampled_from([None, LongPoint(gamma=nat(1))])),
             fixed_above=draw(st.sampled_from([None, LongPoint(gamma=nat(2))])),
         )
     # right level (one below the points), the points' own level, or elsewhere
     level = max(1, draw(st.sampled_from([(kappa or 2) - 1, kappa or 1, 1, 2, 3])))
     source, target = _tower_inner(draw, level), _tower_inner(draw, level)
-    fixed_above = None
-    if level == 1 and draw(st.booleans()):
-        fixed_above = TowerPoint(1, Address((), W2))
-    mode = draw(st.sampled_from(["identity", "mapping"]))
-    if mode == "identity":
-        return IntervalAutToken(kappa=level, fixed_above=fixed_above)
-    return IntervalAutToken(
-        mode="mapping", source=source, target=target, kappa=level,
-        fixed_above=fixed_above,
-    )
+    fixed_above = draw(st.sampled_from([CEILING, None])) if level == 1 else None
+    return IntervalAutToken(source=source, target=target, kappa=level,
+                            fixed_above=fixed_above)
 
 
-def _thread(draw, p, depth, kappa):
+def _thread(draw, p, depth, kappa, hat):
     """A thread of the given depth over p, at a drawn copy and inner point."""
-    seed, inner = draw(st.integers(0, 30)), _inner(draw, kappa)
+    seed, inner = draw(st.integers(0, 30)), _inner(draw, kappa, hat)
     return Thread(p, [StagePoint(stage_size(p, lvl), seed, inner)
                       for lvl in range(1, depth + 1)])
 
@@ -351,12 +373,13 @@ def recipes(draw):
         for _ in range(depth)
     )
     kappa = draw(st.sampled_from([None, 1, 2, 3]))
-    tracked = _thread(draw, p, depth, kappa) if draw(st.booleans()) else None
+    hat = _hat(draw, kappa)
+    tracked = _thread(draw, p, depth, kappa, hat) if draw(st.booleans()) else None
     return HomeoRecipe(
         p=p,
         rotations=rotations,
         translate_by=draw(st.sampled_from([0, 0, 1, -2, 5])),
-        hat=_hat(draw, kappa),
+        hat=hat,
         kappa=kappa,
         tracked=tracked,
     )
@@ -380,7 +403,7 @@ def test_verify_commutes_matches_every_copy(recipe):
 @st.composite
 def recipes_and_threads(draw):
     recipe = draw(recipes())
-    return recipe, _thread(draw, recipe.p, recipe.depth, recipe.kappa)
+    return recipe, _thread(draw, recipe.p, recipe.depth, recipe.kappa, recipe.hat)
 
 
 @given(recipes_and_threads())
@@ -452,7 +475,7 @@ def test_tower_synthesis_uses_hat():
     assert result.status == RECIPE
     recipe = result.recipe
     assert recipe.translate_by == 1
-    assert recipe.hat.mode == "mapping"
+    assert not recipe.hat.is_identity
     assert recipe.kappa == 3
     assert apply_recipe(recipe, x) == y
     assert verify_commutes(recipe)[0]
@@ -505,7 +528,6 @@ def test_synthesis_shape_rejections():
 
 def test_hat_evaluation_domain():
     long_hat = IntervalAutToken(
-        mode="mapping",
         source=LongPoint(gamma=nat(1), rho=W),
         target=LongPoint(gamma=nat(1), rho=W2),
         fixed_below=LongPoint(gamma=nat(1)),
@@ -528,7 +550,6 @@ def test_hat_evaluation_domain():
 def test_tower_hat_fixed_region():
     # a token at the points' own level fixes the bases at or above fixed_above
     hat = IntervalAutToken(
-        mode="mapping",
         source=TowerPoint(1, Address((), W)),
         target=TowerPoint(1, Address((), mul(W, nat(2)))),
         kappa=1,
@@ -550,6 +571,18 @@ def test_tower_hat_fixed_region():
         apply_recipe(recipe, thread(mul(W, nat(3))))
 
 
+def test_tower_token_fixes_a_region_only_at_level_one():
+    # compare_base orders level-1 bases only: a level-2 ceiling [5; w^2] would
+    # leave [0; w^2] fixed below it, so no such token can be built
+    with pytest.raises(ValueError, match="level-1 ceiling"):
+        IntervalAutToken(
+            source=TowerPoint(2, Address((1,), W)),
+            target=TowerPoint(2, Address((2,), W)),
+            kappa=2,
+            fixed_above=TowerPoint(2, Address((5,), W2)),
+        )
+
+
 def test_apply_recipe_shape_rejections():
     recipe = HomeoRecipe(p=(2, 3), rotations=(0, 1))
     for thread in (joints_thread((2, 3), (0, 1, 3)), joints_thread((3,), (0, 1)),
@@ -562,7 +595,6 @@ def test_apply_recipe_shape_rejections():
 
 def test_tower_hat_through_top_integer():
     hat = IntervalAutToken(
-        mode="mapping",
         source=TowerPoint(1, Address((), W)),
         target=TowerPoint(1, Address((), W2)),
         kappa=1,

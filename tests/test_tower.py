@@ -155,21 +155,26 @@ def test_compare_base():
 def test_base_token_level_one():
     x, y = base(nat(5)), base(W, "1/2")
     token = base_automorphism_token(x, y)
-    assert token.mode == "mapping"
+    assert not token.is_identity
     assert (token.source, token.target, token.kappa) == (x, y, 1)
     assert token.fixed_above == base(add(W, nat(2)))
-    same = base_automorphism_token(x, x)
-    assert same.is_identity
-    assert same.fixed_above == base(nat(7))
+    assert base_automorphism_token(x, x) == IDENTITY_TOKEN  # no level, no ceiling
 
 
 def test_base_token_translation():
     x = TowerPoint(2, Address((3,)))
     y = TowerPoint(2, Address((8,)))
     token = base_automorphism_token(x, y)
-    assert (token.mode, token.source, token.target, token.kappa) == ("mapping", x, y, 2)
+    assert (token.source, token.target, token.kappa, token.fixed_above) == (x, y, 2, None)
     assert within_copy_hat(x, y) == (5, IDENTITY_TOKEN)  # the shift goes to the recipe
-    assert base_automorphism_token(x, x) == IDENTITY_TOKEN.__class__(kappa=2)
+    assert base_automorphism_token(x, x) == IDENTITY_TOKEN  # no level
+
+
+def test_equal_points_give_the_identity_token():
+    for p in (base(W, "1/2"), TowerPoint(2, Address((3,))),
+              TowerPoint(2, Address((3,), W)), TowerPoint(3, Address((1, 4), W))):
+        assert base_automorphism_token(p, p) == IDENTITY_TOKEN
+        assert within_copy_hat(p, p) == (0, IDENTITY_TOKEN)
 
 
 def test_base_token_rejections():
@@ -203,7 +208,7 @@ def test_within_copy_hat():
     shift, hat = within_copy_hat(TowerPoint(3, Address((1, 4))),
                                  TowerPoint(3, Address((2, 9))))
     assert shift == 1
-    assert hat.mode == "mapping"
+    assert not hat.is_identity
     assert hat.source == TowerPoint(2, Address((4,)))
     assert hat.target == TowerPoint(2, Address((9,)))
     assert hat.kappa == 2
