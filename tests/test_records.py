@@ -38,6 +38,7 @@ from longsol import (
     TowerPoint,
     WitnessReport,
     nat,
+    omega_pow,
 )
 
 IDENTITY_REPR = (
@@ -45,6 +46,7 @@ IDENTITY_REPR = (
     "fixed_above=None, kappa=None)"
 )
 ROOT = StagePoint(1, 0)
+W2 = omega_pow(nat(2))
 
 # (class, fields in declaration order, one value per field, declared
 # defaults, a minimal keyword call, repr of the object built from the values)
@@ -214,8 +216,6 @@ REJECTIONS = [
      "multiples of omega_1 start at gamma = 1"),
     (lambda: IntervalAutToken(source=TowerPoint(1)), ValueError,
      "mapping tokens need a source and a target"),
-    (lambda: IntervalAutToken(target=TowerPoint(1)), ValueError,
-     "mapping tokens need a source and a target"),
     (lambda: IntervalAutToken(kappa=2), ValueError,
      "the identity token carries nothing else"),
     (lambda: IntervalAutToken(fixed_below=LongPoint(ONE)), ValueError,
@@ -224,8 +224,12 @@ REJECTIONS = [
      "the identity token carries nothing else"),
     (lambda: IntervalAutToken(1, 2, fixed_below=0, kappa=1), ValueError,
      "a tower token fixes only bases above a level-1 ceiling"),
-    (lambda: IntervalAutToken(1, 2, fixed_above=5, kappa=2), ValueError,
-     "a tower token fixes only bases above a level-1 ceiling"),
+    # compare_base orders level-1 bases only: a level-2 ceiling [5; w^2]
+    # would leave [0; w^2] fixed below it
+    (lambda: IntervalAutToken(TowerPoint(2, Address((1,), OMEGA)),
+                              TowerPoint(2, Address((2,), OMEGA)), kappa=2,
+                              fixed_above=TowerPoint(2, Address((5,), W2))),
+     ValueError, "a tower token fixes only bases above a level-1 ceiling"),
 ]
 
 
@@ -234,6 +238,11 @@ def test_constructor_rejections(build, error, message):
     with pytest.raises(error) as caught:
         build()
     assert type(caught.value) is error and str(caught.value) == message
+
+
+def test_token_target_needs_a_source():
+    with pytest.raises(ValueError, match="^mapping tokens need a source and a target$"):
+        IntervalAutToken(target=TowerPoint(1))
 
 
 def test_init_stores_coerced_fields():

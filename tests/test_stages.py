@@ -571,18 +571,6 @@ def test_tower_hat_fixed_region():
         apply_recipe(recipe, thread(mul(W, nat(3))))
 
 
-def test_tower_token_fixes_a_region_only_at_level_one():
-    # compare_base orders level-1 bases only: a level-2 ceiling [5; w^2] would
-    # leave [0; w^2] fixed below it, so no such token can be built
-    with pytest.raises(ValueError, match="level-1 ceiling"):
-        IntervalAutToken(
-            source=TowerPoint(2, Address((1,), W)),
-            target=TowerPoint(2, Address((2,), W)),
-            kappa=2,
-            fixed_above=TowerPoint(2, Address((5,), W2)),
-        )
-
-
 def test_apply_recipe_shape_rejections():
     recipe = HomeoRecipe(p=(2, 3), rotations=(0, 1))
     for thread in (joints_thread((2, 3), (0, 1, 3)), joints_thread((3,), (0, 1)),
