@@ -186,50 +186,85 @@ def test_repr(row):
     assert repr(build(row)) == row[5]
 
 
-# (build, exception type, message) for each check a constructor makes
+# (build, exception type, message) for each check a constructor makes.  Each
+# row names its own id, so a new row renames no other; the older rows keep
+# the ids pytest derived from their messages before.
 REJECTIONS = [
-    (lambda: Address((1.5,)), InvalidPointError, "address entries must be integers"),
-    (lambda: Address((1,), frac=Fraction(1, 2)), InvalidPointError,
-     "an integer stop carries no base coordinate"),
-    (lambda: Address((), OMEGA, 1), InvalidPointError,
-     "the unit offset must lie in [0, 1)"),
-    (lambda: Address((), OMEGA, Fraction(-1, 2)), InvalidPointError,
-     "the unit offset must lie in [0, 1)"),
-    (lambda: Address((), ZERO), InvalidPointError,
-     "a zero base coordinate is written as the integer stop above it"),
-    (lambda: TowerPoint(0), InvalidPointError, "tower levels start at 1"),
-    (lambda: TowerPoint(2, Address((), OMEGA)), InvalidPointError,
-     "a base address at level 2 needs exactly 1 integers"),
-    (lambda: TowerPoint(2, Address((1, 2))), InvalidPointError,
-     "an integer stop at level 2 needs 1..1 integers"),
-    (lambda: CnfOrdinal(((1, 1),)), TypeError, "exponents must be CnfOrdinal instances"),
-    (lambda: CnfOrdinal(((ZERO, 0),)), ValueError, "coefficients must be integers >= 1"),
-    (lambda: CnfOrdinal(((ZERO, 1), (ONE, 1))), ValueError,
-     "exponents must be strictly decreasing"),
-    (lambda: CnfOrdinal(((ONE, 1), (ONE, 2))), ValueError,
-     "exponents must be strictly decreasing"),
-    (lambda: nat(-1), ValueError, "naturals must be integers >= 0"),
-    (lambda: nat(2.0), ValueError, "naturals must be integers >= 0"),
-    (lambda: OrbitClassLabel("block", ONE), ValueError,
-     "unknown orbit class kind 'block'"),
-    (lambda: OrbitClassLabel(NG_KIND, ZERO), ValueError,
-     "multiples of omega_1 start at gamma = 1"),
-    (lambda: IntervalAutToken(source=TowerPoint(1)), ValueError,
-     "mapping tokens need a source and a target"),
-    (lambda: IntervalAutToken(kappa=2), ValueError,
-     "the identity token carries nothing else"),
-    (lambda: IntervalAutToken(fixed_below=LongPoint(ONE)), ValueError,
-     "the identity token carries nothing else"),
-    (lambda: IntervalAutToken(fixed_above=LongPoint(ONE)), ValueError,
-     "the identity token carries nothing else"),
-    (lambda: IntervalAutToken(1, 2, fixed_below=0, kappa=1), ValueError,
-     "a tower token fixes only bases above a level-1 ceiling"),
+    pytest.param(lambda: Address((1.5,)), InvalidPointError,
+                 "address entries must be integers",
+                 id="<lambda>-InvalidPointError-address entries must be integers"),
+    pytest.param(lambda: Address((1,), frac=Fraction(1, 2)), InvalidPointError,
+                 "an integer stop carries no base coordinate",
+                 id="<lambda>-InvalidPointError-an integer stop carries no base coordinate"),
+    pytest.param(lambda: Address((), OMEGA, 1), InvalidPointError,
+                 "the unit offset must lie in [0, 1)",
+                 id="<lambda>-InvalidPointError-the unit offset must lie in [0, 1)0"),
+    pytest.param(lambda: Address((), OMEGA, Fraction(-1, 2)), InvalidPointError,
+                 "the unit offset must lie in [0, 1)",
+                 id="<lambda>-InvalidPointError-the unit offset must lie in [0, 1)1"),
+    pytest.param(lambda: Address((), ZERO), InvalidPointError,
+                 "a zero base coordinate is written as the integer stop above it",
+                 id="<lambda>-InvalidPointError-a zero base coordinate is written as "
+                    "the integer stop above it"),
+    pytest.param(lambda: TowerPoint(0), InvalidPointError, "tower levels start at 1",
+                 id="<lambda>-InvalidPointError-tower levels start at 1"),
+    pytest.param(lambda: TowerPoint(2, Address((), OMEGA)), InvalidPointError,
+                 "a base address at level 2 needs exactly 1 integers",
+                 id="<lambda>-InvalidPointError-a base address at level 2 needs "
+                    "exactly 1 integers"),
+    pytest.param(lambda: TowerPoint(2, Address((1, 2))), InvalidPointError,
+                 "an integer stop at level 2 needs 1..1 integers",
+                 id="<lambda>-InvalidPointError-an integer stop at level 2 needs "
+                    "1..1 integers"),
+    pytest.param(lambda: CnfOrdinal(((1, 1),)), TypeError,
+                 "exponents must be CnfOrdinal instances",
+                 id="<lambda>-TypeError-exponents must be CnfOrdinal instances"),
+    pytest.param(lambda: CnfOrdinal(((ZERO, 0),)), ValueError,
+                 "coefficients must be integers >= 1",
+                 id="<lambda>-ValueError-coefficients must be integers >= 1"),
+    pytest.param(lambda: CnfOrdinal(((ZERO, 1), (ONE, 1))), ValueError,
+                 "exponents must be strictly decreasing",
+                 id="<lambda>-ValueError-exponents must be strictly decreasing0"),
+    pytest.param(lambda: CnfOrdinal(((ONE, 1), (ONE, 2))), ValueError,
+                 "exponents must be strictly decreasing",
+                 id="<lambda>-ValueError-exponents must be strictly decreasing1"),
+    pytest.param(lambda: nat(-1), ValueError, "naturals must be integers >= 0",
+                 id="<lambda>-ValueError-naturals must be integers >= 0_0"),
+    pytest.param(lambda: nat(2.0), ValueError, "naturals must be integers >= 0",
+                 id="<lambda>-ValueError-naturals must be integers >= 0_1"),
+    pytest.param(lambda: OrbitClassLabel("block", ONE), ValueError,
+                 "unknown orbit class kind 'block'",
+                 id="<lambda>-ValueError-unknown orbit class kind 'block'"),
+    pytest.param(lambda: OrbitClassLabel(NG_KIND, ZERO), ValueError,
+                 "multiples of omega_1 start at gamma = 1",
+                 id="<lambda>-ValueError-multiples of omega_1 start at gamma = 1"),
+    pytest.param(lambda: IntervalAutToken(source=TowerPoint(1)), ValueError,
+                 "mapping tokens need a source and a target",
+                 id="<lambda>-ValueError-mapping tokens need a source and a target"),
+    pytest.param(lambda: IntervalAutToken(target=TowerPoint(1)), ValueError,
+                 "mapping tokens need a source and a target",
+                 id="token-target-without-source"),
+    pytest.param(lambda: IntervalAutToken(kappa=2), ValueError,
+                 "the identity token carries nothing else",
+                 id="<lambda>-ValueError-the identity token carries nothing else0"),
+    pytest.param(lambda: IntervalAutToken(fixed_below=LongPoint(ONE)), ValueError,
+                 "the identity token carries nothing else",
+                 id="<lambda>-ValueError-the identity token carries nothing else1"),
+    pytest.param(lambda: IntervalAutToken(fixed_above=LongPoint(ONE)), ValueError,
+                 "the identity token carries nothing else",
+                 id="<lambda>-ValueError-the identity token carries nothing else2"),
+    pytest.param(lambda: IntervalAutToken(1, 2, fixed_below=0, kappa=1), ValueError,
+                 "a tower token fixes only bases above a level-1 ceiling",
+                 id="<lambda>-ValueError-a tower token fixes only bases above a "
+                    "level-1 ceiling0"),
     # compare_base orders level-1 bases only: a level-2 ceiling [5; w^2]
     # would leave [0; w^2] fixed below it
-    (lambda: IntervalAutToken(TowerPoint(2, Address((1,), OMEGA)),
-                              TowerPoint(2, Address((2,), OMEGA)), kappa=2,
-                              fixed_above=TowerPoint(2, Address((5,), W2))),
-     ValueError, "a tower token fixes only bases above a level-1 ceiling"),
+    pytest.param(lambda: IntervalAutToken(TowerPoint(2, Address((1,), OMEGA)),
+                                          TowerPoint(2, Address((2,), OMEGA)), kappa=2,
+                                          fixed_above=TowerPoint(2, Address((5,), W2))),
+                 ValueError, "a tower token fixes only bases above a level-1 ceiling",
+                 id="<lambda>-ValueError-a tower token fixes only bases above a "
+                    "level-1 ceiling1"),
 ]
 
 
@@ -238,11 +273,6 @@ def test_constructor_rejections(build, error, message):
     with pytest.raises(error) as caught:
         build()
     assert type(caught.value) is error and str(caught.value) == message
-
-
-def test_token_target_needs_a_source():
-    with pytest.raises(ValueError, match="^mapping tokens need a source and a target$"):
-        IntervalAutToken(target=TowerPoint(1))
 
 
 def test_init_stores_coerced_fields():
