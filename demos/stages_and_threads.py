@@ -14,7 +14,6 @@ from longsol import (
     Arc,
     StagePoint,
     Thread,
-    apply_bond,
     apply_recipe,
     extend_thread,
     fiber,
@@ -25,12 +24,13 @@ from longsol import (
     verify_commutes,
 )
 
-# The bond folds joint indices modulo the target size; fibers list the
-# m preimages in ascending order.
+# The bond is index arithmetic: it takes copy indices modulo the target
+# size and keeps the within-copy coordinate, so the fiber over copy i of
+# size n lists i, i+n, ..., i+(m-1)n.
 q = StagePoint(3, 1)
 lifts = fiber(2, 3, q)
 print("fiber over inf1:", [str(x) for x in lifts])
-print("bond sends them back:", all(apply_bond(2, 3, x) == q for x in lifts))
+print("bond sends them back:", all(x.index % 3 == q.index for x in lifts))
 
 # A thread records one point per stage.  Extending consumes the next
 # bonding exponents and branches like the Cantor set: one choice of

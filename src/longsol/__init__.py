@@ -92,7 +92,6 @@ from .stages import (
     StagePoint,
     SynthesisResult,
     Thread,
-    apply_bond,
     apply_recipe,
     extend_thread,
     fiber,

