@@ -48,7 +48,7 @@ y = parse_thread((2, 3), "inf1; inf1; inf3")
 result = synthesize_recipe(x, y)
 recipe = result.recipe
 print("rotations per level:", recipe.rotations)
-print("commutes with bonds:", verify_commutes(recipe))
+print("commutes with bonds:", verify_commutes(recipe, x))
 print("maps x to y:", apply_recipe(recipe, x) == y)
 
 # Corrupt one rotation and verification answers with the exact square

@@ -84,7 +84,6 @@ from .parsing import (
     parse_tower_point,
 )
 from .stages import (
-    JOINT_MODE,
     LONG_MODE,
     RECIPE,
     TOWER_MODE,

@@ -211,7 +211,7 @@ def _cmd_orbit(args):
     doc = {"status": result.status}
     if result.status == RECIPE:
         recipe = result.recipe
-        ok, witness = verify_commutes(recipe)
+        ok, witness = verify_commutes(recipe, x)
         doc["recipe"] = _recipe_doc(recipe)
         doc["verified"] = ok
         doc["maps_x_to_y"] = apply_recipe(recipe, x) == y

@@ -12,14 +12,17 @@ optional top-integer translation and a hat, where the hat applies one
 interval automorphism token inside every copy; a tower hat lives one level
 below its points and maps the rest of each address, keeping the top
 integer.  Recipes carry the shared translation and token plus a rotation
-offset per level; validity means commuting with every bond on a finite
-verification set (see ``verify_commutes``).  Bonds keep the inner
-coordinate, and translation and hat ignore copy and level, so the square
-at level k commutes at a point exactly when rotations[k] = rotations[k-1]
-(mod n_k) and the hat and translation are defined at its inner coordinate.
-A thread has one inner coordinate, so applying or verifying a recipe
-evaluates it once.  Synthesis from a pair of threads answers with a recipe,
-a distinctness proof, or unknown; conjectural cases are never upgraded.
+offset per level, nothing else; validity means commuting with every bond
+on a finite verification set: the joints, and for the thread a recipe is
+checked against, that thread's point and the integer stops of its level
+(see ``verify_commutes``).  Bonds keep the inner coordinate, and
+translation and hat ignore copy and level, so the square at level k
+commutes at a point exactly when rotations[k] = rotations[k-1] (mod n_k)
+and the hat and translation are defined at its inner coordinate.  A
+thread has one inner coordinate, so applying or verifying a recipe
+evaluates it once.  Synthesis from a pair of threads, decided by the class
+of their inner points, answers with a recipe, a distinctness proof, or
+unknown; conjectural cases are never upgraded.
 
 Bonds keep the within-copy coordinate x, so fibers and extensions are
 index arithmetic (``fiber_indices``, ``extension_indices``): the fiber of
@@ -66,7 +69,7 @@ from .tower import (
 
 RECIPE = "recipe"
 
-JOINT_MODE = "joint"
+# what the parsers read a thread's inner points as
 TOWER_MODE = "tower"
 LONG_MODE = "long"
 
@@ -89,12 +92,6 @@ class StagePoint(Record):
     @property
     def is_joint(self):
         return self.inner is None
-
-    @property
-    def mode(self):
-        if self.inner is None:
-            return JOINT_MODE
-        return TOWER_MODE if isinstance(self.inner, TowerPoint) else LONG_MODE
 
     def __str__(self):
         return point_format(self.inner) % self.index
@@ -203,10 +200,6 @@ class Thread(Record):
     def depth(self):
         return len(self.points)
 
-    @property
-    def mode(self):
-        return self.points[0].mode
-
     def __str__(self):
         return "; ".join(str(pt) for pt in self.points)
 
@@ -244,16 +237,9 @@ def extend_thread(thread, levels):
 
 
 class HomeoRecipe(Record):
-    """Level-wise map: rotation per level, one shared translation and hat.
+    """Level-wise map: rotation per level, one shared translation and hat."""
 
-    kappa records the tower level of the within-copy points the recipe
-    acts on (None in long-line or joint-only use); it decides which
-    integer-stop addresses enter the verification set, as does the point
-    of tracked, the Thread the recipe was built from (or None).
-    """
-
-    def __init__(self, p=(), rotations=(), translate_by=0, hat=IDENTITY_TOKEN,
-                 kappa=None, tracked=None):
+    def __init__(self, p=(), rotations=(), translate_by=0, hat=IDENTITY_TOKEN):
         rotations = tuple(rotations)
         if not all(isinstance(k, int) for k in (translate_by, *rotations)):
             raise ThreadMismatchError("rotations and the translation are integers")
@@ -262,13 +248,8 @@ class HomeoRecipe(Record):
             raise ThreadMismatchError("recipes need at least one level")
         sizes = accumulate(p, mul, initial=1)
         rotations = tuple(l % n for l, n in zip(rotations, sizes))
-        d = len(rotations)
-        if tracked is not None and not (isinstance(tracked, Thread)
-                                        and tracked.depth == d
-                                        and tracked.p[: d - 1] == p[: d - 1]):
-            raise ThreadMismatchError("tracked is a thread of the recipe's shape")
         self.__dict__.update(p=p, rotations=rotations, translate_by=translate_by,
-                             hat=hat, kappa=kappa, tracked=tracked)
+                             hat=hat)
 
     @property
     def depth(self):
@@ -323,12 +304,16 @@ def _map_inner(hat, k, x):
     return _shift_top(k, x) if k else x
 
 
-def apply_recipe(recipe, thread):
-    """Map the thread's one inner coordinate once and rotate each level by
-    its offset; the image is re-checked as a thread."""
+def _check_thread(recipe, thread):
     d = recipe.depth
     if d != thread.depth or recipe.p[: d - 1] != thread.p[: d - 1]:
         raise ThreadMismatchError("recipe and thread disagree on depth or exponents")
+
+
+def apply_recipe(recipe, thread):
+    """Map the thread's one inner coordinate once and rotate each level by
+    its offset; the image is re-checked as a thread."""
+    _check_thread(recipe, thread)
     image = _map_inner(recipe.hat, recipe.translate_by, thread.points[0].inner)
     return Thread(thread.p, (
         StagePoint(pt.n, pt.index + l, image)
@@ -336,25 +321,30 @@ def apply_recipe(recipe, thread):
     ))
 
 
-def verify_commutes(recipe):
+def verify_commutes(recipe, thread=None):
     """Check bond-compatibility of the recipe on the verification set: the
-    joints, the integer stops [-8]..[8] when kappa >= 2 and the tracked
-    point, each decided by the congruence rule.  Stop and tracked images
-    ignore copy and level, and level 1 (n = 1) is congruent, so each is
-    evaluated once, first; an incongruent level then fails first at its
-    joint inf0, which every recipe maps.
+    joints and, given a thread of the recipe's depth and exponents, the
+    integer stops [-8]..[8] at the level of its inner point x when x is a
+    tower point at level >= 2, then x itself, each decided by the
+    congruence rule.  Stop and thread images ignore copy and level, and
+    level 1 (n = 1) is congruent, so each is evaluated once, first; an
+    incongruent level then fails first at its joint inf0, which every
+    recipe maps.  Without a thread only the joints are checked.
 
     Returns (True, None) when every level pair commutes, otherwise
     (False, record) with the first offending level and point.
     """
+    if thread is not None:
+        _check_thread(recipe, thread)
     if recipe.depth == 1:
         return True, None
     hat, k = recipe.hat, recipe.translate_by
-    if recipe.kappa is not None and recipe.kappa >= 2:
-        for z in range(-8, 9):
-            _map_inner(hat, k, TowerPoint(recipe.kappa, Address((z,))))
-    if recipe.tracked is not None:
-        _map_inner(hat, k, recipe.tracked.points[0].inner)
+    if thread is not None:
+        x = thread.points[0].inner
+        if isinstance(x, TowerPoint) and x.kappa >= 2:
+            for z in range(-8, 9):
+                _map_inner(hat, k, TowerPoint(x.kappa, Address((z,))))
+        _map_inner(hat, k, x)
     joint, sizes = point_format(None), accumulate(recipe.p, mul, initial=1)
     for level, n in zip(range(1, recipe.depth), sizes):
         low, high = recipe.rotations[level - 1], recipe.rotations[level] % n
@@ -378,47 +368,45 @@ class SynthesisResult(Record):
 def _check_same_shape(x, y):
     if x.depth != y.depth:
         raise ThreadMismatchError("threads differ in depth")
-    if tuple(x.p) != tuple(y.p):
+    if x.p != y.p:
         raise ThreadMismatchError("threads differ in bonding exponents")
-    mx, my = x.mode, y.mode
-    if TOWER_MODE in (mx, my) and LONG_MODE in (mx, my):
+    a, b = x.points[0].inner, y.points[0].inner
+    if a is None or b is None:
+        return
+    if type(a) is not type(b):
         raise ThreadMismatchError("threads mix tower and long-line material")
-    if mx == my == TOWER_MODE and x.points[0].inner.kappa != y.points[0].inner.kappa:
+    if isinstance(a, TowerPoint) and a.kappa != b.kappa:
         raise ThreadMismatchError("threads live at different tower levels")
 
 
 def synthesize_recipe(x, y):
     """Build a recipe mapping thread x onto thread y, or explain why not.
 
-    Tower mode is a complete decision: equal types yield a rotation plus
-    shared translation and hat, distinct types are provably not related.
-    Long-line mode lifts the line-level verdicts; cross-block pairs whose
-    distinctness is not covered by a recorded proof stay unknown, as does
-    the joint against a multiple-of-omega_1 thread.
+    The joint against an inner thread is unknown when the inner point is a
+    multiple of omega_1 on the long line, and proven distinct otherwise (a
+    tower joint is alone in its type).  Two tower points are a complete
+    decision: equal types yield a rotation plus shared translation and
+    hat, distinct types are provably not related.  Two long-line points
+    lift the line-level verdicts; cross-block pairs whose distinctness is
+    not covered by a recorded proof stay unknown.
     """
     _check_same_shape(x, y)
-    xj, yj = x.points[0].is_joint, y.points[0].is_joint
-    shift, hat, kappa = 0, IDENTITY_TOKEN, None  # what all-joint threads keep
-    if TOWER_MODE in (x.mode, y.mode):
-        kappa = (x if x.mode == TOWER_MODE else y).points[0].inner.kappa
-        tx = kappa + 1 if xj else point_type(x.points[0].inner)
-        ty = kappa + 1 if yj else point_type(y.points[0].inner)
-        if tx != ty:
+    a, b = x.points[0].inner, y.points[0].inner
+    shift, hat = 0, IDENTITY_TOKEN  # what all-joint threads keep
+    if (a is None) != (b is None):
+        inner = b if a is None else a
+        ng = isinstance(inner, LongPoint) and is_ng(inner)
+        return SynthesisResult(UNKNOWN if ng else PROVEN_DISTINCT)
+    if isinstance(a, TowerPoint):
+        if point_type(a) != point_type(b):
             return SynthesisResult(PROVEN_DISTINCT)
-        shift, hat = within_copy_hat(x.points[0].inner, y.points[0].inner)
-    elif xj != yj:  # long-line mode: the joint against an inner thread
-        inner = (y if xj else x).points[0].inner
-        return SynthesisResult(UNKNOWN if is_ng(inner) else PROVEN_DISTINCT)
-    elif not xj:  # long-line mode: two inner threads
-        xin, yin = x.points[0].inner, y.points[0].inner
-        if distinct_orbit_proof(xin, yin) == PROVEN_DISTINCT:
+        shift, hat = within_copy_hat(a, b)
+    elif a is not None:
+        if distinct_orbit_proof(a, b) == PROVEN_DISTINCT:
             return SynthesisResult(PROVEN_DISTINCT)
-        answer = same_orbit_recipe(xin, yin)
+        answer = same_orbit_recipe(a, b)
         if answer.status != SAME:
             return SynthesisResult(UNKNOWN)
         hat = answer.token
-    rotations = tuple(b.index - a.index for a, b in zip(x.points, y.points))
-    return SynthesisResult(RECIPE, HomeoRecipe(
-        p=x.p, rotations=rotations, translate_by=shift, hat=hat, kappa=kappa,
-        tracked=x,
-    ))
+    rotations = tuple(v.index - u.index for u, v in zip(x.points, y.points))
+    return SynthesisResult(RECIPE, HomeoRecipe(x.p, rotations, shift, hat))

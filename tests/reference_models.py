@@ -377,24 +377,27 @@ def ref_bond(m, n, p):
     return StagePoint(n, p.index % n, p.inner)
 
 
-def ref_verify_commutes(recipe):
-    """Check the recipe against every bond on all n joints and all 17*n
-    integer stops [-8]..[8] of each copy (when kappa >= 2), then the
-    tracked thread's point; the whole check list of a stage is built before the
-    first comparison on it."""
+def ref_verify_commutes(recipe, thread=None):
+    """Check the recipe against every bond on all n joints and, given a
+    thread, all 17*n integer stops [-8]..[8] of each copy at the level of
+    the thread's point (when that is a tower level >= 2), then the thread's
+    point; the whole check list of a stage is built before the first
+    comparison on it."""
+    x = None if thread is None else thread.points[0].inner
+    kappa = x.kappa if isinstance(x, TowerPoint) else None
     for level in range(1, recipe.depth):
         m = recipe.p[level - 1]
         n = stage_size(recipe.p, level)
         size = m * n
         pts = [StagePoint(size, i) for i in range(size)]
-        if recipe.kappa is not None and recipe.kappa >= 2:
+        if kappa is not None and kappa >= 2:
             pts += [
-                StagePoint(size, i, TowerPoint(recipe.kappa, Address((z,))))
+                StagePoint(size, i, TowerPoint(kappa, Address((z,))))
                 for i in range(size)
                 for z in range(-8, 9)
             ]
-        if recipe.tracked is not None:
-            pts.append(recipe.tracked.points[level])
+        if thread is not None:
+            pts.append(thread.points[level])
         low_map = level_map(recipe, level)
         high_map = level_map(recipe, level + 1)
         for pt in pts:

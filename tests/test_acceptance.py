@@ -150,21 +150,17 @@ def test_03_recipes_commute_with_bonds():
         p = _factor_sequence(top)
         depth = len(p) + 1
         sizes = [stage_size(p, lvl) for lvl in range(1, depth + 1)]
+        # a level-2 thread, so translations meet the integer stops too
+        thread = _tower_thread(p, depth, TowerPoint(2, Address((3,))), 0)
         recipes = []
         for r in {0, 1, top // 2, top - 1}:
             rotations = tuple(r % s for s in sizes)
-            recipes.append(HomeoRecipe(p=p, rotations=rotations, kappa=2))
-            recipes.append(
-                HomeoRecipe(p=p, rotations=rotations, translate_by=-2, kappa=2)
-            )
+            recipes.append(HomeoRecipe(p=p, rotations=rotations))
+            recipes.append(HomeoRecipe(p=p, rotations=rotations, translate_by=-2))
         for k in (1, 5):
-            recipes.append(
-                HomeoRecipe(
-                    p=p, rotations=(0,) * depth, translate_by=k, kappa=2
-                )
-            )
+            recipes.append(HomeoRecipe(p=p, rotations=(0,) * depth, translate_by=k))
         for recipe in recipes:
-            ok, witness = verify_commutes(recipe)
+            ok, witness = verify_commutes(recipe, thread)
             if not ok:
                 failures.append("top=%d witness=%s" % (top, witness))
     _finish(3, "recipes-commute-with-bonds", start, 30, failures)
@@ -256,7 +252,7 @@ def test_05_synthesis_decisions():
         if result.status != RECIPE:
             failures.append("trial %d: no recipe for equal types" % trial)
             continue
-        ok, witness = verify_commutes(result.recipe)
+        ok, witness = verify_commutes(result.recipe, x)
         if not ok:
             failures.append("trial %d: verify failed %s" % (trial, witness))
         elif apply_recipe(result.recipe, x) != y:

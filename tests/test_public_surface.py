@@ -23,7 +23,7 @@ PUBLIC = [
     "Address", "Arc", "CnfOrdinal", "CommandError", "DEFAULT_DEPTH_BOUND",
     "DepthBoundError", "DirectLimitElement", "EndpointError", "HomeoRecipe",
     "IDENTITY_TOKEN", "INTERVAL_KIND", "IntervalAutToken", "InvalidPointError",
-    "JOINT_MODE", "LONG_MODE", "LevelMismatchError", "LongPoint",
+    "LONG_MODE", "LevelMismatchError", "LongPoint",
     "LongSolError", "MIN", "NG_KIND", "NOT_PROVEN", "NotSameOrbitError",
     "OMEGA", "ONE", "OrbitAnswer", "OrbitClassLabel", "PROVEN_DISTINCT",
     "ParseError", "RECIPE", "SAME", "SequenceDescriptor", "StageDomainError",

@@ -141,7 +141,6 @@ def test_stage_size():
 def test_thread_validation():
     t = joints_thread((2, 3), (0, 0, 2))
     assert t.depth == 3
-    assert t.mode == "joint"
     assert str(t) == "inf0; inf0; inf2"
     with pytest.raises(ThreadMismatchError):
         Thread((1, 3), t.points)
@@ -234,9 +233,30 @@ def test_recipe_normalization():
     with pytest.raises(ThreadMismatchError):
         HomeoRecipe(p=(), rotations=(0, 1))
     with pytest.raises(ThreadMismatchError):
-        HomeoRecipe(p=(2,), rotations=(0, 1), tracked=(joint(1, 0),))
-    with pytest.raises(ThreadMismatchError):
         HomeoRecipe(p=(2, 0), rotations=(0, 1, 0))  # no stage has zero copies
+
+
+def test_recipe_is_its_level_maps():
+    # the level a recipe is verified at is read from the thread it moves
+    for extra in (dict(kappa=3), dict(tracked=joints_thread((2,), (0, 1)))):
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            HomeoRecipe(p=(2,), rotations=(0, 1), **extra)
+
+
+@pytest.mark.parametrize("verify", [verify_commutes, ref_verify_commutes])
+def test_level_one_hat_on_a_level_three_thread(verify):
+    # the recipe cannot claim a level of its own; the thread's decides
+    hat = IntervalAutToken(TowerPoint(1, Address((), W)), TowerPoint(1, Address((), W2)))
+    recipe = HomeoRecipe(p=(2,), rotations=(0, 1), hat=hat)
+    inner = TowerPoint(3, Address((1, 2), W))
+    thread = Thread((2,), (StagePoint(1, 0, inner), StagePoint(2, 1, inner)))
+    with pytest.raises(TokenUndefinedError,
+                       match="^token lives at level 1, point at level 3$"):
+        verify(recipe, thread)
+    # at the hat's own level the source goes to the target, and no stops
+    # of another level are checked
+    at_source = Thread((2,), (StagePoint(1, 0, hat.source), StagePoint(2, 1, hat.source)))
+    assert verify(recipe, at_source) == (True, None)
 
 
 def test_level_map_order():
@@ -245,7 +265,7 @@ def test_level_map_order():
         source=TowerPoint(1, Address((), W)),
         target=TowerPoint(1, Address((), W2)),
     )
-    recipe = HomeoRecipe(p=(2,), rotations=(0, 1), translate_by=3, hat=hat, kappa=2)
+    recipe = HomeoRecipe(p=(2,), rotations=(0, 1), translate_by=3, hat=hat)
     x = StagePoint(2, 0, TowerPoint(2, Address((4,), W)))
     out = level_map(recipe, 2)(x)
     assert out == StagePoint(2, 1, TowerPoint(2, Address((7,), W2)))
@@ -258,7 +278,7 @@ def test_pure_rotation_recipe():
     assert result.status == RECIPE
     recipe = result.recipe
     assert recipe.rotations == (0, 1, 3)
-    ok, why = verify_commutes(recipe)
+    ok, why = verify_commutes(recipe, x)
     assert ok and why is None
     assert apply_recipe(recipe, x) == y
     assert level_map(recipe, 2)(joint(2, 0)) == joint(2, 1)
@@ -358,7 +378,9 @@ def _thread(draw, p, depth, kappa, hat):
 
 
 @st.composite
-def recipes(draw):
+def recipes_and_threads(draw):
+    """A recipe and a thread of its depth and exponents; the thread's level
+    is drawn beside the hat's, so the two may disagree."""
     p = tuple(draw(st.lists(st.sampled_from([1, 2, 3]), min_size=1, max_size=3)))
     depth = draw(st.integers(1, len(p) + 1))
     base = draw(st.integers(0, 30))
@@ -368,15 +390,13 @@ def recipes(draw):
     )
     kappa = draw(st.sampled_from([None, 1, 2, 3]))
     hat = _hat(draw, kappa)
-    tracked = _thread(draw, p, depth, kappa, hat) if draw(st.booleans()) else None
-    return HomeoRecipe(
+    recipe = HomeoRecipe(
         p=p,
         rotations=rotations,
         translate_by=draw(st.sampled_from([0, 0, 1, -2, 5])),
         hat=hat,
-        kappa=kappa,
-        tracked=tracked,
     )
+    return recipe, _thread(draw, p, depth, kappa, hat)
 
 
 def _outcome(fn, *args):
@@ -386,18 +406,13 @@ def _outcome(fn, *args):
         return type(err), str(err)
 
 
-@given(recipes())
-def test_verify_commutes_matches_every_copy(recipe):
-    outcome = _outcome(verify_commutes, recipe)
-    assert outcome == _outcome(ref_verify_commutes, recipe)
+@given(recipes_and_threads(), st.booleans())
+def test_verify_commutes_matches_every_copy(pair, joints_only):
+    args = pair[:1] if joints_only else pair
+    outcome = _outcome(verify_commutes, *args)
+    assert outcome == _outcome(ref_verify_commutes, *args)
     # the split shows under --hypothesis-show-statistics
     event("error" if isinstance(outcome[0], type) else "ok" if outcome[0] else "fail")
-
-
-@st.composite
-def recipes_and_threads(draw):
-    recipe = draw(recipes())
-    return recipe, _thread(draw, recipe.p, recipe.depth, recipe.kappa, recipe.hat)
 
 
 @given(recipes_and_threads())
@@ -407,23 +422,22 @@ def test_apply_recipe_matches_every_level(pair):
     event("error" if isinstance(outcome, tuple) else "image")
 
 
-def test_tracked_is_a_thread_of_the_recipe():
-    t = joints_thread((2, 3), (0, 1, 3))
-    assert HomeoRecipe(p=(2, 3), rotations=(0, 0, 0), tracked=t).tracked is t
-    # a deeper exponent list is fine; only the first depth - 1 must agree
-    assert HomeoRecipe(p=(2, 3), rotations=(0, 0), tracked=joints_thread((2, 5), (0, 1)))
-    rejected = [
-        t.points,  # the points alone, bonding or not
-        list(t.points),
-        (joint(1, 0), joint(2, 1), joint(6, 2)),  # inf2 does not bond onto inf1
-        (joint(1, 0), joint(3, 1), joint(6, 1)),  # level 2 off its stage
-        joints_thread((2, 3), (0, 1)),  # another depth
-        joints_thread((2, 3, 2), (0, 1, 3, 3)),
-        joints_thread((3, 2), (0, 1, 4)),  # other exponents
-    ]
-    for tracked in rejected:
-        with pytest.raises(ThreadMismatchError, match="tracked is a thread"):
-            HomeoRecipe(p=(2, 3), rotations=(0, 0, 0), tracked=tracked)
+@pytest.mark.parametrize("thread", [
+    pytest.param(joints_thread((2, 3), (0, 1)), id="shallower"),
+    pytest.param(joints_thread((2, 3, 2), (0, 1, 3, 3)), id="deeper"),
+    pytest.param(joints_thread((3, 2), (0, 1, 4)), id="other-exponents"),
+])
+@pytest.mark.parametrize("check", [apply_recipe, verify_commutes],
+                         ids=["apply_recipe", "verify_commutes"])
+def test_recipe_and_thread_share_a_shape(check, thread):
+    recipe = HomeoRecipe(p=(2, 3), rotations=(0, 0, 0))
+    with pytest.raises(ThreadMismatchError,
+                       match="^recipe and thread disagree on depth or exponents$"):
+        check(recipe, thread)
+    # a longer exponent list is fine; only the first depth - 1 must agree
+    longer = joints_thread((2, 5), (0, 1))
+    expected = {apply_recipe: longer, verify_commutes: (True, None)}[check]
+    assert check(HomeoRecipe(p=(2, 3), rotations=(0, 0)), longer) == expected
 
 
 @pytest.mark.parametrize("depth", [2, 10])
@@ -441,12 +455,11 @@ def test_inner_coordinate_is_mapped_once(monkeypatch, depth, kappa):
     inner = None if kappa is None else TowerPoint(kappa, Address((3,), W))
     x = Thread(p, [StagePoint(stage_size(p, lvl), 1, inner)
                    for lvl in range(1, depth + 1)])
-    recipe = HomeoRecipe(p=p, rotations=(1,) * depth, translate_by=2 if kappa else 0,
-                         kappa=kappa, tracked=x)
+    recipe = HomeoRecipe(p=p, rotations=(1,) * depth, translate_by=2 if kappa else 0)
     y = apply_recipe(recipe, x)
     assert calls == [inner]
     calls.clear()
-    assert verify_commutes(recipe) == (True, None)
+    assert verify_commutes(recipe, x) == (True, None)
     assert len(calls) == (18 if kappa else 1) and calls[-1] == inner
     assert y == ref_apply_recipe(recipe, x)
 
@@ -458,7 +471,7 @@ def test_translation_recipe_round_trip():
     assert result.status == RECIPE
     assert result.recipe.translate_by == 5
     assert result.recipe.hat == IDENTITY_TOKEN
-    assert verify_commutes(result.recipe) == (True, None)
+    assert verify_commutes(result.recipe, x) == (True, None)
     assert apply_recipe(result.recipe, x) == y
 
 
@@ -469,16 +482,16 @@ def test_tower_synthesis_uses_hat():
     assert result.status == RECIPE
     recipe = result.recipe
     assert recipe.translate_by == 1
-    assert not recipe.hat.is_identity
-    assert recipe.kappa == 3
+    assert recipe.hat.kappa == 2  # one level below the points
     assert apply_recipe(recipe, x) == y
-    assert verify_commutes(recipe)[0]
+    assert verify_commutes(recipe, x)[0]
 
 
 def test_synthesis_proven_distinct_tower():
     x = Thread((), (joint(1, 0),))
     y = Thread((), (stop(1, 0, 4),))
     assert synthesize_recipe(x, y).status == PROVEN_DISTINCT
+    assert synthesize_recipe(y, x).status == PROVEN_DISTINCT
     base = Thread((), (StagePoint(1, 0, TowerPoint(2, Address((4,), W))),))
     assert synthesize_recipe(y, base).status == PROVEN_DISTINCT
 
@@ -507,16 +520,19 @@ def test_synthesis_long_mode():
 def test_synthesis_shape_rejections():
     t1 = Thread((), (joint(1, 0),))
     t2 = joints_thread((2,), (0, 0))
-    with pytest.raises(ThreadMismatchError):
+    with pytest.raises(ThreadMismatchError, match="^threads differ in depth$"):
         synthesize_recipe(t1, t2)
-    with pytest.raises(ThreadMismatchError):
+    with pytest.raises(ThreadMismatchError, match="^threads differ in bonding exponents$"):
         synthesize_recipe(joints_thread((2,), (0, 1)), joints_thread((3,), (0, 1)))
     tower = Thread((), (stop(1, 0, 4),))
     line = Thread((), (StagePoint(1, 0, LongPoint(rho=W)),))
-    with pytest.raises(ThreadMismatchError):
-        synthesize_recipe(tower, line)
+    for pair in ((tower, line), (line, tower)):
+        with pytest.raises(ThreadMismatchError,
+                           match="^threads mix tower and long-line material$"):
+            synthesize_recipe(*pair)
     deeper = Thread((), (StagePoint(1, 0, TowerPoint(3, Address((4,)))),))
-    with pytest.raises(ThreadMismatchError):
+    with pytest.raises(ThreadMismatchError,
+                       match="^threads live at different tower levels$"):
         synthesize_recipe(tower, deeper)
 
 
@@ -548,7 +564,7 @@ def test_tower_hat_fixed_region():
         target=TowerPoint(1, Address((), mul(W, nat(2)))),
         fixed_above=TowerPoint(1, Address((), W2)),
     )
-    recipe = HomeoRecipe(p=(2,), rotations=(0, 1), hat=hat, kappa=1)
+    recipe = HomeoRecipe(p=(2,), rotations=(0, 1), hat=hat)
 
     def thread(rho):
         inner = TowerPoint(1, Address((), rho))
@@ -602,7 +618,7 @@ def test_tower_hat_fixes_rests_above_its_ceiling():
         StagePoint(2, 1, TowerPoint(2, Address((9,), W))))
     with pytest.raises(TokenUndefinedError, match="source and its fixed region"):
         apply_hat(StagePoint(2, 1, TowerPoint(2, Address((9,), nat(5)))))
-    recipe = HomeoRecipe(p=(2,), rotations=(0, 1), translate_by=shift, hat=hat, kappa=2)
+    recipe = HomeoRecipe(p=(2,), rotations=(0, 1), translate_by=shift, hat=hat)
     thread = Thread((2,), (StagePoint(1, 0, high.inner), high))
     moved = TowerPoint(2, Address((11,), W2))
     assert apply_recipe(recipe, thread) == Thread(
