@@ -135,13 +135,41 @@ def _recipe_doc(recipe):
     ]
 
 
+_LAST3 = []  # "000" to "999", filled by the first listing past 999
+
+
+def _decimal(r, sep):
+    """``sep.join(map(str, r))`` for an ascending range ``r`` of non-negative
+    integers, written a block of a thousand at a time.  The indices from 1000
+    on that share their leading digits ``j // 1000`` print as one ``str()`` of
+    those digits joined to each index's last three digits from ``_LAST3``.
+    Each pass of the loop goes to the next non-empty block, so a range costs
+    O(len(r)) whatever its step."""
+    step, stop = r.step, r.stop
+    below = range(r.start, min(stop, 1000), step)
+    pieces = [sep.join(map(str, below))] if below else []
+    j = r.start + len(below) * step
+    if j < stop and not _LAST3:
+        _LAST3.extend("%03d" % k for k in range(1000))
+    while j < stop:
+        lead, low = divmod(j, 1000)
+        head = str(lead)
+        cells = _LAST3[low : min(stop - j + low, 1000) : step]
+        pieces.append(head + (sep + head).join(cells))
+        j += len(cells) * step
+    return sep.join(pieces)
+
+
 class _Listing:
     """An answer's strings as one %d template and indices, written on output.
 
-    A fiber (no ``root``) lists ``template % j`` for j in ``indices``.  For a
-    thread extension ``indices`` are the levels of ``extension_indices``, each
-    extending its parents' strings (``root`` at first) by ``template % j``.
-    JSON escapes one character at a time, so ``json()`` escapes both once."""
+    A fiber (no ``root``) lists ``template % j`` for j in ``indices``, an
+    ascending range, whose JSON ``_decimal`` writes with one ``str()`` per
+    thousand indices.  For a thread extension ``indices`` are the levels of
+    ``extension_indices``, each extending its parents' strings (``root`` at
+    first) by ``template % j``.  JSON escapes one character at a time, so
+    ``json_pieces()`` escapes both once, and ``_render`` joins its pieces
+    into the whole document once."""
 
     def __init__(self, template, indices, root=None):
         self.template, self.indices, self.root = template, indices, root
@@ -158,16 +186,17 @@ class _Listing:
     def __iter__(self):
         return iter(self._strings(str))
 
-    def json(self):
-        """The JSON array of the strings, byte for byte as ``json.dumps``."""
+    def json_pieces(self):
+        """Strings that concatenate to the JSON array of the strings, byte
+        for byte as ``json.dumps`` writes it."""
         def escape(text):  # as written between a JSON string's quotes
             return json.dumps(text)[1:-1]
         if self.root is None and self.indices:
             head, tail = escape(self.template).split("%d")
-            joined = (tail + '", "' + head).join(map(str, self.indices))
-            return '["%s%s%s"]' % (head, joined, tail)
+            joined = _decimal(self.indices, tail + '", "' + head)
+            return ['["', head, joined, tail, '"]']
         strings = self._strings(escape)
-        return '["%s"]' % '", "'.join(strings) if strings else "[]"
+        return ['["', '", "'.join(strings), '"]'] if strings else ["[]"]
 
 
 def _cmd_ord(args):
@@ -452,12 +481,18 @@ def _render(doc, fmt="json"):
         return "\n".join(_flatten(doc))
     if not any(isinstance(value, _Listing) for value in doc.values()):
         return json.dumps(doc, sort_keys=True)
-    # a listing writes its own array; json.dumps writes each other value
-    return "{%s}" % ", ".join(
-        "%s: %s" % (json.dumps(key), value.json() if isinstance(value, _Listing)
-                    else json.dumps(value))
-        for key, value in sorted(doc.items())
-    )
+    # a listing writes its own array and json.dumps each other value; the
+    # document is joined once, its first ", " turned into "{"
+    pieces = []
+    for key, value in sorted(doc.items()):
+        pieces += (", ", json.dumps(key), ": ")
+        if isinstance(value, _Listing):
+            pieces += value.json_pieces()
+        else:
+            pieces.append(json.dumps(value))
+    pieces[0] = "{"
+    pieces.append("}")
+    return "".join(pieces)
 
 
 def main(argv=None):

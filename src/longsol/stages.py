@@ -305,6 +305,9 @@ def _map_inner(hat, k, x):
 
 
 def _check_thread(recipe, thread):
+    if not isinstance(thread, Thread):
+        raise ThreadMismatchError(
+            "a recipe acts on a Thread, not %s" % type(thread).__name__)
     d = recipe.depth
     if d != thread.depth or recipe.p[: d - 1] != thread.p[: d - 1]:
         raise ThreadMismatchError("recipe and thread disagree on depth or exponents")

@@ -11,6 +11,7 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 from io import StringIO
+from itertools import product
 from math import prod
 from pathlib import Path
 
@@ -36,6 +37,7 @@ from longsol import (
 from longsol.cli import (
     COMMANDS,
     OPERATION_COVERAGE,
+    _decimal,
     _Listing,
     build_parser,
     main,
@@ -611,8 +613,8 @@ def test_thread_extend_text_matches_library(p, given_depth, top, inner, data):
     assert _stdout(argv) == _json_line({"count": len(threads), "threads": threads})
 
 
-# The command line keeps both answers as a template and indices and writes
-# them in one join; reference_models keeps the strings-then-json.dumps
+# The command line keeps both answers as a template and indices and joins
+# the document once; reference_models keeps the strings-then-json.dumps
 # renderer.  Both must print the same bytes, at sizes up to the bench's.
 
 BIG_BOUNDS = {"LONGSOL_INDEX_BOUND": "65536", "LONGSOL_DEPTH": "13"}
@@ -646,6 +648,7 @@ def fiber_sizes(draw):
 
 @settings(max_examples=40, deadline=None)
 @example((65536, 1, 0), ([], None), "text")
+@example((65536, 1, 0), ([], None), "json")
 @example((256, 256, 255), (["--long"], LongPoint(nat(2), nat(3), F(1, 2))), "json")
 @given(fiber_sizes(), inner_points(), FORMATS)
 def test_fiber_renders_as_materialised(size, inner, fmt):
@@ -689,22 +692,75 @@ def test_thread_extend_renders_as_materialised(case, fmt):
     assert_same_text(_stdout_under(BIG_BOUNDS, argv), ref_render(doc, fmt) + "\n")
 
 
+def _listing_json(listing):
+    return "".join(listing.json_pieces())
+
+
 def test_listing_json_escapes_template_as_json_dumps_does():
     # a quote, a backslash, control characters and non-ASCII characters,
     # each of which json.dumps writes as an escape
     template = 'a"b\\c\x01d\u00e9 %d \u2028\x7f\t"'
     indices = range(3, 40, 7)
     fiber = _Listing(template, indices)
-    assert fiber.json() == json.dumps([template % j for j in indices])
+    assert _listing_json(fiber) == json.dumps([template % j for j in indices])
     assert list(fiber) == [template % j for j in indices]
-    assert _Listing(template, range(0)).json() == json.dumps([])
+    assert _listing_json(_Listing(template, range(0))) == json.dumps([])
+    # indices past 1000 go by the block writer
+    past = range(997, 3004, 3)
+    assert _listing_json(_Listing(template, past)) == json.dumps(
+        [template % j for j in past])
     root, t = '"\\\x1f\u0663', "; " + template
     levels = [[(0, 1), (0, 2)], [(1, 5), (0, 6), (1, 7)]]
     first = [root + t % 1, root + t % 2]
     threads = [first[1] + t % 5, first[0] + t % 6, first[1] + t % 7]
     extension = _Listing(t, levels, root)
-    assert extension.json() == json.dumps(threads)
+    assert _listing_json(extension) == json.dumps(threads)
     assert list(extension) == threads
+
+
+# _decimal writes a fiber's indices by blocks of a thousand; it must equal
+# the plain join at every block edge and at any step
+
+DECIMAL_STARTS = (0, 1, 999, 1000, 1001, 12345)
+DECIMAL_STEPS = (1, 2, 7, 125, 999, 1000, 1001, 10**8)
+DECIMAL_STOPS = (1000, 1001, 10000, 10001, 65536, 65537)
+
+
+def test_decimal_equals_plain_join_at_block_edges():
+    for start, step, stop in product(DECIMAL_STARTS, DECIMAL_STEPS, DECIMAL_STOPS):
+        r = range(start, stop, step)
+        if len(r) > 10**5:
+            continue
+        for sep in ("", '", "inf'):
+            assert _decimal(r, sep) == sep.join(map(str, r)), (start, step, stop, sep)
+
+
+@st.composite
+def fiber_shapes(draw):
+    """(i, n, m) with m*n up to 2^17."""
+    n = draw(st.integers(1, 2**17))
+    return draw(st.integers(0, n - 1)), n, draw(st.integers(1, 2**17 // n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(fiber_shapes())
+def test_decimal_writes_a_fiber_as_the_plain_join(shape):
+    i, n, m = shape
+    r = range(i, m * n, n)
+    assert _decimal(r, ", ") == ", ".join(map(str, r))
+
+
+def test_sparse_huge_fiber_answers_in_bounded_time(capsys):
+    # three indices spread over 2*10^8 blocks of a thousand: the block
+    # writer steps from one non-empty block to the next
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("LONGSOL_INDEX_BOUND", str(10**12))
+        t0 = time.perf_counter()
+        answer = run(capsys, "fiber", "--m", "3", "--n", str(10**11), "--point", "inf5")
+        elapsed = time.perf_counter() - t0
+    assert answer == (0, {"stage": 3 * 10**11, "points": [
+        "inf5", "inf100000000005", "inf200000000005"]})
+    assert elapsed < 0.5
 
 
 # ---------------------------------------------------------------------------

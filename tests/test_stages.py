@@ -440,6 +440,21 @@ def test_recipe_and_thread_share_a_shape(check, thread):
     assert check(HomeoRecipe(p=(2, 3), rotations=(0, 0)), longer) == expected
 
 
+@pytest.mark.parametrize("check", [apply_recipe, verify_commutes],
+                         ids=["apply_recipe", "verify_commutes"])
+def test_recipe_acts_on_threads_only(check):
+    recipe = HomeoRecipe(p=(2,), rotations=(0, 1))
+    points = joints_thread((2,), (0, 1)).points
+    with pytest.raises(ThreadMismatchError, match="^a recipe acts on a Thread, not tuple$"):
+        check(recipe, points)
+    if check is verify_commutes:  # no thread: the joints alone
+        assert check(recipe, None) == (True, None)
+    else:
+        with pytest.raises(ThreadMismatchError,
+                           match="^a recipe acts on a Thread, not NoneType$"):
+            check(recipe, None)
+
+
 @pytest.mark.parametrize("depth", [2, 10])
 @pytest.mark.parametrize("kappa", [None, 2])
 def test_inner_coordinate_is_mapped_once(monkeypatch, depth, kappa):
