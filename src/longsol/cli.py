@@ -139,12 +139,12 @@ _LAST3 = []  # "000" to "999", filled by the first listing past 999
 
 
 def _decimal(r, sep):
-    """``sep.join(map(str, r))`` for an ascending range ``r`` of non-negative
-    integers, written a block of a thousand at a time.  The indices from 1000
-    on that share their leading digits ``j // 1000`` print as one ``str()`` of
-    those digits joined to each index's last three digits from ``_LAST3``.
-    Each pass of the loop goes to the next non-empty block, so a range costs
-    O(len(r)) whatever its step."""
+    """Pieces that concatenate to ``sep.join(map(str, r))`` for an ascending
+    range ``r`` of non-negative integers, written a block of a thousand at a
+    time.  The indices from 1000 on that share their leading digits
+    ``j // 1000`` print as one ``str()`` of those digits joined to each
+    index's last three digits from ``_LAST3``.  Each pass of the loop goes to
+    the next non-empty block, so a range costs O(len(r)) whatever its step."""
     step, stop = r.step, r.stop
     below = range(r.start, min(stop, 1000), step)
     pieces = [sep.join(map(str, below))] if below else []
@@ -155,9 +155,11 @@ def _decimal(r, sep):
         lead, low = divmod(j, 1000)
         head = str(lead)
         cells = _LAST3[low : min(stop - j + low, 1000) : step]
-        pieces.append(head + (sep + head).join(cells))
+        if pieces:
+            pieces.append(sep)
+        pieces += (head, (sep + head).join(cells))
         j += len(cells) * step
-    return sep.join(pieces)
+    return pieces
 
 
 class _Listing:
@@ -188,15 +190,21 @@ class _Listing:
 
     def json_pieces(self):
         """Strings that concatenate to the JSON array of the strings, byte
-        for byte as ``json.dumps`` writes it."""
+        for byte as ``json.dumps`` writes it.  No piece joins the strings
+        themselves: the document they go into is the one large string."""
         def escape(text):  # as written between a JSON string's quotes
             return json.dumps(text)[1:-1]
         if self.root is None and self.indices:
             head, tail = escape(self.template).split("%d")
-            joined = _decimal(self.indices, tail + '", "' + head)
-            return ['["', head, joined, tail, '"]']
+            numbers = _decimal(self.indices, tail + '", "' + head)
+            return ['["', head, *numbers, tail, '"]']
         strings = self._strings(escape)
-        return ['["', '", "'.join(strings), '"]'] if strings else ["[]"]
+        if not strings:
+            return ["[]"]
+        # '["', the first string, '", "', the second, ..., '"]'
+        pieces = ['", "'] * (2 * len(strings) + 1)
+        pieces[0], pieces[1::2], pieces[-1] = '["', strings, '"]'
+        return pieces
 
 
 def _cmd_ord(args):
