@@ -150,7 +150,7 @@ def _decimal(r, sep):
     pieces = [sep.join(map(str, below))] if below else []
     j = r.start + len(below) * step
     if j < stop and not _LAST3:
-        _LAST3.extend("%03d" % k for k in range(1000))
+        _LAST3[:] = ["%03d" % k for k in range(1000)]
     while j < stop:
         lead, low = divmod(j, 1000)
         head = str(lead)
