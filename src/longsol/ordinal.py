@@ -8,10 +8,13 @@ coordinate in the package: block counts on the long line, countable
 remainders, and tower base coordinates.
 
 Addition and multiplication are the usual non-commutative ordinal
-operations, written as the functions ``add`` and ``mul``.  Nesting depth
-is bounded at 16 (``DEFAULT_DEPTH_BOUND``, fixed) so that ``omega_pow``
-cannot silently build towers the rest of the code cannot afford to
-normalize; exceeding the bound raises :class:`DepthBoundError`.
+operations, written as the functions ``add`` and ``mul``.  ``add`` takes
+any number of summands and sums them by one rule, in time linear in their
+terms: a summand's leading term absorbs the smaller terms before it and
+merges into an equal one.  Nesting depth is bounded at 16
+(``DEFAULT_DEPTH_BOUND``, fixed) so that ``omega_pow`` cannot silently
+build towers the rest of the code cannot afford to normalize; exceeding
+the bound raises :class:`DepthBoundError`.
 """
 
 from .errors import DepthBoundError, Record
@@ -105,32 +108,30 @@ def compare(a, b):
     return 0
 
 
-def add(a, b):
-    """Ordinal sum a + b.
+def add(*summands):
+    """Ordinal sum of any number of summands, left to right; 0 for none.
 
-    Terms of a whose exponent is below the leading exponent of b are
-    absorbed; an equal-exponent term merges its coefficient into b's head.
+    Each summand is in normal form, so only its leading term meets the
+    terms kept so far: it absorbs the kept terms of smaller exponent and
+    merges its coefficient into one of equal exponent, and its other terms
+    follow as they are.  Every comparison keeps the head or pops a kept
+    term, so the cost is linear in the number of terms, and the result is
+    built once.  A sum with at most one nonzero summand is that summand.
     """
-    if not b.terms:
-        return a
-    if not a.terms:
-        return b
-    lead = b.terms[0][0]
-    keep = []
-    merged = None
-    for exp, coeff in a.terms:
-        rel = compare(exp, lead)
-        if rel > 0:
-            keep.append((exp, coeff))
-        elif rel == 0:
-            merged = coeff
-            break
-        else:
-            break
-    if merged is None:
-        return CnfOrdinal(tuple(keep) + b.terms)
-    head = (lead, merged + b.terms[0][1])
-    return CnfOrdinal(tuple(keep) + (head,) + b.terms[1:])
+    nonzero = [x for x in summands if x.terms]
+    if len(nonzero) < 2:
+        return nonzero[0] if nonzero else ZERO
+    terms = list(nonzero[0].terms)
+    for x in nonzero[1:]:
+        lead, coeff = x.terms[0]
+        rel = -1
+        while terms and (rel := compare(terms[-1][0], lead)) < 0:
+            terms.pop()
+        if rel == 0:
+            coeff += terms.pop()[1]
+        terms.append((lead, coeff))
+        terms.extend(x.terms[1:])
+    return CnfOrdinal(terms)
 
 
 def mul(a, b):

@@ -8,7 +8,9 @@ Ordinals follow the grammar
 
 so bare exponents are single powers of w (right associated) or naturals,
 and anything else is parenthesized; this keeps printing and parsing
-inverse to each other.  Sums in any order are normalized, not rejected.
+inverse to each other.  Sums in any order are normalized, not rejected,
+and each literal is summed once, by one ``add`` over all its terms, so it
+is read in time linear in its length.
 
 Long points read ``w1*(ORD) + ORD + N/D`` with each summand optional but
 at least one present.  Tower points are ``inf``, ``[z1,...,zj]``, or
@@ -132,10 +134,10 @@ def parse_ordinal(text, offset=0):
 
 
 def _ordinal(s, nest):
-    total = _term(s, nest)
+    terms = [_term(s, nest)]
     while s.try_eat("+"):
-        total = add(total, _term(s, nest))
-    return total
+        terms.append(_term(s, nest))
+    return add(*terms)
 
 
 def _omega(s, nest):
@@ -165,8 +167,6 @@ def _term(s, nest):
         coeff = s.nat()
     if coeff == 0:
         return ZERO
-    if exponent.is_zero:
-        return nat(coeff)
     return CnfOrdinal(((exponent, coeff),))
 
 
@@ -184,8 +184,7 @@ def _exponent(s, nest):
         s.error("expected an exponent")
     _omega(s, nest)
     if s.try_eat("^"):
-        inner = _exponent(s, nest + 1)
-        return ONE if inner.is_zero else CnfOrdinal(((inner, 1),))
+        return CnfOrdinal(((_exponent(s, nest + 1), 1),))
     return OMEGA
 
 
@@ -208,8 +207,7 @@ def _parse_unit_fraction(text, offset):
 def _parse_summands(text, offset, allow_block):
     """Shared reader for `[w1*(ORD) +] ORD parts + [N/D]` sums."""
     gamma = None
-    rho = ZERO
-    rho_seen = False
+    rho = []
     frac = None
     for piece, start in _split_top(text, "+", offset):
         stripped = piece.strip()
@@ -219,7 +217,7 @@ def _parse_summands(text, offset, allow_block):
         if stripped.startswith("w1*("):
             if not allow_block:
                 raise ParseError("no omega_1 block here", position=lead)
-            if gamma is not None or rho_seen or frac is not None:
+            if gamma is not None or rho or frac is not None:
                 raise ParseError("the block count must come first", position=lead)
             if not stripped.endswith(")"):
                 raise ParseError("unterminated block count", position=lead)
@@ -231,9 +229,8 @@ def _parse_summands(text, offset, allow_block):
         else:
             if frac is not None:
                 raise ParseError("the unit offset must come last", position=lead)
-            rho = add(rho, parse_ordinal(stripped, lead))
-            rho_seen = True
-    return gamma, rho, frac
+            rho.append(parse_ordinal(stripped, lead))
+    return gamma, add(*rho), frac
 
 
 def parse_long_point(text, offset=0):

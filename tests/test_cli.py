@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from functools import lru_cache
 from fractions import Fraction as F
 from io import StringIO
 from itertools import product
@@ -762,6 +763,61 @@ def test_sparse_huge_fiber_answers_in_bounded_time(capsys):
     assert answer == (0, {"stage": 3 * 10**11, "points": [
         "inf5", "inf100000000005", "inf200000000005"]})
     assert elapsed < 0.5
+
+
+# Linux's limit on one argument (MAX_ARG_STRLEN, 128 KiB with its NUL)
+ARG_MAX = 131071
+
+
+@lru_cache(maxsize=None)
+def _longest(template):
+    """``template`` with ``{0}`` the longest sum w^k*3 + ... + w^2*3 that
+    leaves it within one argument: the order of terms a left fold would
+    rescan at every step."""
+    def build(k):
+        return template.format("+".join("w^%d*3" % e for e in range(k, 1, -1)))
+
+    lo, hi = 2, ARG_MAX // 6
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if len(build(mid)) <= ARG_MAX else (lo, mid - 1)
+    return build(lo)
+
+
+# per family, an argv whose {0} arguments _longest fills
+BOUNDED_ARGVS = {
+    "expr": ("ord", "--expr", "{0}"),
+    "add": ("ord", "--a", "{0}", "--add", "{0}"),
+    "mul": ("ord", "--a", "{0}", "--mul", "{0}"),
+    "cmp": ("ord", "--a", "{0}", "--cmp", "{0}"),
+    "long-sum": ("classify", "--long", "--point", "{0}+1/2"),
+    "long-block": ("classify", "--long", "--point", "w1*({0})"),
+    "tower": ("classify", "--tower", "1", "--point", "[; {0}]"),
+    "thread": ("thread", "verify", "--long", "--p", "2", "--points",
+               "(0| {0}+1/2); (0| {0}+1/2)"),
+}
+
+
+@pytest.mark.parametrize("family", BOUNDED_ARGVS)
+def test_longest_ordinal_arguments_answer_in_bounded_time(capsys, family):
+    # each literal is summed once; a left fold of the binary sum took
+    # minutes on these
+    argv = [_longest(arg) if "{0}" in arg else arg for arg in BOUNDED_ARGVS[family]]
+    t0 = time.perf_counter()
+    code, doc = run(capsys, *argv)
+    elapsed = time.perf_counter() - t0
+    assert code == 0, doc
+    ord_text = _longest("{0}")
+    if family == "expr":
+        assert doc == {"normal": ord_text}
+    elif family == "add":
+        head, _, rest = ord_text.partition("*3+")
+        assert doc == {"result": "%s*6+%s" % (head, rest)}
+    elif family == "cmp":
+        assert doc == {"order": "equal"}
+    elif family == "thread":
+        assert doc == {"valid": True, "depth": 2, "top_stage": 2}
+    assert elapsed < 1.0, elapsed
 
 
 # ---------------------------------------------------------------------------

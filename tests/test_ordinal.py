@@ -1,6 +1,6 @@
 """Ordinal arithmetic: frozen cases, law suites, and the vector model."""
 
-from functools import cmp_to_key, lru_cache
+from functools import cmp_to_key, lru_cache, reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +17,7 @@ from longsol import (
     mul,
     nat,
     omega_pow,
+    parse_ordinal,
 )
 from reference_models import (
     cnf_to_vec,
@@ -173,9 +174,13 @@ def _normalize(pairs):
     return CnfOrdinal(tuple(ordered))
 
 
-ordinals = st.lists(
-    st.tuples(exponents, st.integers(1, 4)), max_size=3
-).map(_normalize)
+def _ordinals(exps):
+    return st.lists(st.tuples(exps, st.integers(1, 4)), max_size=3).map(_normalize)
+
+
+ordinals = _ordinals(exponents)
+# the ordinals of the dense-vector model: finite exponents only
+vector_ordinals = _ordinals(finite_ordinals)
 
 
 @given(ordinals, ordinals, ordinals)
@@ -213,3 +218,32 @@ def test_add_monotone(a, b):
 def test_add_identity(a):
     assert add(a, ZERO) == a
     assert add(ZERO, a) == a
+
+
+# ---------------------------------------------------------------------------
+# the sum of any number of summands
+
+
+def test_add_of_at_most_one_nonzero_summand_is_that_summand():
+    assert add() is ZERO
+    assert add(ZERO, W2, ZERO) is W2
+    assert add(OMEGA, ZERO) is OMEGA
+
+
+def test_add_absorbs_across_summands():
+    # w + w^2*2 + w^3 + w + 1 + w = w^3 + w*2: one head pops two kept terms
+    assert add(OMEGA, mul(W2, nat(2)), W3, OMEGA, ONE, OMEGA) == add(W3, mul(OMEGA, nat(2)))
+
+
+@given(st.lists(vector_ordinals, max_size=6))
+def test_nary_add_matches_model(xs):
+    expected = vec_to_cnf(reduce(vec_add, map(cnf_to_vec, xs), ()))
+    assert add(*xs) == expected
+    assert reduce(add, xs, ZERO) == expected
+
+
+@given(st.lists(ordinals, max_size=6))
+def test_nary_add_is_the_left_fold_and_the_parsed_sum(xs):
+    total = add(*xs)
+    assert total == reduce(add, xs, ZERO)
+    assert parse_ordinal("+".join(map(str, xs)) or "0") == total
