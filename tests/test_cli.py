@@ -800,8 +800,8 @@ BOUNDED_ARGVS = {
 
 @pytest.mark.parametrize("family", BOUNDED_ARGVS)
 def test_longest_ordinal_arguments_answer_in_bounded_time(capsys, family):
-    # each literal is summed once; a left fold of the binary sum took
-    # minutes on these
+    # each literal is summed once, so it is read in time linear in its
+    # length; summing term by term would rescan the kept terms at each '+'
     argv = [_longest(arg) if "{0}" in arg else arg for arg in BOUNDED_ARGVS[family]]
     t0 = time.perf_counter()
     code, doc = run(capsys, *argv)
