@@ -8,10 +8,13 @@ reader that closes stdout early ends the call with exit 1 and no traceback.
 Two environment knobs bound the work done per call, and each is checked
 before the work it bounds starts: ``LONGSOL_DEPTH`` caps thread depth
 (default 6) and ``LONGSOL_INDEX_BOUND`` caps stage sizes (default 48); a
-call over either fails with ``bad-command``.  Ordinal literals nesting
-deeper than 16, and integer literals past ``int``'s digit limit, fail
-with ``representation-overflow`` while they are read; so does an answer
-or message that would print an integer past that limit.
+call over either fails with ``bad-command``.  A bound is read once per
+call, at its first check, and only where it is checked: ``orbit`` and
+``thread`` check both, ``fiber`` and ``indecomp`` the index bound only,
+and every other subcommand ignores even a malformed value.  Ordinal
+literals nesting deeper than 16, and integer literals past ``int``'s
+digit limit, fail with ``representation-overflow`` while they are read;
+so does an answer or message that would print an integer past that limit.
 """
 
 import argparse
@@ -50,6 +53,9 @@ from .tower import point_type
 
 DEFAULT_DEPTH = 6
 DEFAULT_INDEX_BOUND = 48
+# each work bound's variable, what it caps, and its default
+_BOUNDS = {"LONGSOL_INDEX_BOUND": ("stage size", DEFAULT_INDEX_BOUND),
+           "LONGSOL_DEPTH": ("depth", DEFAULT_DEPTH)}
 
 
 def _int(text):
@@ -60,31 +66,22 @@ def _int(text):
         raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
 
 
-def _env_int(name, default):
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        value = parsing._parse_int(raw, 0)
-    except LongSolError:
-        raise CommandError("%s must be an integer" % name) from None
-    if value < 1:
-        raise CommandError("%s must be positive" % name)
-    return value
-
-
-def _check_stage(size):
-    bound = _env_int("LONGSOL_INDEX_BOUND", DEFAULT_INDEX_BOUND)
+def _check(args, name, size):
+    """Fail unless ``size`` is within the bound ``name``, read from the
+    environment at its first check in a call and kept in ``args.bounds``."""
+    caps, default = _BOUNDS[name]
+    if name not in args.bounds:
+        raw = os.environ.get(name)
+        try:
+            bound = default if raw is None else parsing._parse_int(raw, 0)
+        except LongSolError:
+            raise CommandError("%s must be an integer" % name) from None
+        if bound < 1:
+            raise CommandError("%s must be positive" % name)
+        args.bounds[name] = bound
+    bound = args.bounds[name]
     if size > bound:
-        raise CommandError(
-            "stage size %d exceeds LONGSOL_INDEX_BOUND=%d" % (size, bound)
-        )
-
-
-def _check_depth(depth):
-    bound = _env_int("LONGSOL_DEPTH", DEFAULT_DEPTH)
-    if depth > bound:
-        raise CommandError("depth %d exceeds LONGSOL_DEPTH=%d" % (depth, bound))
+        raise CommandError("%s %d exceeds %s=%d" % (caps, size, name, bound))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -108,12 +105,12 @@ def _mode(args, required=True):
 
 def _exponents(args):
     exps = parsing.parse_exponents(args.p)
-    _check_stage(1)  # a bad LONGSOL_INDEX_BOUND is reported before a bad exponent
     for k, size in zip(exps, accumulate(exps, operator.mul)):
+        # the first k < 1 makes size <= 0: the bound is read, never tripped
+        _check(args, "LONGSOL_INDEX_BOUND", size)
         if k < 1:
             raise CommandError("bonding exponents are positive")
-        _check_stage(size)
-    _check_depth(len(exps) + 1)
+    _check(args, "LONGSOL_DEPTH", len(exps) + 1)
     return exps
 
 
@@ -262,7 +259,7 @@ def _cmd_orbit(args):
 def _cmd_fiber(args):
     if args.m < 1 or args.n < 1:
         raise CommandError("--m and --n are positive")
-    _check_stage(args.m * args.n)
+    _check(args, "LONGSOL_INDEX_BOUND", args.m * args.n)
     joint = args.point.strip().startswith("inf")
     mode, kappa = (None, None) if joint else _mode(args)
     q = parsing.parse_stage_point(args.point, args.n, mode, kappa)
@@ -291,7 +288,7 @@ def _cmd_thread_extend(args):
     thread = parsing.parse_thread(_exponents(args), args.points, mode, kappa)
     if args.levels < 1:
         raise CommandError("--levels is positive")
-    _check_depth(thread.depth + args.levels)
+    _check(args, "LONGSOL_DEPTH", thread.depth + args.levels)
     levels = extension_indices(thread, args.levels)
     text = "; " + point_format(thread.points[0].inner)
     return {"count": len(levels[-1]), "threads": _Listing(text, levels, str(thread))}
@@ -302,7 +299,7 @@ def _cmd_indecomp(args):
         raise CommandError("--n is positive")
     if args.pn < 1:
         raise CommandError("--pn is positive")
-    _check_stage(args.pn * args.n)
+    _check(args, "LONGSOL_INDEX_BOUND", args.pn * args.n)
     c_arc = parsing.parse_arc(args.c_arc, args.n)
     g_arc = parsing.parse_arc(args.g_arc, args.n)
     report = indecomposability_witness(args.pn, args.n, c_arc, g_arc)
@@ -509,6 +506,7 @@ def main(argv=None):
         if _parser is None:
             _parser = build_parser()
         args = _parser.parse_args(argv)
+        args.bounds = {}  # the work bounds read so far in this call
         text, code = _render(args.handler(args), args.format), 0
     except Exception as err:
         if isinstance(err, ValueError) and "integer string conversion" in str(err):

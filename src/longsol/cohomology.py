@@ -12,13 +12,14 @@ Bonding sequences here are eventually periodic, given as a finite prefix
 plus a repeating cycle.  Such a group is classified by its supernatural
 invariant: primes dividing a cycle entry occur infinitely often and get
 infinite multiplicity, primes confined to the prefix get their total
-finite count.  Two sequences give homeomorphic solenoids exactly when
-deleting finitely many terms from each equalizes every prime's count;
-for eventually periodic sequences the whole prefix and any finite part
-of the cycles can be deleted, so the test reduces to equality of the
-infinite prime sets.  Distinct cycle prime sets therefore give
-pairwise distinct homeomorphism types, and there are as many as one
-wants of those.
+finite count.  Two sequences give isomorphic groups H^1 exactly when
+deleting finitely many terms from each equalizes every prime's count; for
+eventually periodic ones that is equality of the infinite prime sets, the
+test ``cohomology equiv`` makes.  For classical metric solenoids isomorphic
+H^1 means homeomorphic (McCord, Trans. AMS 114, 1965; Aarts and Fokkink,
+Proc. AMS 111, 1991); nothing is claimed here for long solenoids, where
+":2" against "3:2" is open.  Distinct H^1 still means distinct spaces, so
+there are as many homeomorphism types as one wants.
 
 Membership and equivalence need only gcds: stripping b against c (divide
 by gcd until it is 1) removes every prime they share.  a/b in lowest terms

@@ -232,6 +232,52 @@ def test_bound_env_reads_ascii_integers(capsys, monkeypatch, value):
     assert run(capsys, "fiber", "--m", "9", "--n", "1", "--point", "inf0")[0] == 0
 
 
+BOTH_BOUNDS = {"LONGSOL_INDEX_BOUND": 1, "LONGSOL_DEPTH": 1}
+
+
+@pytest.mark.parametrize("argv, reads", [
+    (["orbit", "--tower", "1", "--p", "2,2,2,2,2",
+      "--x", "inf0; inf0; inf0; inf0; inf0; inf0",
+      "--y", "inf0; inf1; inf3; inf7; inf15; inf31"], BOTH_BOUNDS),
+    (["thread", "extend", "--p", "2,3", "--points", "inf0", "--levels", "2"],
+     BOTH_BOUNDS),
+    (["fiber", "--m", "2", "--n", "3", "--point", "inf1"],
+     {"LONGSOL_INDEX_BOUND": 1}),
+    (["ord", "--expr", "w + 1"], {}),
+], ids=["orbit", "thread-extend", "fiber", "ord"])
+def test_each_bound_is_read_at_most_once_per_call(capsys, monkeypatch, argv, reads):
+    # a bound is read at its first check and kept for the rest of the call;
+    # a subcommand that checks no bound reads none
+    counted, get = {}, os.environ.get
+
+    def counting_get(name, default=None):
+        if name.startswith("LONGSOL_"):
+            counted[name] = counted.get(name, 0) + 1
+        return get(name, default)
+
+    monkeypatch.setattr(os.environ, "get", counting_get)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert counted == reads
+
+
+def test_bounds_are_read_afresh_by_each_call(capsys, monkeypatch):
+    fiber6 = ("fiber", "--m", "2", "--n", "3", "--point", "inf1")
+    over = (1, {"error": {"code": "bad-command",
+                          "message": "stage size 6 exceeds LONGSOL_INDEX_BOUND=5"}})
+    monkeypatch.setenv("LONGSOL_INDEX_BOUND", "5")
+    assert run(capsys, *fiber6) == over
+    monkeypatch.setenv("LONGSOL_INDEX_BOUND", "6")
+    assert run(capsys, *fiber6)[0] == 0
+    monkeypatch.setenv("LONGSOL_INDEX_BOUND", "5")
+    assert run(capsys, *fiber6) == over
+    monkeypatch.setenv("LONGSOL_INDEX_BOUND", "zebra")
+    assert run(capsys, *fiber6)[1]["error"]["message"] == (
+        "LONGSOL_INDEX_BOUND must be an integer")
+    monkeypatch.delenv("LONGSOL_INDEX_BOUND")
+    assert run(capsys, *fiber6)[0] == 0
+
+
 def test_indecomp(capsys):
     code, doc = run(
         capsys, "indecomp", "--pn", "2", "--n", "1",

@@ -1,8 +1,9 @@
 """The public names of the package, and the names the benchmark relies on.
 
 ``bench/`` resolves library functions by name (the tracer wraps them with
-``getattr``) and imports values from ``longsol``; a removal that breaks it
-would otherwise surface only in ``python3 -m pytest bench``.
+``getattr``), imports values from ``longsol`` and reads ``longsol.cli``'s
+default bounds; a removal or rename that breaks it would otherwise surface
+only in ``python3 -m pytest bench``.
 """
 
 import ast
@@ -117,6 +118,18 @@ def test_bench_resolves_every_traced_name():
     ]
     assert imported
     assert not [name for name in imported if not hasattr(longsol, name)]
+    # run.py reads the default bounds, and it and child.py call main, off
+    # the module bound to ``cli`` or ``self.cli``
+    read = set()
+    for script in ("run.py", "child.py"):
+        read.update(
+            node.attr for node in ast.walk(ast.parse((BENCH / script).read_text()))
+            if isinstance(node, ast.Attribute)
+            and getattr(node.value, "id", getattr(node.value, "attr", None)) == "cli"
+        )
+    assert {"DEFAULT_DEPTH", "DEFAULT_INDEX_BOUND", "main"} <= read
+    cli = importlib.import_module("longsol.cli")
+    assert not [name for name in read if not hasattr(cli, name)]
 
 
 def test_cli_import_loads_every_layer_and_no_dataclasses():
