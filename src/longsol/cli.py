@@ -5,6 +5,10 @@ answer is a single JSON document on stdout (``--format text`` flattens it
 to ``key: value`` lines) and exits 0.  Failures print ``{"error": {"code",
 "message", "position"?}}`` and exit 1; anything unexpected exits 2.  A
 reader that closes stdout early ends the call with exit 1 and no traceback.
+A plain argv (an optional leading ``--format``, one subcommand, then its
+own flags by their exact names) is read straight from ``COMMANDS``; the
+argparse tree is built only for any other argv, such as help, an
+abbreviated flag or an error, and argparse answers it as it always has.
 Two environment knobs bound the work done per call, and each is checked
 before the work it bounds starts: ``LONGSOL_DEPTH`` caps thread depth
 (default 6) and ``LONGSOL_INDEX_BOUND`` caps stage sizes (default 48); a
@@ -464,7 +468,81 @@ def build_parser():
     return parser
 
 
-_parser = None  # built by the first main() call: a call uses one leaf of it
+_parser = None  # built by the first call _fast_args leaves to argparse
+
+
+def _leaves():
+    """Each leaf's path, as a tuple of words, mapped to what ``_fast_args``
+    needs of its row: the namespace with nothing given, its flags as
+    ``{flag: (dest, type)}`` (type None for a store_true flag), and the
+    flags it requires."""
+    leaves = {}
+    for path, handler, _, arguments, _ in COMMANDS:
+        group, _, name = path.rpartition(" ")
+        defaults = {"command": group or name, "handler": handler}
+        flags, required = {}, set()
+        if group:
+            defaults[group + "_command"] = name
+        for flag, kwargs in arguments:
+            dest = flag[2:].replace("-", "_")
+            switch = kwargs.get("action") == "store_true"
+            defaults[dest] = False if switch else kwargs.get("default")
+            flags[flag] = (dest, None if switch else kwargs.get("type", str))
+            if kwargs.get("required"):
+                required.add(flag)
+        leaves[tuple(path.split())] = (defaults, flags, required)
+    return leaves
+
+
+_LEAVES = _leaves()
+
+
+def _fast_args(argv):
+    """The namespace ``build_parser().parse_args(argv)`` returns, read
+    straight from ``COMMANDS``, or None where argparse must decide.
+
+    ``argv`` is read only in its plain form: an optional leading ``--format
+    json|text`` or ``--format=...``, one leaf path, then that leaf's flags
+    by their exact names, each ``--flag value`` or ``--flag=value``.  Help,
+    abbreviations, unknown tokens, a separate value starting with '-', a
+    missing value or required flag, a failed conversion and a store_true
+    flag given '=' all answer None."""
+    head = argv[0] if argv else ""
+    if head == "--format" and len(argv) > 1:
+        fmt, argv = argv[1], argv[2:]
+    elif head.startswith("--format="):
+        fmt, argv = head[9:], argv[1:]
+    else:
+        fmt = "json"
+    depth = 2 if argv and argv[0] in _GROUPS else 1
+    leaf = _LEAVES.get(tuple(argv[:depth]))
+    if fmt not in ("json", "text") or leaf is None:
+        return None
+    defaults, flags, required = leaf
+    values, given = dict(defaults, format=fmt), set()
+    tokens = iter(argv[depth:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if flag not in flags:
+            return None
+        dest, convert = flags[flag]
+        if convert is None:
+            if eq:
+                return None
+            values[dest] = True
+        else:
+            if not eq:
+                value = next(tokens, "-")  # "-": the value is missing
+                if value.startswith("-"):
+                    return None
+            elif value == "--":  # argparse drops an explicit "--" value
+                return None
+            try:
+                values[dest] = convert(value)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        given.add(flag)
+    return argparse.Namespace(**values) if required <= given else None
 
 
 def _flatten(doc, prefix=""):
@@ -503,9 +581,12 @@ def _render(doc, fmt="json"):
 def main(argv=None):
     global _parser
     try:
-        if _parser is None:
-            _parser = build_parser()
-        args = _parser.parse_args(argv)
+        argv = sys.argv[1:] if argv is None else argv
+        args = _fast_args(argv)
+        if args is None:
+            if _parser is None:
+                _parser = build_parser()
+            args = _parser.parse_args(argv)
         args.bounds = {}  # the work bounds read so far in this call
         text, code = _render(args.handler(args), args.format), 0
     except Exception as err:

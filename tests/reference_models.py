@@ -23,6 +23,8 @@ implementation:
   product absorbs the denominator;
 * the degree of a bond on first cohomology comes from walking the joints
   of the covering stage and counting passes through the base joint;
+* the circular chain pattern comes from testing every pair of arcs, each
+  unrolled onto the line, instead of from a sweep over sorted endpoints;
 * the bond itself is written here (``ref_bond``: the copy index mod n),
   sharing no code with the library's fiber rule;
 * bond-compatibility of a recipe comes from checking every copy of every
@@ -299,6 +301,31 @@ def ref_h1_action(m, n):
         if (i + 1) % n == 0:
             crossings += 1
     return crossings
+
+
+# ---------------------------------------------------------------------------
+# arcs on a stage circle
+
+
+def _ref_arcs_meet(a, b):
+    """Unrolled onto the line from its start, a meets a copy of b shifted
+    by -n, 0 or n exactly when the closed arcs meet on the circle."""
+    n = a.n
+    a_end = a.start + (a.end - a.start) % n
+    b_len = (b.end - b.start) % n
+    return any(
+        max(a.start, b.start + k) <= min(a_end, b.start + k + b_len) for k in (-n, 0, n)
+    )
+
+
+def ref_chain_check(arcs):
+    """Every pair of arcs meets exactly when their cyclic index distance is
+    at most 1."""
+    t = len(arcs)
+    return all(
+        _ref_arcs_meet(arcs[i], arcs[j]) == (min((i - j) % t, (j - i) % t) <= 1)
+        for i in range(t) for j in range(i + 1, t)
+    )
 
 
 def _base_key(p):

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, strategies as st
+from reference_models import ref_chain_check
 
 from longsol import (
     Arc,
@@ -159,3 +160,33 @@ def test_chain_pulls_back_to_chain(m):
         preimage_components(arc, m)[k] for k in range(m) for arc in CHAIN
     ]
     assert circular_chain_check(lifted)
+
+
+@st.composite
+def arc_lists(draw):
+    """Arcs with endpoints on a grid of halves, thirds or quarters, so that
+    shared endpoints and arcs wrapping past 0 are common; half the lists
+    are jittered chains, each arc ending near the next one's start."""
+    n = draw(st.integers(1, 4))
+    grid = n * draw(st.integers(2, 4))
+    t = draw(st.integers(1, min(8, grid)))
+    if draw(st.booleans()):
+        starts = sorted(draw(st.lists(st.integers(0, grid - 1), min_size=t,
+                                      max_size=t, unique=True)))
+        jitter = st.sampled_from((-1, 0, 0, 0, 1))
+        ends = [starts[(i + 1) % t] + draw(jitter) for i in range(t)]
+        turn = draw(st.integers(0, t - 1))
+        starts, ends = starts[turn:] + starts[:turn], ends[turn:] + ends[:turn]
+    else:
+        cells = st.lists(st.integers(0, grid - 1), min_size=t, max_size=t)
+        starts, ends = draw(cells), draw(cells)
+    arcs = []
+    for s, e in zip(starts, ends):
+        e = e % grid if e % grid != s else (s + 1) % grid
+        arcs.append(Arc(n, F(s * n, grid), F(e * n, grid)))
+    return arcs
+
+
+@given(arc_lists())
+def test_chain_check_matches_every_pair(arcs):
+    assert circular_chain_check(arcs) == ref_chain_check(arcs)

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from reference_models import ref_extension_threads, ref_fiber_points, ref_render
-from test_cli_golden import ARGVS
+from test_cli_golden import _README, ARGVS, BOUNDS, _load, call
 
 from longsol import (
     ZERO,
@@ -35,10 +35,12 @@ from longsol import (
     nat,
     omega_pow,
 )
+from longsol import cli
 from longsol.cli import (
     COMMANDS,
     OPERATION_COVERAGE,
     _decimal,
+    _fast_args,
     _Listing,
     build_parser,
     main,
@@ -586,6 +588,125 @@ def test_module_invocation():
 
 
 # ---------------------------------------------------------------------------
+# main() reads a plain argv straight from COMMANDS (_fast_args), and builds
+# the argparse tree only for what that reader leaves to it.  The reader must
+# never disagree with argparse, whichever Python's argparse runs the tests.
+
+
+@lru_cache(maxsize=None)
+def _argparse():
+    return build_parser()
+
+
+def _golden(*argvs):
+    """The golden (exit code, stdout) of each argv, with no bound set."""
+    entries = {tuple(e["argv"]): (e["code"], e["stdout"])
+               for e in _load() if not e["env"]}
+    return [entries[tuple(argv)] for argv in argvs]
+
+
+def test_reader_agrees_with_argparse_on_the_golden_argvs():
+    # and reads every argv that argparse accepts
+    for argv in ARGVS:
+        try:
+            want = vars(_argparse().parse_args(argv))
+        except LongSolError:
+            want = None
+        fast = _fast_args(argv)
+        assert (fast if fast is None else vars(fast)) == want, argv
+
+
+FORMAT_FLAGS = (["--format", "text"], ["--format", "json"], ["--format=text"],
+           ["--format=json"], ["--format=xml"], ["--format="], ["--format"])
+DASHED = ("-1", "-w", "-h", "--", "-", "--expr", "--format", "--tower")
+STRAYS = ("-h", "--help", "frob", "--zzz", "--", "-x", "text", "verify", "")
+
+
+@st.composite
+def mutated_argvs(draw):
+    """A golden argv with one to three of: a token or a flag and its value
+    dropped or repeated, a flag joined by '=' to its value, to nothing or
+    to "--", a flag abbreviated, a value starting with '-', a --format
+    placed anywhere, and -h or an unknown token inserted."""
+    argv = list(draw(st.sampled_from(ARGVS)))
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(argv)))
+        token = argv[i] if i < len(argv) else ""
+        op = draw(st.sampled_from(
+            ["drop", "repeat", "abbreviate", "equals", "dash", "format", "stray"]))
+        if op == "drop":
+            del argv[i:i + draw(st.integers(1, 2))]
+        elif op == "repeat":
+            at = draw(st.integers(0, len(argv)))
+            argv[at:at] = argv[i:i + 2]
+        elif op == "abbreviate" and len(token) > 3 and token.startswith("--"):
+            argv[i] = token[:draw(st.integers(3, len(token) - 1))]
+        elif op == "equals" and token.startswith("--"):
+            if i + 1 < len(argv) and draw(st.booleans()):
+                argv[i:i + 2] = [token + "=" + argv[i + 1]]
+            else:
+                argv[i] = token + "=" + draw(st.sampled_from(("", "--")))
+        elif op == "dash" and i < len(argv):
+            argv[i] = draw(st.sampled_from(DASHED))
+        elif op == "format":
+            at = draw(st.sampled_from((0, 1, 2, i)))
+            argv[at:at] = draw(st.sampled_from(FORMAT_FLAGS))
+        elif op == "stray":
+            argv.insert(i, draw(st.sampled_from(STRAYS)))
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@example(["ord", "--expr=--"])  # argparse reads this value as []
+@example(["ord", "--expr=-w", "--format", "text"])
+@given(mutated_argvs())
+def test_reader_never_disagrees_with_argparse(argv):
+    fast = _fast_args(argv)
+    if fast is not None:
+        assert vars(fast) == vars(_argparse().parse_args(argv))
+
+
+def test_plain_argvs_never_build_the_parser(monkeypatch):
+    def refuse():
+        raise AssertionError("build_parser() called")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    monkeypatch.setattr(cli, "_parser", None)
+    for name in BOUNDS:
+        monkeypatch.delenv(name, raising=False)
+    assert [call(argv) for argv in _README] == _golden(*_README)
+    # the README has an argv for every row
+    handlers = {_fast_args(argv).handler for argv in _README}
+    assert handlers == {handler for _, handler, *_ in COMMANDS}
+
+
+def test_help_and_irregular_argvs_go_through_argparse(monkeypatch, capsys):
+    built = []
+
+    def counted():
+        built.append(build_parser())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    for name in BOUNDS:
+        monkeypatch.delenv(name, raising=False)
+    extend = ["thread", "extend", "--p", "2,3", "--points", "inf0"]
+    # an abbreviated flag, and a separate value starting with '-', each
+    # answer as the golden argv spelled out or given the same level
+    for argv, twin in [(extend + ["--lev", "2"], extend + ["--levels", "2"]),
+                       (["classify", "--tower", "-1", "--point", "[5]"],
+                        ["classify", "--tower", "0", "--point", "[5]"])]:
+        monkeypatch.setattr(cli, "_parser", None)
+        assert [call(argv)] == _golden(twin)
+    monkeypatch.setattr(cli, "_parser", None)
+    with pytest.raises(SystemExit) as stop:
+        main(["-h"])
+    assert stop.value.code == 0
+    assert capsys.readouterr().out == build_parser().format_help()
+    assert len(built) == 3
+
+
+# ---------------------------------------------------------------------------
 # the command line renders fiber and thread extend text from index
 # arithmetic; the library builds StagePoint and Thread objects.  Both must
 # print the same.
@@ -863,6 +984,30 @@ def test_longest_ordinal_arguments_answer_in_bounded_time(capsys, family):
         assert doc == {"order": "equal"}
     elif family == "thread":
         assert doc == {"valid": True, "depth": 2, "top_stage": 2}
+    assert elapsed < 1.0, elapsed
+
+
+def _longest_chain():
+    """``--n`` and ``--arcs`` for the chain 0..1+1/2, 1..2+1/2, ...,
+    (N-1)..0+1/2 with the most arcs whose list fits in one argument."""
+    def build(n):
+        return ",".join("%d..%d+1/2" % (k, (k + 1) % n) for k in range(n))
+
+    lo, hi = 4, ARG_MAX // 8
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if len(build(mid)) <= ARG_MAX else (lo, mid - 1)
+    return str(lo), build(lo)
+
+
+def test_longest_chain_answers_in_bounded_time(capsys):
+    # the sweep sorts the endpoints once; comparing every pair of arcs
+    # took 2.7 s in-process at 600 arcs
+    n, arcs = _longest_chain()
+    t0 = time.perf_counter()
+    answer = run(capsys, "chain-check", "--n", n, "--arcs", arcs)
+    elapsed = time.perf_counter() - t0
+    assert answer == (0, {"circular": True})
     assert elapsed < 1.0, elapsed
 
 
