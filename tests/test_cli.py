@@ -617,7 +617,7 @@ def test_reader_agrees_with_argparse_on_the_golden_argvs():
 
 
 FORMAT_FLAGS = (["--format", "text"], ["--format", "json"], ["--format=text"],
-           ["--format=json"], ["--format=xml"], ["--format="], ["--format"])
+                ["--format=json"], ["--format=xml"], ["--format="], ["--format"])
 DASHED = ("-1", "-w", "-h", "--", "-", "--expr", "--format", "--tower")
 STRAYS = ("-h", "--help", "frob", "--zzz", "--", "-x", "text", "verify", "")
 
@@ -691,8 +691,9 @@ def test_help_and_irregular_argvs_go_through_argparse(monkeypatch, capsys):
     for name in BOUNDS:
         monkeypatch.delenv(name, raising=False)
     extend = ["thread", "extend", "--p", "2,3", "--points", "inf0"]
-    # an abbreviated flag, and a separate value starting with '-', each
-    # answer as the golden argv spelled out or given the same level
+    # an abbreviated flag answers as the golden argv that spells it out,
+    # and a separate value starting with '-' as a golden one that fails
+    # the same check
     for argv, twin in [(extend + ["--lev", "2"], extend + ["--levels", "2"]),
                        (["classify", "--tower", "-1", "--point", "[5]"],
                         ["classify", "--tower", "0", "--point", "[5]"])]:
