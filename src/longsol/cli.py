@@ -27,6 +27,7 @@ import operator
 import os
 import sys
 from itertools import accumulate
+from math import prod
 
 from . import parsing
 from .arcs import circular_chain_check, format_position, indecomposability_witness
@@ -47,7 +48,7 @@ from .stages import (
     RECIPE,
     TOWER_MODE,
     apply_recipe,
-    extension_indices,
+    extension_exponents,
     fiber_indices,
     point_format,
     synthesize_recipe,
@@ -163,31 +164,52 @@ def _decimal(r, sep):
     return pieces
 
 
+def _interleave(columns, size):
+    """The items of the columns, ``size`` each, row by row."""
+    rows = [None] * (len(columns) * size)
+    for c, column in enumerate(columns):
+        rows[c :: len(columns)] = column
+    return rows
+
+
 class _Listing:
     """An answer's strings as one %d template and indices, written on output.
 
     A fiber (no ``root``) lists ``template % j`` for j in ``indices``, an
     ascending range, whose JSON ``_decimal`` writes with one ``str()`` per
-    thousand indices.  For a thread extension ``indices`` are the levels of
-    ``extension_indices``, each extending its parents' strings (``root`` at
-    first) by ``template % j``.  JSON escapes one character at a time, so
-    ``json_pieces()`` escapes both once, and ``_render`` joins its pieces
-    into the whole document once."""
+    thousand indices.  A thread extension keeps the thread's text ``root``,
+    the ``exponents`` of its new levels and its ``top`` point; by the child
+    rule of ``stages``, child c < m of the string of index j on stage n
+    appends ``template % (j + c*n)``.  JSON escapes one character at a time,
+    so ``json_pieces()`` escapes the root and template once and hands the
+    last level to ``_render``'s one join as two pieces per thread, parent
+    and suffix: no thread's whole string is built."""
 
-    def __init__(self, template, indices, root=None):
-        self.template, self.indices, self.root = template, indices, root
+    def __init__(self, template, indices=(), root=None, exponents=(), top=None):
+        self.template, self.indices = template, indices
+        self.root, self.exponents, self.top = root, exponents, top
 
-    def _strings(self, text):
+    def _last_level(self, text, tail=""):
+        """An extension's strings one level above its last, and per child c
+        of the last exponent the suffixes, by ``template + tail``, of child c
+        of each of those strings."""
         template = text(self.template)
-        if self.root is None:
-            return [template % j for j in self.indices]
-        strings = [text(self.root)]
-        for level in self.indices:
-            strings = [strings[i] + template % j for i, j in level]
-        return strings
+        strings, indices, n = [text(self.root)], [self.top.index], self.top.n
+        *upper, m = self.exponents
+        for k in upper:
+            kids = [[j + c * n for j in indices] for c in range(k)]
+            strings = _interleave([map(str.__add__, strings, map(template.__mod__, ks))
+                                   for ks in kids], len(strings))
+            indices, n = _interleave(kids, len(indices)), n * k
+        last = template + tail
+        return strings, [map(last.__mod__, [j + c * n for j in indices]) for c in range(m)]
 
     def __iter__(self):
-        return iter(self._strings(str))
+        if self.root is None:
+            return (self.template % j for j in self.indices)
+        strings, suffixes = self._last_level(str)
+        return iter(_interleave([map(str.__add__, strings, column)
+                                 for column in suffixes], len(strings)))
 
     def json_pieces(self):
         """Strings that concatenate to the JSON array of the strings, byte
@@ -195,16 +217,16 @@ class _Listing:
         themselves: the document they go into is the one large string."""
         def escape(text):  # as written between a JSON string's quotes
             return json.dumps(text)[1:-1]
-        if self.root is None and self.indices:
+        if self.root is None:
+            if not self.indices:
+                return ["[]"]
             head, tail = escape(self.template).split("%d")
             numbers = _decimal(self.indices, tail + '", "' + head)
             return ['["', head, *numbers, tail, '"]']
-        strings = self._strings(escape)
-        if not strings:
-            return ["[]"]
-        # '["', the first string, '", "', the second, ..., '"]'
-        pieces = ['", "'] * (2 * len(strings) + 1)
-        pieces[0], pieces[1::2], pieces[-1] = '["', strings, '"]'
+        strings, suffixes = self._last_level(escape, '", "')  # '", "' ends each
+        pieces = ['["', *_interleave([column for suffix in suffixes
+                                      for column in (strings, suffix)], len(strings))]
+        pieces[-1] = pieces[-1][:-4] + '"]'  # the last thread's '", "'
         return pieces
 
 
@@ -293,9 +315,10 @@ def _cmd_thread_extend(args):
     if args.levels < 1:
         raise CommandError("--levels is positive")
     _check(args, "LONGSOL_DEPTH", thread.depth + args.levels)
-    levels = extension_indices(thread, args.levels)
+    exps = extension_exponents(thread, args.levels)
     text = "; " + point_format(thread.points[0].inner)
-    return {"count": len(levels[-1]), "threads": _Listing(text, levels, str(thread))}
+    threads = _Listing(text, root=str(thread), exponents=exps, top=thread.points[-1])
+    return {"count": prod(exps), "threads": threads}
 
 
 def _cmd_indecomp(args):
@@ -418,7 +441,7 @@ COMMANDS = (
      _THREAD, ("stages.stage_size",)),
     ("thread extend", _cmd_thread_extend, "every extension by more levels",
      _THREAD + (("--levels", {"type": _int, "default": 1}),),
-     ("stages.extension_indices",)),
+     ("stages.extension_exponents",)),
     ("indecomp", _cmd_indecomp, "two-arc indecomposability witness", (
         ("--pn", dict(_REQUIRED_INT, help="covering multiplicity")),
         ("--n", dict(_REQUIRED_INT, help="base stage size")),

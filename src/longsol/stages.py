@@ -25,10 +25,12 @@ of their inner points, answers with a recipe, a distinctness proof, or
 unknown; conjectural cases are never upgraded.
 
 Bonds keep the within-copy coordinate x, so fibers and extensions are
-index arithmetic (``fiber_indices``, ``extension_indices``): the fiber of
-(i| x) onto stage n is i, i+n, ..., i+(m-1)n, and extending a thread with
-top index t on stage n_d gives the tops j = t (mod n_d), built level by
-level as L_(k+1) = [j + c*n_k for j in L_k for c in range(m_k)].
+index arithmetic, by one child rule: under exponent m, the children of
+index j on stage n are j + c*n for c < m, in that order.  The fiber of
+(i| x) onto stage m*n is those children of i (``fiber_indices``), and
+extending a thread with top index t on stage n_d applies the rule level
+by level under the exponents ``extension_exponents`` returns, so its tops
+are the j = t (mod n_d), ordered by their per-level indices.
 
 Within-copy points are either tower points (finite level, integer
 addresses) or long-line points.  Both endpoints of each copy are
@@ -204,12 +206,9 @@ class Thread(Record):
         return "; ".join(str(pt) for pt in self.points)
 
 
-def extension_indices(thread, levels):
-    """Per new level, (parent, index) for each extension by the next
-    `levels` exponents: parent is its position in the level before (0, the
-    thread, for the first), index is the parent's plus c*n_k for c < m_k.
-    The order is lexicographic in the per-level indices, not ascending in
-    the top index: over p = 2,2 the tops run 0, 2, 1, 3."""
+def extension_exponents(thread, levels):
+    """The next `levels` bonding exponents, those an extension of the thread
+    by `levels` stages consumes."""
     if levels < 0:
         raise StageDomainError("extension lengths are non-negative")
     need = thread.depth - 1 + levels
@@ -218,21 +217,19 @@ def extension_indices(thread, levels):
             "thread carries %d bonding exponents, extension needs %d"
             % (len(thread.p), need)
         )
-    n, level, out = thread.points[-1].n, [(0, thread.points[-1].index)], []
-    for m in thread.p[thread.depth - 1 : need]:
-        level = [(i, j + c * n) for i, (_, j) in enumerate(level) for c in range(m)]
-        n *= m
-        out.append(level)
-    return out
+    return thread.p[thread.depth - 1 : need]
 
 
 def extend_thread(thread, levels):
-    """All compatible extensions by the next `levels` bonding exponents,
-    in the order of ``extension_indices``."""
+    """All compatible extensions by the next `levels` bonding exponents, by
+    the child rule: lexicographic in the per-level indices, not ascending
+    in the top index (over p = 2,2 the tops run 0, 2, 1, 3)."""
     stacks, top = [thread.points], thread.points[-1]
-    for level in extension_indices(thread, levels):
-        n = top.n * len(level)
-        stacks = [stacks[i] + (StagePoint(n, j, top.inner),) for i, j in level]
+    n = top.n
+    for m in extension_exponents(thread, levels):
+        stacks = [pts + (StagePoint(m * n, pts[-1].index + c * n, top.inner),)
+                  for pts in stacks for c in range(m)]
+        n *= m
     return [Thread(thread.p, pts) for pts in stacks]
 
 

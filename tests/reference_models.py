@@ -64,7 +64,7 @@ from longsol import (
     stage_size,
 )
 from longsol.parsing import _split_top
-from longsol.stages import extension_indices, fiber_indices, point_format
+from longsol.stages import fiber_indices, point_format
 
 # ---------------------------------------------------------------------------
 # dense-vector ordinal model (finite exponents only)
@@ -478,12 +478,16 @@ def ref_fiber_points(m, n, q):
 
 
 def ref_extension_threads(thread, levels):
-    """Every extension's text: each level extends its parents' strings."""
-    text = "; " + point_format(thread.points[0].inner)
-    threads = [str(thread)]
-    for level in extension_indices(thread, levels):
-        threads = [threads[i] + text % j for i, j in level]
-    return threads
+    """Every extension's text, from the closed form: the extension through
+    top index J has index J mod n_k on each new stage n_k.  The J = t
+    (mod n_top) below the last stage size, ordered by those per-level
+    indices, each printed after the thread's own text."""
+    depth, top = thread.depth, thread.points[-1]
+    sizes = [stage_size(thread.p, k) for k in range(depth + 1, depth + levels + 1)]
+    tops = range(top.index, sizes[-1] if sizes else top.n, top.n)
+    text = "; " + point_format(top.inner)
+    return [str(thread) + "".join(text % i for i in key)
+            for key in sorted(tuple(j % n for n in sizes) for j in tops)]
 
 
 def ref_flatten(doc, prefix=""):

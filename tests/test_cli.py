@@ -851,6 +851,13 @@ def extensions(draw):
 @example(([], Thread((2,) * 12, (StagePoint(1, 0),)), 12), "json")
 @example((["--tower", "4"], Thread((2,) * 12, (StagePoint(
     1, 0, TowerPoint(4, Address((1, -2, 3), nat(5), F(1, 3)))),)), 12), "text")
+@example(([], Thread((1, 2, 1, 3), (StagePoint(1, 0),)), 4), "json")
+@example(([], Thread((1, 2, 1, 3), (StagePoint(1, 0), StagePoint(1, 0))), 3), "text")
+@example((["--tower", "2"], Thread((3, 5), (StagePoint(1, 0, TowerPoint(
+    2, Address((7,), nat(1), F(1, 2)))), StagePoint(3, 2, TowerPoint(
+    2, Address((7,), nat(1), F(1, 2)))))), 1), "json")
+@example((["--long"], Thread((4,) * 6, (StagePoint(
+    1, 0, LongPoint(nat(2), nat(3), F(1, 2))),)), 6), "json")
 @given(extensions(), FORMATS)
 def test_thread_extend_renders_as_materialised(case, fmt):
     flags, thread, levels = case
@@ -878,13 +885,16 @@ def test_listing_json_escapes_template_as_json_dumps_does():
     past = range(997, 3004, 3)
     assert _listing_json(_Listing(template, past)) == json.dumps(
         [template % j for j in past])
+    # an extension of a top point (1| ...) on stage 2 by exponents 2 and 3:
+    # children 1, 3 on stage 4, then 1, 5, 9 and 3, 7, 11 on stage 12
     root, t = '"\\\x1f\u0663', "; " + template
-    levels = [[(0, 1), (0, 2)], [(1, 5), (0, 6), (1, 7)]]
-    first = [root + t % 1, root + t % 2]
-    threads = [first[1] + t % 5, first[0] + t % 6, first[1] + t % 7]
-    extension = _Listing(t, levels, root)
-    assert _listing_json(extension) == json.dumps(threads)
-    assert list(extension) == threads
+    first = [root + t % 1, root + t % 3]
+    threads = [first[0] + t % 1, first[0] + t % 5, first[0] + t % 9,
+               first[1] + t % 3, first[1] + t % 7, first[1] + t % 11]
+    for exponents, want in (((2, 3), threads), ((2,), first), ((1, 1), [first[0] + t % 1])):
+        extension = _Listing(t, root=root, exponents=exponents, top=StagePoint(2, 1))
+        assert _listing_json(extension) == json.dumps(want)
+        assert list(extension) == want
 
 
 # _decimal writes a fiber's indices by blocks of a thousand; its pieces must

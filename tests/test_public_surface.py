@@ -62,7 +62,6 @@ ORACLE_SHARES = {
     "_split_top": "ref_parse_thread checks the per-thread inner cache, "
                   "not the literal grammar",
     "fiber_indices": "the renderer oracles knowingly share the index rule",
-    "extension_indices": "the renderer oracles knowingly share the index rule",
     "point_format": "the renderer oracles knowingly share the template",
 }
 

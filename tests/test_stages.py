@@ -1,5 +1,6 @@
 """Stage circles, bonds, threads, and homeomorphism recipes."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -41,8 +42,8 @@ from longsol import (
     verify_commutes,
     within_copy_hat,
 )
-from longsol import stages
-from longsol.stages import extension_indices, fiber_indices
+from longsol import cli, stages
+from longsol.stages import fiber_indices
 
 W = omega_pow(nat(1))
 W2 = omega_pow(nat(2))
@@ -205,10 +206,16 @@ def test_extend_thread_matches_every_point(p, given_depth, top, inner):
     )
 
 
-def test_extension_indices_order():
-    # lexicographic in the per-level indices, not ascending in the top index
+def test_extension_order(capsys):
+    # lexicographic in the per-level indices, not ascending in the top index:
+    # over p = 2,2 the tops run 0, 2, 1, 3, in the library and on the CLI
     seed = Thread((2, 2), (joint(1, 0),))
-    assert extension_indices(seed, 2) == [[(0, 0), (0, 1)], [(0, 0), (0, 2), (1, 1), (1, 3)]]
+    assert [[pt.index for pt in t.points] for t in extend_thread(seed, 2)] == [
+        [0, 0, 0], [0, 0, 2], [0, 1, 1], [0, 1, 3]]
+    argv = ["thread", "extend", "--p", "2,2", "--points", "inf0", "--levels", "2"]
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["threads"] == [
+        "inf0; inf0; inf0", "inf0; inf0; inf2", "inf0; inf1; inf1", "inf0; inf1; inf3"]
     assert list(fiber_indices(3, 4, joint(4, 5))) == [1, 5, 9]
 
 
