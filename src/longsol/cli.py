@@ -164,14 +164,6 @@ def _decimal(r, sep):
     return pieces
 
 
-def _interleave(columns, size):
-    """The items of the columns, ``size`` each, row by row."""
-    rows = [None] * (len(columns) * size)
-    for c, column in enumerate(columns):
-        rows[c :: len(columns)] = column
-    return rows
-
-
 class _Listing:
     """An answer's strings as one %d template and indices, written on output.
 
@@ -189,27 +181,24 @@ class _Listing:
         self.template, self.indices = template, indices
         self.root, self.exponents, self.top = root, exponents, top
 
-    def _last_level(self, text, tail=""):
-        """An extension's strings one level above its last, and per child c
-        of the last exponent the suffixes, by ``template + tail``, of child c
-        of each of those strings."""
+    def _above_last(self, text):
+        """The template in ``text``, an extension's strings one level above
+        its last with their indices, and the last level's offsets c*n."""
         template = text(self.template)
         strings, indices, n = [text(self.root)], [self.top.index], self.top.n
         *upper, m = self.exponents
         for k in upper:
-            kids = [[j + c * n for j in indices] for c in range(k)]
-            strings = _interleave([map(str.__add__, strings, map(template.__mod__, ks))
-                                   for ks in kids], len(strings))
-            indices, n = _interleave(kids, len(indices)), n * k
-        last = template + tail
-        return strings, [map(last.__mod__, [j + c * n for j in indices]) for c in range(m)]
+            offsets = range(0, k * n, n)
+            strings = [s + template % (j + o)
+                       for s, j in zip(strings, indices) for o in offsets]
+            indices, n = [j + o for j in indices for o in offsets], n * k
+        return template, strings, indices, range(0, m * n, n)
 
     def __iter__(self):
         if self.root is None:
             return (self.template % j for j in self.indices)
-        strings, suffixes = self._last_level(str)
-        return iter(_interleave([map(str.__add__, strings, column)
-                                 for column in suffixes], len(strings)))
+        template, strings, indices, offsets = self._above_last(str)
+        return (s + template % (j + o) for s, j in zip(strings, indices) for o in offsets)
 
     def json_pieces(self):
         """Strings that concatenate to the JSON array of the strings, byte
@@ -223,10 +212,14 @@ class _Listing:
             head, tail = escape(self.template).split("%d")
             numbers = _decimal(self.indices, tail + '", "' + head)
             return ['["', head, *numbers, tail, '"]']
-        strings, suffixes = self._last_level(escape, '", "')  # '", "' ends each
-        pieces = ['["', *_interleave([column for suffix in suffixes
-                                      for column in (strings, suffix)], len(strings))]
-        pieces[-1] = pieces[-1][:-4] + '"]'  # the last thread's '", "'
+        # '["', then per thread its parent string and its suffix, each
+        # suffix followed by '", "', the last thread's turned into '"]'
+        template, strings, indices, offsets = self._above_last(escape)
+        pieces = [None] * (2 * len(strings) * len(offsets) + 1)
+        pieces[0], last = '["', template + '", "'
+        pieces[1::2] = [s for s in strings for _ in offsets]
+        pieces[2::2] = [last % (j + o) for j in indices for o in offsets]
+        pieces[-1] = pieces[-1][:-4] + '"]'
         return pieces
 
 
