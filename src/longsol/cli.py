@@ -182,23 +182,25 @@ class _Listing:
         self.root, self.exponents, self.top = root, exponents, top
 
     def _above_last(self, text):
-        """The template in ``text``, an extension's strings one level above
-        its last with their indices, and the last level's offsets c*n."""
-        template = text(self.template)
+        """The template in ``text``, split at its %d, an extension's strings
+        one level above its last with their indices, and the last level's
+        offsets c*n."""
+        head, tail = text(self.template).split("%d")
         strings, indices, n = [text(self.root)], [self.top.index], self.top.n
         *upper, m = self.exponents
         for k in upper:
             offsets = range(0, k * n, n)
-            strings = [s + template % (j + o)
+            strings = [f"{s}{head}{j + o}{tail}"
                        for s, j in zip(strings, indices) for o in offsets]
             indices, n = [j + o for j in indices for o in offsets], n * k
-        return template, strings, indices, range(0, m * n, n)
+        return head, tail, strings, indices, range(0, m * n, n)
 
     def __iter__(self):
         if self.root is None:
             return (self.template % j for j in self.indices)
-        template, strings, indices, offsets = self._above_last(str)
-        return (s + template % (j + o) for s, j in zip(strings, indices) for o in offsets)
+        head, tail, strings, indices, offsets = self._above_last(str)
+        return (f"{s}{head}{j + o}{tail}"
+                for s, j in zip(strings, indices) for o in offsets)
 
     def json_pieces(self):
         """Strings that concatenate to the JSON array of the strings, byte
@@ -214,11 +216,11 @@ class _Listing:
             return ['["', head, *numbers, tail, '"]']
         # '["', then per thread its parent string and its suffix, each
         # suffix followed by '", "', the last thread's turned into '"]'
-        template, strings, indices, offsets = self._above_last(escape)
+        head, tail, strings, indices, offsets = self._above_last(escape)
         pieces = [None] * (2 * len(strings) * len(offsets) + 1)
-        pieces[0], last = '["', template + '", "'
+        pieces[0], tail = '["', tail + '", "'
         pieces[1::2] = [s for s in strings for _ in offsets]
-        pieces[2::2] = [last % (j + o) for j in indices for o in offsets]
+        pieces[2::2] = [f"{head}{j + o}{tail}" for j in indices for o in offsets]
         pieces[-1] = pieces[-1][:-4] + '"]'
         return pieces
 
