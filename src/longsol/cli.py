@@ -172,8 +172,9 @@ class _Listing:
     thousand indices.  A thread extension keeps the thread's text ``root``,
     the ``exponents`` of its new levels and its ``top`` point; by the child
     rule of ``stages``, child c < m of the string of index j on stage n
-    appends ``template % (j + c*n)``.  JSON escapes one character at a time,
-    so ``json_pieces()`` escapes the root and template once and hands the
+    appends ``template % (j + c*n)``, written as one f-string around the
+    template's %d.  JSON escapes one character at a time, so
+    ``json_pieces()`` escapes the root and template once and hands the
     last level to ``_render``'s one join as two pieces per thread, parent
     and suffix: no thread's whole string is built."""
 
@@ -182,23 +183,25 @@ class _Listing:
         self.root, self.exponents, self.top = root, exponents, top
 
     def _above_last(self, text):
-        """The template in ``text``, split at its %d, an extension's strings
-        one level above its last with their indices, and the last level's
-        offsets c*n."""
+        """The template in ``text`` split at its %d, the strings one level
+        above an extension's last with their indices, and that level's n."""
         head, tail = text(self.template).split("%d")
         strings, indices, n = [text(self.root)], [self.top.index], self.top.n
-        *upper, m = self.exponents
-        for k in upper:
-            offsets = range(0, k * n, n)
-            strings = [f"{s}{head}{j + o}{tail}"
-                       for s, j in zip(strings, indices) for o in offsets]
-            indices, n = [j + o for j in indices for o in offsets], n * k
-        return head, tail, strings, indices, range(0, m * n, n)
+        for m in self.exponents[:-1]:
+            grown, later = [None] * (m * len(strings)), [None] * (m * len(strings))
+            for c in range(m):  # child c of each string, every m-th place
+                o = c * n
+                grown[c::m] = [f"{s}{head}{j + o}{tail}"
+                               for s, j in zip(strings, indices)]
+                later[c::m] = [j + o for j in indices]
+            strings, indices, n = grown, later, n * m
+        return head, tail, strings, indices, n
 
     def __iter__(self):
         if self.root is None:
             return (self.template % j for j in self.indices)
-        head, tail, strings, indices, offsets = self._above_last(str)
+        head, tail, strings, indices, n = self._above_last(str)
+        offsets = range(0, self.exponents[-1] * n, n)
         return (f"{s}{head}{j + o}{tail}"
                 for s, j in zip(strings, indices) for o in offsets)
 
@@ -216,11 +219,13 @@ class _Listing:
             return ['["', head, *numbers, tail, '"]']
         # '["', then per thread its parent string and its suffix, each
         # suffix followed by '", "', the last thread's turned into '"]'
-        head, tail, strings, indices, offsets = self._above_last(escape)
-        pieces = [None] * (2 * len(strings) * len(offsets) + 1)
-        pieces[0], tail = '["', tail + '", "'
-        pieces[1::2] = [s for s in strings for _ in offsets]
-        pieces[2::2] = [f"{head}{j + o}{tail}" for j in indices for o in offsets]
+        head, tail, strings, indices, n = self._above_last(escape)
+        m, tail = self.exponents[-1], tail + '", "'
+        pieces = [None] * (2 * m * len(strings) + 1)
+        pieces[0] = '["'
+        for c in range(m):
+            pieces[1 + 2 * c :: 2 * m] = strings
+            pieces[2 + 2 * c :: 2 * m] = [f"{head}{j + c * n}{tail}" for j in indices]
         pieces[-1] = pieces[-1][:-4] + '"]'
         return pieces
 
