@@ -172,11 +172,10 @@ class _Listing:
     thousand indices.  A thread extension keeps the thread's text ``root``,
     the ``exponents`` of its new levels and its ``top`` point; by the child
     rule of ``stages``, child c < m of the string of index j on stage n
-    appends ``template % (j + c*n)``, written as one f-string around the
-    template's %d.  JSON escapes one character at a time, so
-    ``json_pieces()`` escapes the root and template once and hands the
-    last level to ``_render``'s one join as two pieces per thread, parent
-    and suffix: no thread's whole string is built."""
+    appends ``template % (j + c*n)``.  JSON escapes one character at a
+    time, so ``json_pieces()`` escapes the root and template once and
+    hands the last level to ``_render``'s one join as two pieces per
+    thread, parent and suffix: no thread's whole string is built."""
 
     def __init__(self, template, indices=(), root=None, exponents=(), top=None):
         self.template, self.indices = template, indices
@@ -201,9 +200,8 @@ class _Listing:
         if self.root is None:
             return (self.template % j for j in self.indices)
         head, tail, strings, indices, n = self._above_last(str)
-        offsets = range(0, self.exponents[-1] * n, n)
-        return (f"{s}{head}{j + o}{tail}"
-                for s, j in zip(strings, indices) for o in offsets)
+        return (f"{s}{head}{j + o}{tail}" for s, j in zip(strings, indices)
+                for o in range(0, self.exponents[-1] * n, n))
 
     def json_pieces(self):
         """Strings that concatenate to the JSON array of the strings, byte
@@ -221,8 +219,7 @@ class _Listing:
         # suffix followed by '", "', the last thread's turned into '"]'
         head, tail, strings, indices, n = self._above_last(escape)
         m, tail = self.exponents[-1], tail + '", "'
-        pieces = [None] * (2 * m * len(strings) + 1)
-        pieces[0] = '["'
+        pieces = ['["'] + [None] * (2 * m * len(strings))
         for c in range(m):
             pieces[1 + 2 * c :: 2 * m] = strings
             pieces[2 + 2 * c :: 2 * m] = [f"{head}{j + c * n}{tail}" for j in indices]
