@@ -88,24 +88,21 @@ def main(argv=None):
 
     workers = [Worker(tree, workload.env) for tree in trees]
     cpu = defaultdict(lambda: [0.0, 0.0])
-    count, differ, turn = defaultdict(int), 0, 0
+    count, differ = defaultdict(int), 0
     try:
         for argv in warm:
             for w in workers:
                 w.call(argv)
-        for _ in range(args.passes):
-            for argv in queries:
-                order = (0, 1) if turn % 2 == 0 else (1, 0)
-                turn += 1
-                answers = [None, None]
-                for side in order:
-                    answers[side] = workers[side].call(argv)
-                name = subcommand(argv)
-                count[name] += 1
-                for side, (_, seconds, _) in enumerate(answers):
-                    cpu[name][side] += seconds
-                (rc0, _, out0), (rc1, _, out1) = answers
-                differ += (rc0, out0) != (rc1, out1)
+        for turn, argv in enumerate(queries * args.passes):
+            answers = [None, None]
+            for side in ((0, 1), (1, 0))[turn % 2]:
+                answers[side] = workers[side].call(argv)
+            name = subcommand(argv)
+            count[name] += 1
+            for side, (_, seconds, _) in enumerate(answers):
+                cpu[name][side] += seconds
+            (rc0, _, out0), (rc1, _, out1) = answers
+            differ += (rc0, out0) != (rc1, out1)
     finally:
         for w in workers:
             w.close()
