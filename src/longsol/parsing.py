@@ -27,6 +27,8 @@ so does the ``DepthBoundError`` for an ordinal literal nesting too deep
 
 import sys
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 
 from .arcs import Arc
 from .errors import DepthBoundError, ParseError
@@ -100,6 +102,12 @@ def _split_top(text, sep, offset=0):
     with the input position it starts at, and errors carry input positions.
     """
     pieces = []
+    if not ("(" in text or "[" in text or ")" in text or "]" in text):
+        # depth stays 0: every separator splits
+        for piece in text.split(sep):
+            pieces.append((piece, offset))
+            offset += len(piece) + 1
+        return pieces
     depth = 0
     start = 0
     for i, ch in enumerate(text):
@@ -333,13 +341,61 @@ def parse_thread(p, text, mode=None, kappa=None, offset=0):
     first level, and its value is shared with the levels that repeat it:
     the value depends only on the text, the mode and kappa, and the offset
     only on where an error is reported, which is always the first reading.
+
+    Text in the printed form, what ``str(Thread)`` writes, is read without
+    the scanner (see ``_printed_thread``); all other text, and every error
+    in the body, is read by the scanner.
     """
+    thread = _printed_thread(p, text, mode, kappa, offset)
+    if thread is not None:
+        return thread
     pieces = _split_top(text, ";", offset)
     points, inners = [], {}
     for level, (piece, start) in enumerate(pieces, start=1):
         size = stage_size(p, level)
         points.append(_stage_point(piece, size, mode, kappa, start, inners))
     return Thread(tuple(p), tuple(points))
+
+
+def _printed_thread(p, text, mode, kappa, offset):
+    """The thread read from its printed form, or None for any other text.
+
+    The printed form is ``infI; infJ; ...`` or ``(I| B); (J| B); ...``
+    with one body B free of '|', unsigned ASCII indices under 19 digits,
+    and no more levels than the tuple p covers.  B is read once, as the
+    scanner reads the first piece; a body that reads is bracket-balanced,
+    so the scanner would split the text into the same pieces.  The points
+    and the thread are built as the scanner builds them, so their errors
+    are the scanner's; an error while reading B answers None.
+    """
+    if text.startswith("("):
+        *heads, last = text.split("| ")
+        body = last[:-1]
+        if not heads or not last.endswith(")") or "|" in body:
+            return None
+        glue = body + "); ("
+        indices = [heads[0][1:]]
+        for head in heads[1:]:
+            if not head.startswith(glue):
+                return None
+            indices.append(head[len(glue):])
+    else:
+        pieces = text.split("; ")
+        if not all(piece.startswith("inf") for piece in pieces):
+            return None
+        body, indices = None, [piece[3:] for piece in pieces]
+    if not isinstance(p, tuple) or len(indices) > len(p) + 1 or not all(
+            i.isascii() and i.isdigit() and len(i) < 19 for i in indices):
+        return None
+    inner = None
+    if body is not None:
+        first = text[: len(heads[0]) + len(body) + 3]
+        try:
+            inner = _stage_point(first, 1, mode, kappa, offset, {}).inner
+        except Exception:  # the scanner reads it again and owns the error
+            return None
+    sizes = accumulate(p, mul, initial=1)
+    return Thread(p, tuple(StagePoint(n, int(i), inner) for i, n in zip(indices, sizes)))
 
 
 def parse_descriptor(text, offset=0):

@@ -15,7 +15,9 @@ integer.  Recipes carry the shared translation and token plus a rotation
 offset per level, nothing else; validity means commuting with every bond
 on a finite verification set: the joints, and for the thread a recipe is
 checked against, that thread's point and the integer stops of its level
-(see ``verify_commutes``).  Bonds keep the inner coordinate, and
+(see ``verify_commutes``; under the identity hat or a hat one level
+below, a stop strips to the fixed minimum and stays, so the stops are
+evaluated only under other hats).  Bonds keep the inner coordinate, and
 translation and hat ignore copy and level, so the square at level k
 commutes at a point exactly when rotations[k] = rotations[k-1] (mod n_k)
 and the hat and translation are defined at its inner coordinate.  A
@@ -193,7 +195,8 @@ class Thread(Record):
                     % (idx + 1, pt.n, want)
                 )
         for idx, (low, high) in enumerate(zip(self.points, self.points[1:])):
-            if high.index % low.n != low.index or high.inner != low.inner:
+            if high.index % low.n != low.index or (
+                    high.inner is not low.inner and high.inner != low.inner):
                 raise ThreadMismatchError(
                     "level %d point does not bond onto level %d" % (idx + 2, idx + 1)
                 )
@@ -331,6 +334,14 @@ def verify_commutes(recipe, thread=None):
     incongruent level then fails first at its joint inf0, which every
     recipe maps.  Without a thread only the joints are checked.
 
+    The stops have a closed form.  Under the identity hat, or a hat one
+    level below x, a stop [z] strips to the fixed minimum and stays, and
+    the top shift is defined at every level >= 2, so no stop can fail and
+    none is evaluated; every recipe ``synthesize_recipe`` builds has such
+    a hat.  Under any other hat (a token at x's own level, at another
+    level, or on the long line) all 17 stops are still evaluated first,
+    in order.
+
     Returns (True, None) when every level pair commutes, otherwise
     (False, record) with the first offending level and point.
     """
@@ -341,7 +352,8 @@ def verify_commutes(recipe, thread=None):
     hat, k = recipe.hat, recipe.translate_by
     if thread is not None:
         x = thread.points[0].inner
-        if isinstance(x, TowerPoint) and x.kappa >= 2:
+        if (isinstance(x, TowerPoint) and x.kappa >= 2
+                and not (hat.is_identity or hat.kappa == x.kappa - 1)):
             for z in range(-8, 9):
                 _map_inner(hat, k, TowerPoint(x.kappa, Address((z,))))
         _map_inner(hat, k, x)

@@ -35,8 +35,9 @@ implementation:
   level above the token cut at its top integer by slicing the address and
   its base compared in the dense-vector ordinal model, instead of from the
   library's evaluator, ``strip_top`` and ``compare_base``;
-* a thread literal is read one level at a time, each level's inner literal
-  parsed anew, instead of each distinct inner literal once per thread;
+* a thread literal is split by its own bracket-depth loop and read one
+  level at a time, each level's inner literal parsed anew, instead of each
+  distinct inner literal once per thread or the printed form at once;
 * thread extensions come from trying every point of each new stage and
   keeping the ones the bond sends onto the level below, instead of from
   the index rule;
@@ -54,6 +55,7 @@ from longsol import (
     Address,
     CnfOrdinal,
     DirectLimitElement,
+    ParseError,
     StagePoint,
     Thread,
     TokenUndefinedError,
@@ -63,7 +65,6 @@ from longsol import (
     parse_stage_point,
     stage_size,
 )
-from longsol.parsing import _split_top
 from longsol.stages import fiber_indices, point_format
 
 # ---------------------------------------------------------------------------
@@ -440,11 +441,29 @@ def ref_verify_commutes(recipe, thread=None):
     return True, None
 
 
+def ref_split_top(text, sep, offset=0):
+    """(piece, input position) for the pieces between the separators at
+    bracket depth zero: the cut positions are found first, then sliced.  A
+    closer with no opener fails at its position, an opener left open at
+    the end of the text."""
+    cuts, depth = [], 0
+    for i, ch in enumerate(text):
+        depth += (ch in "([") - (ch in ")]")
+        if depth < 0:
+            raise ParseError("unbalanced bracket", position=offset + i)
+        if depth == 0 and ch == sep:
+            cuts.append(i)
+    if depth:
+        raise ParseError("unbalanced bracket", position=offset + len(text))
+    starts = [0] + [i + 1 for i in cuts]
+    return [(text[a:b], offset + a) for a, b in zip(starts, cuts + [len(text)])]
+
+
 def ref_parse_thread(p, text, mode=None, kappa=None, offset=0):
     """A thread literal read one stage point literal per level, each with
     its own ``parse_stage_point`` call."""
     points = []
-    for level, (piece, start) in enumerate(_split_top(text, ";", offset), start=1):
+    for level, (piece, start) in enumerate(ref_split_top(text, ";", offset), start=1):
         points.append(parse_stage_point(piece, stage_size(p, level), mode, kappa, start))
     return Thread(tuple(p), tuple(points))
 

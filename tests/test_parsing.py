@@ -5,8 +5,8 @@ from itertools import accumulate
 from operator import mul as times
 
 import pytest
-from hypothesis import given, settings, strategies as st
-from reference_models import ref_parse_thread
+from hypothesis import example, given, settings, strategies as st
+from reference_models import ref_parse_thread, ref_split_top
 
 from longsol import (
     OMEGA,
@@ -388,12 +388,69 @@ def _outcome(read, *args):
         return type(err), err.code, err.position, str(err)
 
 
+DIGITS_18, DIGITS_19 = "9" * 18, "1" * 19
+
+
 @settings(max_examples=200)
 @given(thread_literals(), st.integers(0, 3))
+# printed all-joint threads: one that bonds, one that does not
+@example(((2, 3), "inf1; inf3; inf9", None, None), 2)
+@example(((2, 2), "inf0; inf1; inf2", None, None), 0)
+# a body holding '|' or '); (', read as the scanner splits it
+@example(((2,), "(0| [1|2]); (1| [1|2])", "tower", 2), 0)
+@example(((2,), "(0| w| 1); (1| w| 1)", "long", None), 1)
+@example(((2, 2), "(0| w); (1); (1| w); (1)", "long", None), 0)
+@example(((2, 2), "(0| [1]); (1); (1| [1]); (1)", "tower", 2), 3)
+# indices of 18 digits (read at once) and of 19 (left to the scanner)
+@example(((2,), "(%s| [1; w]); (%s| [1; w])" % (DIGITS_18, DIGITS_18), "tower", 2), 0)
+@example(((2,), "(%s| [1; w]); (%s| [1; w])" % (DIGITS_19, DIGITS_19), "tower", 2), 0)
+@example(((2,), "inf%s; inf%s" % (DIGITS_19, DIGITS_19), None, None), 0)
+# p shorter than the depth
+@example(((2,), "inf0; inf1; inf1", None, None), 0)
+@example(((), "(0| w+1); (0| w+1)", "long", None), 0)
 def test_thread_reader_matches_per_level_reader(case, offset):
     p, text, mode, kappa = case
     args = (p, text, mode, kappa, offset)
     assert _outcome(parse_thread, *args) == _outcome(ref_parse_thread, *args)
+
+
+@pytest.mark.parametrize("thread, mode, kappa", [
+    (Thread((2, 3), (StagePoint(1, 0), StagePoint(2, 1), StagePoint(6, 5))),
+     None, None),
+    (Thread((2, 2), [StagePoint(n, 3, TowerPoint(3, Address((1, -2), W2, F(7, 9))))
+                     for n in (1, 2, 4)]), "tower", 3),
+    (Thread((3,), [StagePoint(n, 2, LongPoint(nat(3), add(W, nat(1)), F(1, 2)))
+                   for n in (1, 3)]), "long", None),
+], ids=["joints", "tower", "long"])
+def test_printed_threads_skip_the_scanner(monkeypatch, thread, mode, kappa):
+    text, split = str(thread), parsing._split_top
+
+    def refuse(piece, *args):  # the body's own literals still split
+        if piece == text:
+            raise AssertionError("the printed form is not split into levels")
+        return split(piece, *args)
+
+    monkeypatch.setattr(parsing, "_split_top", refuse)
+    assert parse_thread(thread.p, text, mode, kappa) == thread
+
+
+def _split_outcome(split, *args):
+    try:
+        return split(*args)
+    except ParseError as err:
+        return str(err), err.position
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.text("ab ,;+:", max_size=20), st.text("ab,;+:()[]", max_size=20)),
+       st.sampled_from(",;+:"), st.integers(0, 5))
+@example("a,b", ",", 0)
+@example("(a,b],c", ",", 2)
+@example("a)b,c", ",", 1)
+@example("[a;b", ";", 0)
+def test_split_top_matches_depth_loop(text, sep, offset):
+    assert _split_outcome(parsing._split_top, text, sep, offset) == _split_outcome(
+        ref_split_top, text, sep, offset)
 
 
 @pytest.mark.parametrize("mode, kappa, bodies", [

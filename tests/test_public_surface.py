@@ -54,13 +54,12 @@ ORACLE_SHARES = {
     "Address": RECORD, "CnfOrdinal": RECORD, "DirectLimitElement": RECORD,
     "StagePoint": RECORD, "Thread": RECORD, "TowerPoint": RECORD,
     "ZERO": "an ordinal value", "nat": "builds an ordinal value",
+    "ParseError": "an error, raised with the library's message",
     "TokenUndefinedError": "an error, raised with the library's message",
     "UnsupportedTranslationError": "an error, raised with the library's message",
     "stage_size": "the product of earlier exponents, the shape every model walks",
     "parse_stage_point": "ref_parse_thread checks the per-thread inner cache, "
                          "not the literal grammar",
-    "_split_top": "ref_parse_thread checks the per-thread inner cache, "
-                  "not the literal grammar",
     "fiber_indices": "the renderer oracles knowingly share the index rule",
     "point_format": "the renderer oracles knowingly share the template",
 }

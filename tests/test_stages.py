@@ -477,13 +477,33 @@ def test_inner_coordinate_is_mapped_once(monkeypatch, depth, kappa):
     inner = None if kappa is None else TowerPoint(kappa, Address((3,), W))
     x = Thread(p, [StagePoint(stage_size(p, lvl), 1, inner)
                    for lvl in range(1, depth + 1)])
-    recipe = HomeoRecipe(p=p, rotations=(1,) * depth, translate_by=2 if kappa else 0)
+    shift = 2 if kappa else 0
+    recipe = HomeoRecipe(p=p, rotations=(1,) * depth, translate_by=shift)
     y = apply_recipe(recipe, x)
     assert calls == [inner]
-    calls.clear()
-    assert verify_commutes(recipe, x) == (True, None)
-    assert len(calls) == (18 if kappa else 1) and calls[-1] == inner
     assert y == ref_apply_recipe(recipe, x)
+    # under the identity hat or a hat one level below the points, every
+    # integer stop strips to the fixed minimum and stays: none is mapped
+    hats = [IDENTITY_TOKEN]
+    if kappa:
+        hats.append(IntervalAutToken(source=TowerPoint(kappa - 1, Address((), W)),
+                                     target=TowerPoint(kappa - 1, Address((), W2))))
+    for hat in hats:
+        recipe = HomeoRecipe(p=p, rotations=(1,) * depth, translate_by=shift, hat=hat)
+        calls.clear()
+        assert verify_commutes(recipe, x) == (True, None)
+        assert calls == [inner]
+        assert ref_verify_commutes(recipe, x) == (True, None)
+    if kappa:
+        # a token at the points' own level is undefined at the stops, which
+        # are still mapped first: the first one fails, as in the oracle
+        hat = IntervalAutToken(source=inner, target=TowerPoint(kappa, Address((5,), W)))
+        recipe = HomeoRecipe(p=p, rotations=(1,) * depth, translate_by=shift, hat=hat)
+        calls.clear()
+        outcome = _outcome(verify_commutes, recipe, x)
+        assert outcome[0] is TokenUndefinedError
+        assert outcome == _outcome(ref_verify_commutes, recipe, x)
+        assert calls == [TowerPoint(kappa, Address((-8,)))]
 
 
 def test_translation_recipe_round_trip():

@@ -10,8 +10,9 @@ goes to both workers in turn, and which goes first alternates, so both
 sides see the same load on the machine at nearly the same moment.
 
 It prints the CPU seconds of ``main()`` summed per subcommand, NEW over OLD
-for each, and the number of queries whose exit code or output differed.
-It writes no file.  It reads in-process ``main()`` only, so it neither
+for each, and the number of queries whose exit code or output differed;
+it exits 1 when that number is not 0, so it also checks that two trees
+answer byte for byte alike.  It writes no file.  It reads in-process ``main()`` only, so it neither
 times start-up nor replaces the paired ``bench/run.py`` runs.
 """
 
@@ -118,7 +119,7 @@ def main(argv=None):
         print("%-22s %7d %11.1f %11.1f %7.3f" % (
             name, n, old * 1000, new * 1000, new / old if old else float("nan")))
     print("differing outputs: %d" % differ)
-    return 0
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
