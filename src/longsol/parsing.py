@@ -361,17 +361,18 @@ def _printed_thread(p, text, mode, kappa, offset):
     """The thread read from its printed form, or None for any other text.
 
     The printed form is ``infI; infJ; ...`` or ``(I| B); (J| B); ...``
-    with one body B free of '|', unsigned ASCII indices under 19 digits,
-    and no more levels than the tuple p covers.  B is read once, as the
-    scanner reads the first piece; a body that reads is bracket-balanced,
-    so the scanner would split the text into the same pieces.  The points
+    with one body B, unsigned ASCII indices under 19 digits, and no more
+    levels than the tuple p covers.  B is read once, as the scanner reads
+    the first piece.  A body that reads holds no '|' and is
+    bracket-balanced, so the scanner would split the text into the same
+    pieces and read the same index and body from each.  The points
     and the thread are built as the scanner builds them, so their errors
     are the scanner's; an error while reading B answers None.
     """
     if text.startswith("("):
         *heads, last = text.split("| ")
         body = last[:-1]
-        if not heads or not last.endswith(")") or "|" in body:
+        if not heads or not last.endswith(")"):
             return None
         glue = body + "); ("
         indices = [heads[0][1:]]
@@ -387,15 +388,17 @@ def _printed_thread(p, text, mode, kappa, offset):
     if not isinstance(p, tuple) or len(indices) > len(p) + 1 or not all(
             i.isascii() and i.isdigit() and len(i) < 19 for i in indices):
         return None
-    inner = None
+    sizes = accumulate(p, mul, initial=1)
+    points, inner = [], None
     if body is not None:
         first = text[: len(heads[0]) + len(body) + 3]
         try:
-            inner = _stage_point(first, 1, mode, kappa, offset, {}).inner
+            points.append(_stage_point(first, next(sizes), mode, kappa, offset, {}))
         except Exception:  # the scanner reads it again and owns the error
             return None
-    sizes = accumulate(p, mul, initial=1)
-    return Thread(p, tuple(StagePoint(n, int(i), inner) for i, n in zip(indices, sizes)))
+        inner = points[0].inner
+    points += [StagePoint(n, int(i), inner) for i, n in zip(indices[len(points):], sizes)]
+    return Thread(p, points)
 
 
 def parse_descriptor(text, offset=0):

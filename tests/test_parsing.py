@@ -350,9 +350,10 @@ BAD_INDICES = ["", "x", "1.5", "\u0663", "--1", "1 2"]
 
 @st.composite
 def thread_literals(draw):
-    """(p, text, mode, kappa): one inner literal at every level, written with
-    blanks that vary by level, maybe one level with another inner, and
-    maybe a bad index, a joint or a malformed inner at a later level."""
+    """(p, text, mode, kappa): one inner literal at every level, written as
+    ``str(Thread)`` prints it or with blanks that vary by level, maybe one
+    level with another inner, and maybe a bad index, a joint or a malformed
+    inner at a later level."""
     if draw(st.booleans()):
         inner, other = draw(tower_points()), draw(tower_points())
         mode, kappa = "tower", inner.kappa
@@ -363,7 +364,9 @@ def thread_literals(draw):
     depth = len(p) + 1
     top = draw(st.integers(0, 10**4))
     indices = [str(top % n) for n in accumulate(p, times, initial=1)]
-    bodies = [draw(st.sampled_from(SPACED))(str(inner)) for _ in range(depth)]
+    printed = draw(st.booleans())  # the form read without the scanner
+    bodies = [str(inner) if printed else draw(st.sampled_from(SPACED))(str(inner))
+              for _ in range(depth)]
     if draw(st.booleans()):
         bodies[draw(st.integers(0, depth - 1))] = str(other)
     fault = draw(st.sampled_from(["none", "index", "joint", "inner"]))
@@ -378,7 +381,8 @@ def thread_literals(draw):
     pieces = ["(%s| %s)" % pair for pair in zip(indices, bodies)]
     if fault == "joint" and depth > 1:
         pieces[level] = "inf" + indices[level]
-    return p, draw(st.sampled_from([";", "; ", " ;  "])).join(pieces), mode, kappa
+    sep = "; " if printed else draw(st.sampled_from([";", "; ", " ;  "]))
+    return p, sep.join(pieces), mode, kappa
 
 
 def _outcome(read, *args):
@@ -405,6 +409,11 @@ DIGITS_18, DIGITS_19 = "9" * 18, "1" * 19
 @example(((2,), "(%s| [1; w]); (%s| [1; w])" % (DIGITS_18, DIGITS_18), "tower", 2), 0)
 @example(((2,), "(%s| [1; w]); (%s| [1; w])" % (DIGITS_19, DIGITS_19), "tower", 2), 0)
 @example(((2,), "inf%s; inf%s" % (DIGITS_19, DIGITS_19), None, None), 0)
+# another body at a level above the last, and indices in other scripts
+@example(((2, 2), "(0| [1]); (1| [3]); (1| [1])", "tower", 2), 0)
+@example(((2,), "(0| w+1); (1| w+2)", "long", None), 0)
+@example(((2,), "inf0; inf\u0663", None, None), 0)
+@example(((2,), "(0| [1]); (\u00b9| [1])", "tower", 2), 0)
 # p shorter than the depth
 @example(((2,), "inf0; inf1; inf1", None, None), 0)
 @example(((), "(0| w+1); (0| w+1)", "long", None), 0)

@@ -12,8 +12,9 @@ sides see the same load on the machine at nearly the same moment.
 It prints the CPU seconds of ``main()`` summed per subcommand, NEW over OLD
 for each, and the number of queries whose exit code or output differed;
 it exits 1 when that number is not 0, so it also checks that two trees
-answer byte for byte alike.  It writes no file.  It reads in-process ``main()`` only, so it neither
-times start-up nor replaces the paired ``bench/run.py`` runs.
+answer byte for byte alike.  It writes no file.  It reads in-process
+``main()`` only, so it neither times start-up nor replaces the paired
+``bench/run.py`` runs.
 """
 
 import argparse
