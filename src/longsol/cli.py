@@ -49,7 +49,6 @@ from .stages import (
     TOWER_MODE,
     apply_recipe,
     extension_exponents,
-    fiber_indices,
     point_format,
     synthesize_recipe,
     verify_commutes,
@@ -165,25 +164,26 @@ def _decimal(r, sep):
 
 
 class _Listing:
-    """An answer's strings as one %d template and indices, written on output.
+    """An answer's strings as the descendants of one point, written on output.
 
-    A fiber (no ``root``) lists ``template % j`` for j in ``indices``, an
-    ascending range, whose JSON ``_decimal`` writes with one ``str()`` per
-    thousand indices.  A thread extension keeps the thread's text ``root``,
-    the ``exponents`` of its new levels and its ``top`` point; by the child
-    rule of ``stages``, child c < m of the string of index j on stage n
-    appends ``template % (j + c*n)``.  JSON escapes one character at a
-    time, so ``json_pieces()`` escapes the root and template once and
-    hands the last level to ``_render``'s one join as two pieces per
-    thread, parent and suffix: no thread's whole string is built."""
+    A listing keeps a text ``root``, a %d ``template``, the ``exponents``
+    of its levels and the ``top`` point they grow from.  By the child rule
+    of ``stages``, child c < m of the string of index j on stage n appends
+    ``template % (j + c*n)``: a fiber is one level under exponent m with an
+    empty root, and a thread extension roots at the thread's text.  JSON
+    escapes one character at a time, so ``json_pieces()`` escapes the root
+    and template once.  A last level with one parent is one range, which
+    ``_decimal`` writes a thousand indices at a time; any other goes to
+    ``_render``'s one join as two pieces per string, parent and suffix: no
+    whole string is built."""
 
-    def __init__(self, template, indices=(), root=None, exponents=(), top=None):
-        self.template, self.indices = template, indices
-        self.root, self.exponents, self.top = root, exponents, top
+    def __init__(self, template, root, exponents, top):
+        self.template, self.root = template, root
+        self.exponents, self.top = exponents, top
 
     def _above_last(self, text):
         """The template in ``text`` split at its %d, the strings one level
-        above an extension's last with their indices, and that level's n."""
+        above the last with their indices, and that level's n."""
         head, tail = text(self.template).split("%d")
         strings, indices, n = [text(self.root)], [self.top.index], self.top.n
         for m in self.exponents[:-1]:
@@ -197,8 +197,6 @@ class _Listing:
         return head, tail, strings, indices, n
 
     def __iter__(self):
-        if self.root is None:
-            return (self.template % j for j in self.indices)
         head, tail, strings, indices, n = self._above_last(str)
         return (f"{s}{head}{j + o}{tail}" for s, j in zip(strings, indices)
                 for o in range(0, self.exponents[-1] * n, n))
@@ -209,16 +207,15 @@ class _Listing:
         themselves: the document they go into is the one large string."""
         def escape(text):  # as written between a JSON string's quotes
             return json.dumps(text)[1:-1]
-        if self.root is None:
-            if not self.indices:
-                return ["[]"]
-            head, tail = escape(self.template).split("%d")
-            numbers = _decimal(self.indices, tail + '", "' + head)
-            return ['["', head, *numbers, tail, '"]']
-        # '["', then per thread its parent string and its suffix, each
-        # suffix followed by '", "', the last thread's turned into '"]'
         head, tail, strings, indices, n = self._above_last(escape)
-        m, tail = self.exponents[-1], tail + '", "'
+        m = self.exponents[-1]
+        if len(strings) == 1:  # the children of one parent: one range
+            parent, j = strings[0], indices[0]
+            numbers = _decimal(range(j, j + m * n, n), f'{tail}", "{parent}{head}')
+            return ['["', parent, head, *numbers, tail, '"]']
+        # '["', then per string its parent and its suffix, each suffix
+        # followed by '", "', the last one's turned into '"]'
+        tail += '", "'
         pieces = ['["'] + [None] * (2 * m * len(strings))
         for c in range(m):
             pieces[1 + 2 * c :: 2 * m] = strings
@@ -286,7 +283,7 @@ def _cmd_fiber(args):
     joint = args.point.strip().startswith("inf")
     mode, kappa = (None, None) if joint else _mode(args)
     q = parsing.parse_stage_point(args.point, args.n, mode, kappa)
-    points = _Listing(point_format(q.inner), fiber_indices(args.m, args.n, q))
+    points = _Listing(point_format(q.inner), "", (args.m,), q)
     return {"stage": args.m * args.n, "points": points}
 
 
@@ -314,7 +311,7 @@ def _cmd_thread_extend(args):
     _check(args, "LONGSOL_DEPTH", thread.depth + args.levels)
     exps = extension_exponents(thread, args.levels)
     text = "; " + point_format(thread.points[0].inner)
-    threads = _Listing(text, root=str(thread), exponents=exps, top=thread.points[-1])
+    threads = _Listing(text, str(thread), exps, thread.points[-1])
     return {"count": prod(exps), "threads": threads}
 
 
@@ -433,7 +430,7 @@ COMMANDS = (
         ("--m", dict(_REQUIRED_INT, help="covering degree")),
         ("--n", dict(_REQUIRED_INT, help="base stage size")),
         ("--point", _REQUIRED),
-    ) + _MODE, ("stages.fiber_indices", "stages.point_format")),
+    ) + _MODE, ("stages.point_format",)),
     ("thread verify", _cmd_thread_verify, "check a thread against its bonds",
      _THREAD, ("stages.stage_size",)),
     ("thread extend", _cmd_thread_extend, "every extension by more levels",

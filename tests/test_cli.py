@@ -876,29 +876,59 @@ def test_listing_json_escapes_template_as_json_dumps_does():
     # a quote, a backslash, control characters and non-ASCII characters,
     # each of which json.dumps writes as an escape
     template = 'a"b\\c\x01d\u00e9 %d \u2028\x7f\t"'
-    indices = range(3, 40, 7)
-    fiber = _Listing(template, indices)
-    assert _listing_json(fiber) == json.dumps([template % j for j in indices])
-    assert list(fiber) == [template % j for j in indices]
-    assert _listing_json(_Listing(template, range(0))) == json.dumps([])
-    # indices past 1000 go by the block writer
-    past = range(997, 3004, 3)
-    assert _listing_json(_Listing(template, past)) == json.dumps(
-        [template % j for j in past])
+    # a fiber is the one level of its point under exponent m, with no root:
+    # the children of index i on stage n are i, i + n, ..., past 1000 in
+    # the last two
+    for m, n, i in ((6, 7, 3), (1, 5, 4), (700, 3, 2), (4, 1000, 997)):
+        fiber = _Listing(template, "", (m,), StagePoint(n, i))
+        want = [template % j for j in range(i, m * n, n)]
+        assert _listing_json(fiber) == json.dumps(want)
+        assert list(fiber) == want
     # an extension of a top point (1| ...) on stage 2 by exponents 2 and 3:
     # children 1, 3 on stage 4, then 1, 5, 9 and 3, 7, 11 on stage 12
     root, t = '"\\\x1f\u0663', "; " + template
     first = [root + t % 1, root + t % 3]
     threads = [first[0] + t % 1, first[0] + t % 5, first[0] + t % 9,
                first[1] + t % 3, first[1] + t % 7, first[1] + t % 11]
-    for exponents, want in (((2, 3), threads), ((2,), first), ((1, 1), [first[0] + t % 1])):
-        extension = _Listing(t, root=root, exponents=exponents, top=StagePoint(2, 1))
+    # one parent below a level of exponent 1, and a one-level extension
+    # whose 1500 children run past 1000
+    ones = [root + t % 1 + t % j for j in (1, 3, 5)]
+    wide = [root + t % j for j in range(1, 3000, 2)]
+    for exponents, want in (((2, 3), threads), ((2,), first), ((1, 1), [first[0] + t % 1]),
+                            ((1, 3), ones), ((1500,), wide)):
+        extension = _Listing(t, root, exponents, StagePoint(2, 1))
         assert _listing_json(extension) == json.dumps(want)
         assert list(extension) == want
 
 
-# _decimal writes a fiber's indices by blocks of a thousand; its pieces must
-# make the plain join at every block edge and at any step
+def _descendants(template, root, exponents, top):
+    """The child rule applied level by level, one string at a time."""
+    strings, n = [(root, top.index)], top.n
+    for m in exponents:
+        strings = [(s + template % (j + c * n), j + c * n)
+                   for s, j in strings for c in range(m)]
+        n *= m
+    return [s for s, _ in strings]
+
+
+# characters json.dumps escapes, and plain ones; a root may hold a '%'
+ESCAPED = st.sampled_from('a "\\\x00\x1f\x7f\u00e9\u2028\ud800\U0001f600;|(')
+
+
+@given(st.text(ESCAPED | st.just("%")), st.text(ESCAPED), st.text(ESCAPED),
+       st.lists(st.integers(1, 3), max_size=2), st.integers(1, 1100),
+       st.integers(1, 2000), st.integers(0, 10**6))
+def test_listing_writes_json_dumps_of_its_strings(root, head, tail, above, m, n, index):
+    template, top = head + "%d" + tail, StagePoint(n, index)
+    listing = _Listing(template, root, (*above, m), top)
+    want = _descendants(template, root, (*above, m), top)
+    assert list(listing) == want
+    assert _listing_json(listing) == json.dumps(want)
+    assert json.loads(_listing_json(listing)) == want
+
+
+# _decimal writes one parent's children by blocks of a thousand; its pieces
+# must make the plain join at every block edge and at any step
 
 DECIMAL_STARTS = (0, 1, 999, 1000, 1001, 12345)
 DECIMAL_STEPS = (1, 2, 7, 125, 999, 1000, 1001, 10**8)

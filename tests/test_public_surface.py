@@ -60,7 +60,8 @@ ORACLE_SHARES = {
     "stage_size": "the product of earlier exponents, the shape every model walks",
     "parse_stage_point": "ref_parse_thread checks the per-thread inner cache, "
                          "not the literal grammar",
-    "fiber_indices": "the renderer oracles knowingly share the index rule",
+    "fiber_indices": "the fiber oracle's index rule; the CLI's listing grows "
+                     "its fibers by the child rule and never calls it",
     "point_format": "the renderer oracles knowingly share the template",
 }
 
