@@ -92,6 +92,14 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise CommandError(message)
 
+    def _check_value(self, action, value):
+        # worded here, so every interpreter answers alike: later argparse
+        # releases write the choices with str, where older ones use repr
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(
+                action, "invalid choice: %r (choose from %s)" % (value, choices))
+
 
 def _mode(args, required=True):
     if args.tower is not None and args.long:

@@ -18,8 +18,9 @@ from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from golden_replay import BOUNDS, call
 from reference_models import ref_extension_threads, ref_fiber_points, ref_render
-from test_cli_golden import _README, ARGVS, BOUNDS, _load, call
+from test_cli_golden import _README, ARGVS, _load
 
 from longsol import (
     ZERO,

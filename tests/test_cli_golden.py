@@ -11,21 +11,19 @@ registered, so the transcript pins that order too.
 
 After a deliberate change of output, record the transcript again with
 ``PYTHONPATH=src python3 tests/test_cli_golden.py`` and review the diff.
+The transcript is also replayed under each other interpreter on ``PATH``
+by ``golden_replay.py``, which needs only the standard library.
 """
 
-import contextlib
-import io
 import json
 import os
-import sys
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
+from golden_replay import GOLDEN, bounds, call
 
-from longsol.cli import main
-
-GOLDEN = Path(__file__).with_name("cli_golden.json")
-BOUNDS = ("LONGSOL_DEPTH", "LONGSOL_INDEX_BOUND")
 ENVS = (
     {},
     {"LONGSOL_DEPTH": "2"},
@@ -268,28 +266,13 @@ _RAISES = [
 ARGVS = _README + _TEST_CLI + _ERRORS + _PINNED + _LISTINGS + _RAISES
 
 
-def call(argv):
-    """Exit code and stdout of one in-process ``main(argv)``."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(list(argv))
-    return code, out.getvalue()
-
-
 def transcript(env):
-    saved = {name: os.environ.pop(name, None) for name in BOUNDS}
-    os.environ.update(env)
-    try:
+    with bounds(env):
         entries = []
         for argv in ARGVS:
             code, stdout = call(argv)
             entries.append({"env": env, "argv": argv, "code": code, "stdout": stdout})
         return entries
-    finally:
-        for name, value in saved.items():
-            os.environ.pop(name, None)
-            if value is not None:
-                os.environ[name] = value
 
 
 def _load():
@@ -314,6 +297,31 @@ def test_golden_transcript(env):
         if (w["code"], w["stdout"]) != (g["code"], g["stdout"])
     ]
     assert not diffs, "\n".join(diffs)
+
+
+REPLAY = Path(__file__).with_name("golden_replay.py")
+
+
+@pytest.mark.parametrize("python", ["python3.10", "python3.12", "python3.13"])
+def test_golden_transcript_under_other_interpreters(python):
+    path = shutil.which(python)
+    if path is None:
+        pytest.skip("no %s on PATH" % python)
+    # a pyenv shim is on PATH even where no installed version provides the
+    # name, and then exits with "command not found"
+    ran = subprocess.run([path, "--version"], capture_output=True, text=True, timeout=60)
+    if ran.returncode != 0:
+        pytest.skip("%s --version exits %d" % (python, ran.returncode))
+    env = {k: v for k, v in os.environ.items() if not k.startswith("LONGSOL_")}
+    env.update(PYTHONPATH=str(REPLAY.parents[1] / "src"), PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run([path, str(REPLAY)], capture_output=True, text=True,
+                          env=env, timeout=300)
+    version = (ran.stdout or ran.stderr).strip()
+    assert done.stdout, "%s (%s) failed:\n%s" % (python, version, done.stderr)
+    report = json.loads(done.stdout)
+    assert not report["differing"], "%s (%s): %d of %d entries differ, first %s" % (
+        python, report["version"], len(report["differing"]), report["entries"],
+        report["differing"][:3])
 
 
 if __name__ == "__main__":

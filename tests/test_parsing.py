@@ -414,6 +414,9 @@ DIGITS_18, DIGITS_19 = "9" * 18, "1" * 19
 @example(((2,), "(0| w+1); (1| w+2)", "long", None), 0)
 @example(((2,), "inf0; inf\u0663", None, None), 0)
 @example(((2,), "(0| [1]); (\u00b9| [1])", "tower", 2), 0)
+# joints and a piece that is not one: left to the scanner
+@example(((2,), "inf0; abc1", None, None), 0)
+@example(((2,), " inf0; inf1", None, None), 0)
 # p shorter than the depth
 @example(((2,), "inf0; inf1; inf1", None, None), 0)
 @example(((), "(0| w+1); (0| w+1)", "long", None), 0)
