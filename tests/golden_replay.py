@@ -3,10 +3,11 @@
     PYTHONPATH=src python3.X tests/golden_replay.py
 
 prints one JSON line: the interpreter's version, the number of entries,
-and the argv of each entry whose exit code or stdout differs; it exits 1
-when any differs.  It imports nothing outside the standard library and
-``longsol``, so any interpreter the package supports runs it as it is;
-``test_cli_golden.py`` runs it under each other interpreter it finds.
+and each entry whose exit code or stdout differs, with both outcomes; it
+exits 1 when any differs.  It imports nothing outside the standard
+library and ``longsol``, so any interpreter the package supports runs it
+as it is; ``test_cli_golden.py`` runs it under each other interpreter it
+finds.
 """
 
 import contextlib
@@ -47,14 +48,15 @@ def bounds(env):
 
 
 def differing(entries):
-    """The argv and environment of each entry whose exit code or stdout
-    ``main`` does not reproduce."""
+    """Each entry whose exit code and stdout ``main`` does not reproduce:
+    its environment, its argv, and the outcomes recorded and got."""
     diffs = []
     for entry in entries:
+        want = entry["code"], entry["stdout"]
         with bounds(entry["env"]):
             got = call(entry["argv"])
-        if got != (entry["code"], entry["stdout"]):
-            diffs.append({"env": entry["env"], "argv": entry["argv"]})
+        if got != want:
+            diffs.append({"env": entry["env"], "argv": entry["argv"], "outcomes": [want, got]})
     return diffs
 
 

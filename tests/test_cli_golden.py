@@ -22,7 +22,7 @@ import subprocess
 from pathlib import Path
 
 import pytest
-from golden_replay import GOLDEN, bounds, call
+from golden_replay import GOLDEN, bounds, call, differing
 
 ENVS = (
     {},
@@ -288,15 +288,13 @@ def test_golden_covers_the_corpus():
 @pytest.mark.parametrize("env", ENVS, ids=lambda env: ",".join(
     "%s=%s" % item for item in env.items()) or "default")
 def test_golden_transcript(env):
-    want = [e for e in _load() if e["env"] == env]
-    got = transcript(env)
-    diffs = [
-        "%s\n  want %r\n  got  %r" % (
-            " ".join(w["argv"])[:120], (w["code"], w["stdout"]), (g["code"], g["stdout"]))
-        for w, g in zip(want, got)
-        if (w["code"], w["stdout"]) != (g["code"], g["stdout"])
-    ]
-    assert not diffs, "\n".join(diffs)
+    diffs = differing([e for e in _load() if e["env"] == env])
+    assert not diffs, _report(diffs)
+
+
+def _report(diffs):
+    return "\n".join("%s\n  want %r\n  got  %r" % (" ".join(d["argv"])[:120], *d["outcomes"])
+                     for d in diffs)
 
 
 REPLAY = Path(__file__).with_name("golden_replay.py")
@@ -319,9 +317,9 @@ def test_golden_transcript_under_other_interpreters(python):
     version = (ran.stdout or ran.stderr).strip()
     assert done.stdout, "%s (%s) failed:\n%s" % (python, version, done.stderr)
     report = json.loads(done.stdout)
-    assert not report["differing"], "%s (%s): %d of %d entries differ, first %s" % (
-        python, report["version"], len(report["differing"]), report["entries"],
-        report["differing"][:3])
+    diffs = report["differing"]
+    assert not diffs, "%s (%s): %d of %d entries differ\n%s" % (
+        python, report["version"], len(diffs), report["entries"], _report(diffs[:3]))
 
 
 if __name__ == "__main__":
