@@ -24,6 +24,11 @@ GOLDEN = Path(__file__).with_name("cli_golden.json")
 BOUNDS = ("LONGSOL_DEPTH", "LONGSOL_INDEX_BOUND")
 
 
+def load():
+    """The recorded entries, in corpus order."""
+    return json.loads(GOLDEN.read_text())
+
+
 def call(argv):
     """Exit code and stdout of one in-process ``main(argv)``."""
     out = io.StringIO()
@@ -61,7 +66,7 @@ def differing(entries):
 
 
 if __name__ == "__main__":
-    entries = json.loads(GOLDEN.read_text())
+    entries = load()
     diffs = differing(entries)
     print(json.dumps({"version": platform.python_version(),
                       "entries": len(entries), "differing": diffs}))

@@ -18,9 +18,9 @@ from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from golden_replay import BOUNDS, call
+from golden_replay import BOUNDS, call, load
 from reference_models import ref_extension_threads, ref_fiber_points, ref_render
-from test_cli_golden import _README, ARGVS, _load
+from test_cli_golden import _README, ARGVS
 
 from longsol import (
     ZERO,
@@ -602,7 +602,7 @@ def _argparse():
 def _golden(*argvs):
     """The golden (exit code, stdout) of each argv, with no bound set."""
     entries = {tuple(e["argv"]): (e["code"], e["stdout"])
-               for e in _load() if not e["env"]}
+               for e in load() if not e["env"]}
     return [entries[tuple(argv)] for argv in argvs]
 
 

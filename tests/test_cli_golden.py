@@ -22,7 +22,7 @@ import subprocess
 from pathlib import Path
 
 import pytest
-from golden_replay import GOLDEN, bounds, call, differing
+from golden_replay import GOLDEN, bounds, call, differing, load
 
 ENVS = (
     {},
@@ -275,12 +275,8 @@ def transcript(env):
         return entries
 
 
-def _load():
-    return json.loads(GOLDEN.read_text())
-
-
 def test_golden_covers_the_corpus():
-    assert [(e["env"], e["argv"]) for e in _load()] == [
+    assert [(e["env"], e["argv"]) for e in load()] == [
         (env, argv) for env in ENVS for argv in ARGVS
     ]
 
@@ -288,7 +284,7 @@ def test_golden_covers_the_corpus():
 @pytest.mark.parametrize("env", ENVS, ids=lambda env: ",".join(
     "%s=%s" % item for item in env.items()) or "default")
 def test_golden_transcript(env):
-    diffs = differing([e for e in _load() if e["env"] == env])
+    diffs = differing([e for e in load() if e["env"] == env])
     assert not diffs, _report(diffs)
 
 
