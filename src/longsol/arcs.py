@@ -13,9 +13,19 @@ one full turn of the base stage.  That is what makes the defining
 sequence indecomposable: a connected lift of one arc sits inside a
 single preimage component and therefore misses the others, and one
 component of each preimage never covers the whole covering stage.
+
+Arcs keep their positions as ``Fraction``s, but the two-arc rules
+(``Arc.contains``, ``arcs_intersect``, ``uncovered_point``,
+``preimage_components`` and ``indecomposability_witness``) work on
+integers: the positions involved, at most four denominators, are scaled by
+their lcm, or twice it where a midpoint is taken, so every position and
+midpoint is an integer no larger than the input's own numbers.  Only the
+values returned are built as ``Fraction``s.  The ``Fraction`` forms of the
+rules are kept in the test suite's reference models.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import Record, StageDomainError, WitnessInputError
 
@@ -38,34 +48,64 @@ class Arc(Record):
         return (self.end - self.start) % self.n
 
     def contains(self, pos):
-        return (Fraction(pos) - self.start) % self.n <= self.length
+        if not isinstance(pos, Fraction):
+            pos = Fraction(pos)
+        scale = lcm(pos.denominator, self.start.denominator, self.end.denominator)
+        s, e, p = _scaled(scale, self.start, self.end, pos)
+        return _within(s, e, p, self.n * scale)
 
     def __str__(self):
         return "%s..%s" % (format_position(self.start), format_position(self.end))
 
 
+def _arc(n, start, end):
+    """The Arc of endpoints already known to be distinct Fractions in [0, n)."""
+    arc = object.__new__(Arc)
+    arc.__dict__.update(n=n, start=start, end=end)
+    return arc
+
+
+def _scaled(scale, *positions):
+    """Each position times ``scale``, which its denominator divides."""
+    return [p.numerator * (scale // p.denominator) for p in positions]
+
+
+def _within(s, e, p, c):
+    """Does the closed arc from s to e hold p, on the circle of integer
+    circumference c?"""
+    return (p - s) % c <= (e - s) % c
+
+
 def format_position(pos):
     whole = int(pos)
-    rest = pos - whole
+    rest = pos.numerator - whole * pos.denominator  # over the same denominator
     if rest == 0:
         return str(whole)
-    return "%d+%d/%d" % (whole, rest.numerator, rest.denominator)
+    return "%d+%d/%d" % (whole, rest, pos.denominator)
 
 
 def arcs_intersect(a, b):
     """Closed cyclic intervals meet iff either contains the other's start."""
     if a.n != b.n:
         raise StageDomainError("arcs live on different stages")
-    return a.contains(b.start) or b.contains(a.start)
+    scale = lcm(a.start.denominator, a.end.denominator,
+                b.start.denominator, b.end.denominator)
+    sa, ea, sb, eb = _scaled(scale, a.start, a.end, b.start, b.end)
+    c = a.n * scale
+    return _within(sa, ea, sb, c) or _within(sb, eb, sa, c)
 
 
-def _open_overlap_point(s1, l1, s2, l2, circumference):
-    """A point interior to both open cyclic intervals, or None."""
-    for shift in (-circumference, Fraction(0), circumference):
-        low = max(s1, s2 + shift)
-        high = min(s1 + l1, s2 + shift + l2)
+def _gap_point(sa, ea, sb, eb, c):
+    """A point in neither closed arc, sa to ea and sb to eb, on the circle of
+    circumference c, or None if they cover it.  The gaps are the open arcs
+    from each end to its start; the point is the midpoint of their first
+    overlap, so every argument must be even."""
+    la, lb = (sa - ea) % c, (sb - eb) % c
+    for shift in (-c, 0, c):
+        low = max(ea, eb + shift)
+        high = min(ea + la, eb + shift + lb)
         if low < high:
-            return ((low + high) / 2) % circumference
+            return (low + high) // 2 % c
     return None
 
 
@@ -73,21 +113,22 @@ def uncovered_point(a, b):
     """A position on the stage missed by both arcs, or None if they cover it."""
     if a.n != b.n:
         raise StageDomainError("arcs live on different stages")
-    gap_a = (a.end, a.n - a.length)
-    gap_b = (b.end, b.n - b.length)
-    return _open_overlap_point(gap_a[0], gap_a[1], gap_b[0], gap_b[1], Fraction(a.n))
+    scale = 2 * lcm(a.start.denominator, a.end.denominator,
+                    b.start.denominator, b.end.denominator)
+    point = _gap_point(*_scaled(scale, a.start, a.end, b.start, b.end), a.n * scale)
+    return None if point is None else Fraction(point, scale)
 
 
 def preimage_components(arc, m):
     """The m components of the bond preimage, ascending around the circle."""
     if m < 1:
         raise StageDomainError("bond multiplicity must be >= 1")
-    big = arc.n * m
-    components = []
-    for k in range(m):
-        start = (arc.start + k * arc.n) % big
-        components.append(Arc(big, start, (start + arc.length) % big))
-    return components
+    scale = lcm(arc.start.denominator, arc.end.denominator)
+    s, e = _scaled(scale, arc.start, arc.end)
+    step = arc.n * scale
+    length, big = (e - s) % step, m * step
+    return [_arc(arc.n * m, Fraction(start, scale), Fraction((start + length) % big, scale))
+            for start in range(s, big, step)]
 
 
 class WitnessReport(Record):
@@ -117,16 +158,13 @@ class WitnessReport(Record):
         )
 
 
-def _separators(components):
-    """One point in the open gap after each component; None never occurs
-    because components are translates shorter than their spacing."""
-    out = []
-    total = Fraction(components[0].n)
-    for idx, comp in enumerate(components):
-        nxt = components[(idx + 1) % len(components)]
-        gap_len = (nxt.start - comp.end) % total
-        out.append((comp.end + gap_len / 2) % total)
-    return tuple(out)
+def _separators(ends, big):
+    """One point in the open gap after each component, given as scaled
+    (start, end) pairs on the circle of even circumference big; the gap is
+    never empty because components are translates shorter than their
+    spacing."""
+    return [(e + (nxt - e) % big // 2) % big
+            for (_, e), (nxt, _) in zip(ends, ends[1:] + ends[:1])]
 
 
 def indecomposability_witness(multiplicity, n, c_arc, g_arc):
@@ -147,22 +185,31 @@ def indecomposability_witness(multiplicity, n, c_arc, g_arc):
         raise WitnessInputError("the two arcs must cover the stage")
     c_comps = preimage_components(c_arc, multiplicity)
     g_comps = preimage_components(g_arc, multiplicity)
+    # the components' denominators are their arc's: scale as for the arcs
+    scale = 2 * lcm(c_arc.start.denominator, c_arc.end.denominator,
+                    g_arc.start.denominator, g_arc.end.denominator)
+    big = n * multiplicity * scale
+    c_ends, g_ends = ([_scaled(scale, a.start, a.end) for a in comps]
+                      for comps in (c_comps, g_comps))
     missed = []
-    for i, c_comp in enumerate(c_comps):
-        for j, g_comp in enumerate(g_comps):
-            point = uncovered_point(c_comp, g_comp)
+    for i, c_comp in enumerate(c_ends):
+        for j, g_comp in enumerate(g_ends):
+            point = _gap_point(*c_comp, *g_comp, big)
             if point is None:
                 raise WitnessInputError(
                     "component pair (%d, %d) unexpectedly covers the stage" % (i, j)
                 )
-            missed.append(((i, j), point))
+            missed.append(((i, j), Fraction(point, scale)))
+    c_separators, g_separators = (
+        tuple(Fraction(p, scale) for p in _separators(ends, big))
+        for ends in (c_ends, g_ends))
     return WitnessReport(
         multiplicity=multiplicity,
         stage=n,
         c_components=tuple(c_comps),
         g_components=tuple(g_comps),
-        c_separators=_separators(c_comps),
-        g_separators=_separators(g_comps),
+        c_separators=c_separators,
+        g_separators=g_separators,
         pair_uncovered=tuple(missed),
     )
 

@@ -32,7 +32,7 @@ from math import prod
 from . import parsing
 from .arcs import circular_chain_check, format_position, indecomposability_witness
 from .cohomology import (
-    dl_add,
+    _in_group,
     dl_of_rational,
     dl_value,
     h1_action,
@@ -379,10 +379,11 @@ def _cmd_coh_member(args):
 
 
 def _cmd_coh_sum(args):
+    # only the sum's element is printed, so only its numerator is built
     descriptor = parsing.parse_descriptor(args.s)
-    a = dl_of_rational(descriptor, parsing.parse_rational(args.a))
-    b = dl_of_rational(descriptor, parsing.parse_rational(args.b))
-    total = dl_add(descriptor, a, b)
+    a = _in_group(descriptor, parsing.parse_rational(args.a))
+    b = _in_group(descriptor, parsing.parse_rational(args.b))
+    total = dl_of_rational(descriptor, a + b)
     return {
         "level": total.level,
         "numerator": total.numerator,
@@ -465,7 +466,7 @@ COMMANDS = (
      ("cohomology.member",)),
     ("cohomology sum", _cmd_coh_sum, "sum in the direct limit",
      (("--s", _REQUIRED), ("--a", _REQUIRED), ("--b", _REQUIRED)),
-     ("cohomology.dl_of_rational", "cohomology.dl_add", "cohomology.dl_value")),
+     ("cohomology.dl_of_rational", "cohomology.dl_value")),
     ("cohomology degree", _cmd_coh_degree, "degree of a bond on H^1",
      (("--m", _REQUIRED_INT), ("--n", _REQUIRED_INT)), ("cohomology.h1_action",)),
 )

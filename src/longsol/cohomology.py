@@ -39,7 +39,8 @@ guessed.
 from fractions import Fraction
 import functools
 import itertools
-from math import gcd, isqrt, log2, prod
+from math import gcd, isqrt, log2, log10, prod
+import sys
 
 from .errors import DepthBoundError, InvalidPointError, Record, StageDomainError
 
@@ -66,13 +67,32 @@ class SequenceDescriptor(Record):
 
     def partial_product(self, level):
         """p1 * ... * p_level (1 for level 0)."""
-        return prod(self.entry(i) for i in range(1, level + 1))
+        head, cycle, count, tail = self._product_factors(level)
+        return head * cycle**count * tail
+
+    def _product_factors(self, level):
+        """(H, C, k, T) with H * C^k * T the product of the first ``level``
+        entries: C is the cycle's product, k the whole cycles among them."""
+        if level <= len(self.prefix):
+            return _product(self.prefix[: max(level, 0)]), 1, 0, 1
+        count, rest = divmod(level - len(self.prefix), len(self.cycle))
+        return (_product(self.prefix), _product(self.cycle), count,
+                _product(self.cycle[:rest]))
 
     def __str__(self):
         return "%s:%s" % (
             ",".join(str(e) for e in self.prefix),
             ",".join(str(e) for e in self.cycle),
         )
+
+
+def _product(entries):
+    """The product of a tuple, by halves: one long list costs about one
+    multiplication of the final size, not one per entry."""
+    if len(entries) <= 64:
+        return prod(entries)
+    half = len(entries) // 2
+    return _product(entries[:half]) * _product(entries[half:])
 
 
 class SupernaturalNumber(Record):
@@ -226,11 +246,13 @@ def supernatural_of(s):
 
 
 def _strip(b, c):
-    """b with every prime it shares with c divided out."""
+    """b with every prime it shares with c divided out.  g holds every prime
+    b still shares with c, and squaring it lets each pass take twice the
+    power the last one did, so a prime power p^e goes in O(log e) passes."""
     g = gcd(b, c)
     while g > 1:
         b //= g
-        g = gcd(b, g)
+        g = gcd(b, g * g)
     return b
 
 
@@ -238,7 +260,7 @@ def mccord_equivalent(a, b):
     """Finitely many deletions equalize the sequences iff the infinite
     prime sets agree; prefixes and any finite part of a cycle can go.
     The sets agree iff each cycle product strips to 1 against the other."""
-    ca, cb = prod(a.cycle), prod(b.cycle)
+    ca, cb = _product(a.cycle), _product(b.cycle)
     return _strip(ca, cb) == 1 and _strip(cb, ca) == 1
 
 
@@ -247,7 +269,7 @@ def member(s, r):
     that is, does b divide a partial product?  Cycle primes come with any
     multiplicity, so iff b stripped of them divides the prefix product."""
     r = Fraction(r)
-    return prod(s.prefix) % _strip(r.denominator, prod(s.cycle)) == 0
+    return _product(s.prefix) % _strip(r.denominator, _product(s.cycle)) == 0
 
 
 class DirectLimitElement(Record):
@@ -276,17 +298,58 @@ def dl_add(s, u, v):
     return dl_of_rational(s, dl_value(s, u) + dl_value(s, v))
 
 
-def dl_of_rational(s, r):
-    """The canonical element denoting r: the least level whose product the
-    denominator divides.  r must belong to the group."""
+def _in_group(s, r):
+    """r as a Fraction, which must belong to the group of s."""
     r = Fraction(r)
     if not member(s, r):
         raise StageDomainError("%s is not in the group of %s" % (r, s))
-    level, product = 0, 1
-    while product % r.denominator != 0:
+    return r
+
+
+def dl_of_rational(s, r):
+    """The canonical element denoting r: the least level whose product the
+    denominator divides.  r must belong to the group.
+
+    d divides e * X exactly when d / gcd(d, e) divides X, so the level is
+    where the denominator, divided by its gcd with each entry in turn,
+    reaches 1.  That walk takes the prefix, then the whole cycles at once:
+    their count is the least k whose C^k (C the cycle's product) the rest
+    divides, found by doubling and bisection on pow(C, k, rest), so no
+    number grows past the denominator; then at most one more cycle.  A
+    numerator that would print past ``sys.get_int_max_str_digits()`` is
+    refused, by its logarithm, before it is built.
+    """
+    r = _in_group(s, r)
+    rest, level = r.denominator, 0
+    for entry in s.prefix:
+        if rest == 1:
+            break
+        rest //= gcd(rest, entry)
         level += 1
-        product *= s.entry(level)
-    return DirectLimitElement(level, r.numerator * (product // r.denominator))
+    if rest > 1:
+        cycle = _product(s.cycle) % rest
+        low, high = 0, 1  # pow(cycle, low, rest) != 0 throughout
+        while pow(cycle, high, rest):
+            low, high = high, 2 * high
+        while high - low > 1:
+            mid = (low + high) // 2
+            low, high = (mid, high) if pow(cycle, mid, rest) else (low, mid)
+        rest //= gcd(rest, pow(cycle, low, rest))
+        level += low * len(s.cycle)
+        for entry in s.cycle:
+            if rest == 1:
+                break
+            rest //= gcd(rest, entry)
+            level += 1
+    limit = sys.get_int_max_str_digits()
+    if limit and r.numerator:
+        head, cycle, count, tail = s._product_factors(level)
+        digits = (log10(abs(r.numerator)) + log10(head) + count * log10(cycle)
+                  + log10(tail) - log10(r.denominator))
+        if digits >= limit + 1:
+            raise DepthBoundError("printed integer longer than %d digits" % limit)
+    return DirectLimitElement(
+        level, r.numerator * (s.partial_product(level) // r.denominator))
 
 
 def h1_action(m, n):

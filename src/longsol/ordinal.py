@@ -98,8 +98,7 @@ def compare(a, b):
     a longer list extends a shorter equal prefix and is therefore larger.
     """
     for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
-        by_exp = compare(ea, eb)
-        if by_exp:
+        if ea is not eb and (by_exp := compare(ea, eb)):
             return by_exp
         if ca != cb:
             return -1 if ca < cb else 1

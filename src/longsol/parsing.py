@@ -25,6 +25,7 @@ so does the ``DepthBoundError`` for an ordinal literal nesting too deep
 (see ``parse_ordinal``) or an integer literal too long (see ``_decimal``).
 """
 
+import re
 import sys
 from fractions import Fraction
 from itertools import accumulate
@@ -133,12 +134,112 @@ def parse_ordinal(text, offset=0):
     exponents heads a value of depth n + 2, which is the value's depth for
     every normal form.  A literal that would only stay within the bound
     through a ``^0`` or ``*0`` collapsing it is rejected all the same.
+
+    The token reader (``_read_ordinal``) reads the text first; any text it
+    does not take, and so every error, is read by the scanner.
     """
+    value = _read_ordinal(text)
+    return _scan_ordinal(text, offset) if value is None else value
+
+
+def _scan_ordinal(text, offset):
     s = _Scanner(text, offset)
     value = _ordinal(s, 0)
     if not s.done():
         s.error("unexpected trailing input")
     return value
+
+
+# blanks, then one number (ASCII digits only) or one other character
+_TOKEN = re.compile(r"\s*([0-9]+|\S)")
+
+
+class _Irregular(Exception):
+    """Text the token reader leaves to the scanner."""
+
+
+def _read_ordinal(text):
+    """The ordinal literal read from its tokens, or None for text that does
+    not follow the grammar, nests past the depth bound, or holds a number
+    past the digit limit.
+
+    Blanks only separate tokens.  Two numbers in a row never follow the
+    grammar, so blanks inside a number leave the text to the scanner.  Each
+    sum collects its (exponent, coefficient) pairs: one already strictly
+    descending is built as one ``CnfOrdinal``, any other is summed by
+    ``add`` as the scanner sums.  Equal natural exponents are one object.
+    """
+    tokens = _TOKEN.findall(text)
+    limit = sys.get_int_max_str_digits()
+    if limit and tokens and max(map(len, tokens)) > limit:
+        return None
+    tokens.append("")  # the end: no rule takes it
+    try:
+        value, i = _read_sum(tokens, 0, 0, {})
+    except _Irregular:
+        return None
+    return value if i == len(tokens) - 1 else None
+
+
+def _read_int(token):
+    """The value of a number token: one that sorts from "0" to ":"."""
+    if not "0" <= token < ":":
+        raise _Irregular
+    return int(token)
+
+
+def _read_sum(t, i, nest, nats):
+    """(the sum starting at token i, the index after it)"""
+    pairs = []
+    while True:
+        token = t[i]
+        if token == "w":
+            if nest + 2 > DEFAULT_DEPTH_BOUND:
+                raise _Irregular
+            exponent, coeff = ONE, 1
+            if t[i + 1] == "^":
+                exponent, i = _read_exponent(t, i + 2, nest + 1, nats)
+            else:
+                i += 1
+            if t[i] == "*":
+                coeff = _read_int(t[i + 1])
+                i += 2
+            if coeff:
+                pairs.append((exponent, coeff))
+        else:
+            coeff = _read_int(token)
+            i += 1
+            if coeff:
+                pairs.append((ZERO, coeff))
+        if t[i] != "+":
+            break
+        i += 1
+    if len(pairs) < 2:
+        return CnfOrdinal(pairs) if pairs else ZERO, i
+    try:
+        return CnfOrdinal(pairs), i
+    except ValueError:  # not strictly descending
+        return add(*[CnfOrdinal((pair,)) for pair in pairs]), i
+
+
+def _read_exponent(t, i, nest, nats):
+    token = t[i]
+    if token == "(":
+        value, i = _read_sum(t, i + 1, nest, nats)
+        if t[i] != ")":
+            raise _Irregular
+        return value, i + 1
+    if token == "w":
+        if nest + 2 > DEFAULT_DEPTH_BOUND:
+            raise _Irregular
+        if t[i + 1] == "^":
+            exponent, i = _read_exponent(t, i + 2, nest + 1, nats)
+            return CnfOrdinal(((exponent, 1),)), i
+        return OMEGA, i + 1
+    value = nats.get(token)
+    if value is None:
+        value = nats[token] = nat(_read_int(token))
+    return value, i + 1
 
 
 def _ordinal(s, nest):
@@ -258,11 +359,27 @@ def _parse_int(text, offset):
     return value if body == stripped else -value
 
 
+def _plain_ints(text):
+    """The entries of a comma separated list whose every entry is a plain
+    run of ASCII digits within the digit limit, read by ``int`` at once;
+    None for any other text, which is read entry by entry."""
+    entries = text.split(",")
+    digits = "".join(entries)
+    limit = sys.get_int_max_str_digits()
+    if (digits.isascii() and digits.isdecimal() and "" not in entries
+            and not (limit and max(map(len, entries)) > limit)):
+        return tuple(map(int, entries))
+    return None
+
+
 def _parse_int_list(text, offset, allow_empty):
     if not text.strip():
         if allow_empty:
             return ()
         raise ParseError("expected at least one integer", position=offset)
+    ints = _plain_ints(text)
+    if ints is not None:
+        return ints
     return tuple(
         _parse_int(piece, start) for piece, start in _split_top(text, ",", offset)
     )
@@ -270,6 +387,9 @@ def _parse_int_list(text, offset, allow_empty):
 
 def parse_exponents(text):
     """A comma separated list of integers, such as bonding exponents."""
+    ints = _plain_ints(text)
+    if ints is not None:
+        return ints
     return tuple(_parse_int(piece, start) for piece, start in _split_top(text, ","))
 
 
@@ -442,12 +562,38 @@ def _parse_position(text, n, offset):
     return copy + frac
 
 
+# a position I or I+N/D, ASCII digits only and no blanks
+_POSITION = re.compile(r"([0-9]+)(?:\+([0-9]+)/([0-9]+))?")
+
+
+def _read_position(text, n):
+    """The position read by one match, or None for any text the scanner
+    must read: another form, a number past the digit limit, a copy index
+    past n, or an offset outside [0, 1)."""
+    match = _POSITION.fullmatch(text)
+    limit = sys.get_int_max_str_digits()
+    if match is None or (limit and len(text) > limit):
+        return None
+    copy, num, den = match.groups()
+    copy = int(copy)
+    if copy >= n:
+        return None
+    if num is None:
+        return Fraction(copy)
+    num, den = int(num), int(den)
+    return Fraction(copy * den + num, den) if num < den else None
+
+
 def parse_arc(text, n, offset=0):
     halves = text.split("..")
     if len(halves) != 2:
         raise ParseError("arcs read START..END", position=offset)
-    start = _parse_position(halves[0], n, offset)
-    end = _parse_position(halves[1], n, offset + len(halves[0]) + 2)
+    start = _read_position(halves[0], n)
+    if start is None:
+        start = _parse_position(halves[0], n, offset)
+    end = _read_position(halves[1], n)
+    if end is None:
+        end = _parse_position(halves[1], n, offset + len(halves[0]) + 2)
     return Arc(n, start, end)
 
 

@@ -25,6 +25,9 @@ implementation:
   of the covering stage and counting passes through the base joint;
 * the circular chain pattern comes from testing every pair of arcs, each
   unrolled onto the line, instead of from a sweep over sorted endpoints;
+* the two-arc rules (containment, meeting, an uncovered point, preimage
+  components and the witness) come from ``Fraction`` arithmetic on the
+  positions, instead of from integers scaled by a common denominator;
 * the bond itself is written here (``ref_bond``: the copy index mod n),
   sharing no code with the library's fiber rule;
 * bond-compatibility of a recipe comes from checking every copy of every
@@ -53,6 +56,7 @@ from fractions import Fraction
 from longsol import (
     ZERO,
     Address,
+    Arc,
     CnfOrdinal,
     DirectLimitElement,
     ParseError,
@@ -61,6 +65,7 @@ from longsol import (
     TokenUndefinedError,
     TowerPoint,
     UnsupportedTranslationError,
+    WitnessReport,
     nat,
     parse_stage_point,
     stage_size,
@@ -317,6 +322,76 @@ def _ref_arcs_meet(a, b):
     return any(
         max(a.start, b.start + k) <= min(a_end, b.start + k + b_len) for k in (-n, 0, n)
     )
+
+
+def ref_contains(arc, pos):
+    return (Fraction(pos) - arc.start) % arc.n <= arc.length
+
+
+def ref_arcs_intersect(a, b):
+    return ref_contains(a, b.start) or ref_contains(b, a.start)
+
+
+def ref_uncovered_point(a, b):
+    """The midpoint of the first overlap of the two open gaps, each the
+    arc from an end around to its start, tried at shifts -n, 0 and n."""
+    n = Fraction(a.n)
+    s1, l1 = a.end, a.n - a.length
+    s2, l2 = b.end, b.n - b.length
+    for shift in (-n, Fraction(0), n):
+        low = max(s1, s2 + shift)
+        high = min(s1 + l1, s2 + shift + l2)
+        if low < high:
+            return ((low + high) / 2) % n
+    return None
+
+
+def ref_preimage_components(arc, m):
+    big = arc.n * m
+    components = []
+    for k in range(m):
+        start = (arc.start + k * arc.n) % big
+        components.append(Arc(big, start, (start + arc.length) % big))
+    return components
+
+
+def ref_separators(components):
+    """The midpoint of the gap after each component."""
+    out = []
+    total = Fraction(components[0].n)
+    for idx, comp in enumerate(components):
+        nxt = components[(idx + 1) % len(components)]
+        gap_len = (nxt.start - comp.end) % total
+        out.append((comp.end + gap_len / 2) % total)
+    return tuple(out)
+
+
+def ref_indecomposability_witness(multiplicity, n, c_arc, g_arc):
+    """The report's fields, or None where the arcs do not cover the stage
+    or some component pair does."""
+    if ref_uncovered_point(c_arc, g_arc) is not None:
+        return None
+    c_comps = ref_preimage_components(c_arc, multiplicity)
+    g_comps = ref_preimage_components(g_arc, multiplicity)
+    missed = []
+    for i, c_comp in enumerate(c_comps):
+        for j, g_comp in enumerate(g_comps):
+            point = ref_uncovered_point(c_comp, g_comp)
+            if point is None:
+                return None
+            missed.append(((i, j), point))
+    return WitnessReport(
+        multiplicity=multiplicity, stage=n, c_components=tuple(c_comps),
+        g_components=tuple(g_comps), c_separators=ref_separators(c_comps),
+        g_separators=ref_separators(g_comps), pair_uncovered=tuple(missed))
+
+
+def ref_format_position(pos):
+    whole = int(pos)
+    rest = pos - whole
+    if rest == 0:
+        return str(whole)
+    return "%d+%d/%d" % (whole, rest.numerator, rest.denominator)
 
 
 def ref_chain_check(arcs):

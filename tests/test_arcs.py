@@ -3,8 +3,16 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
-from reference_models import ref_chain_check
+from hypothesis import given, settings, strategies as st
+from reference_models import (
+    ref_arcs_intersect,
+    ref_chain_check,
+    ref_contains,
+    ref_format_position,
+    ref_indecomposability_witness,
+    ref_preimage_components,
+    ref_uncovered_point,
+)
 
 from longsol import (
     Arc,
@@ -190,3 +198,73 @@ def arc_lists(draw):
 @given(arc_lists())
 def test_chain_check_matches_every_pair(arcs):
     assert circular_chain_check(arcs) == ref_chain_check(arcs)
+
+
+# ---------------------------------------------------------------------------
+# the integer two-arc rules give the Fraction rules' values
+
+# small denominators, and large ones that are prime, coprime or share a factor
+DENOMINATORS = st.one_of(st.integers(1, 30), st.sampled_from(
+    [999983, 10**9 + 7, 2**61 - 1, 3**40, 2**64, 6**30, 10**40 + 1]))
+
+
+@st.composite
+def unit_fractions(draw):
+    """A fraction in [0, 1)."""
+    den = draw(DENOMINATORS)
+    return F(draw(st.integers(0, den - 1)), den)
+
+
+@st.composite
+def drawn_arcs(draw, n):
+    start = draw(st.integers(0, n - 1)) + draw(unit_fractions())
+    end = draw(st.integers(0, n - 1)) + draw(unit_fractions())
+    return Arc(n, start, end if end != start else (start + F(1, 2)) % n)
+
+
+@st.composite
+def covering_pairs(draw):
+    """(n, c, g) with c and g covering the stage, c from s to s + lc and g
+    from s + lc - d1 round to s + d2: the two overlap by d1 and d2 at its
+    ends.  Every length is a drawn fraction, so four denominators meet."""
+    n = draw(st.integers(1, 3))
+    s = draw(st.integers(0, n - 1)) + draw(unit_fractions())
+    d1, d2 = (n * (draw(unit_fractions()) + 1) / 8 for _ in range(2))
+    lc = d1 + d2 + (n - d1 - d2) * (draw(unit_fractions()) + 1) / 2
+    if lc >= n:
+        lc = (d1 + d2 + n) / 2
+    return n, Arc(n, s % n, (s + lc) % n), Arc(n, (s + lc - d1) % n, (s + d2) % n)
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    drawn_arcs(n), drawn_arcs(n), st.integers(0, n - 1).flatmap(
+        lambda i: unit_fractions().map(lambda f: i + f)))), st.integers(1, 4))
+def test_integer_rules_match_fraction_rules(case, m):
+    a, b, pos = case
+    assert a.contains(pos) == ref_contains(a, pos)
+    assert a.contains(a.start) and a.contains(a.end)
+    assert arcs_intersect(a, b) == ref_arcs_intersect(a, b)
+    assert uncovered_point(a, b) == ref_uncovered_point(a, b)
+    assert preimage_components(a, m) == ref_preimage_components(a, m)
+    assert format_position(pos) == ref_format_position(pos)
+
+
+def _witness_outcome(witness, *args):
+    try:
+        return witness(*args)
+    except WitnessInputError:
+        return None
+
+
+@settings(max_examples=150)
+@given(st.one_of(covering_pairs(), st.integers(1, 3).flatmap(
+    lambda n: st.tuples(st.just(n), drawn_arcs(n), drawn_arcs(n)))), st.integers(2, 4))
+def test_integer_witness_matches_fraction_witness(case, m):
+    n, c, g = case
+    report = _witness_outcome(indecomposability_witness, m, n, c, g)
+    assert report == ref_indecomposability_witness(m, n, c, g)
+    if report is not None:
+        assert report.witnesses_indecomposability
+        for comp in report.c_components + report.g_components:
+            assert comp == Arc(comp.n, comp.start, comp.end)

@@ -1053,6 +1053,34 @@ def test_longest_chain_answers_in_bounded_time(capsys):
     assert elapsed < 1.0, elapsed
 
 
+TWOS = ",".join(["2"] * 999)
+
+
+@pytest.mark.parametrize("descriptor, a", [
+    (":%s,3" % TWOS, 3**100),
+    (":%s,3" % TWOS, 3**400),
+    (":2,3", 3**9000),
+    (":%s,3" % ",".join(["2"] * 65000), 3**9000),
+], ids=["999-twos-3^100", "999-twos-3^400", "2,3-3^9000", "65000-twos-3^9000"])
+def test_longest_level_search_answers_in_bounded_time(capsys, descriptor, a):
+    # the level comes from the cycle count, found by doubling and bisection,
+    # and a numerator past the digit limit is refused before it is built;
+    # trying each level in turn took 10.4 s on the first argv
+    t0 = time.perf_counter()
+    code, doc = run(capsys, "cohomology", "sum", "--s", descriptor, "--a", "1/%d" % a,
+                    "--b", "1/2")
+    elapsed = time.perf_counter() - t0
+    assert (code, doc["error"]["code"]) == (1, "representation-overflow")
+    assert elapsed < 1.0, elapsed
+
+
+def test_sum_builds_only_the_printed_numerator(capsys):
+    # the summands' own numerators, 3^10000, pass the digit limit; the sum's is 3
+    a, b = "1/%d" % 2**10000, "%d/%d" % (2**9999 - 1, 2**10000)
+    assert run(capsys, "cohomology", "sum", "--s", ":6", "--a", a, "--b", b) == (
+        0, {"level": 1, "numerator": 3, "value": "1/2"})
+
+
 # ---------------------------------------------------------------------------
 # the contract: any argv ends, within the per-call bound, in an answer
 # (exit 0) or a structured error (exit 1), as one JSON document on stdout

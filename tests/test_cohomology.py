@@ -244,6 +244,33 @@ def test_dl_matches_downward_walk(s, lu, nu, lv, nv):
     assert dl_value(s, u) == dl_value(s, deeper) and ref_dl_element(s, deeper.level, deeper.numerator) == cu
 
 
+# long prefixes and cycles of entries sharing primes, up to levels that
+# take many whole cycles: the level search takes the prefix, doubles and
+# bisects on the cycle count, then walks within one cycle
+@settings(max_examples=200)
+@given(st.builds(SequenceDescriptor,
+                 st.lists(st.sampled_from([2, 3, 4, 6, 9, 10, 12]), max_size=6).map(tuple),
+                 st.lists(st.sampled_from([2, 3, 4, 5, 6, 8, 9]), min_size=1, max_size=5)
+                 .map(tuple)),
+       st.integers(0, 300), numerators)
+@example(SequenceDescriptor((), (2,)), 4000, 1)
+@example(SequenceDescriptor((4, 6), (2, 3)), 37, 5)
+def test_dl_deep_levels_match_downward_walk(s, level, numerator):
+    walked = 1
+    for i in range(1, level + 1):
+        walked *= s.entry(i)
+    assert s.partial_product(level) == walked
+    assert dl_element(s, level, numerator) == ref_dl_element(s, level, numerator)
+
+
+def test_dl_of_rational_refuses_numerators_past_the_digit_limit():
+    # 1/2^k over ":6" sits at level k with numerator 3^k: 4294 digits fit,
+    # 4772 do not, and its 4771-digit value is never built
+    assert dl_of_rational(d((), (6,)), F(1, 2**9000)).numerator == 3**9000
+    with pytest.raises(DepthBoundError, match="printed integer longer than 4300 digits"):
+        dl_of_rational(d((), (6,)), F(1, 2**10000))
+
+
 def test_dl_of_rational_rejects_non_members():
     with pytest.raises(StageDomainError):
         dl_of_rational(d((), (2,)), F(1, 3))

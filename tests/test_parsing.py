@@ -1,6 +1,7 @@
 """Literal grammars round-trip with printing, and errors carry positions."""
 
 from fractions import Fraction as F
+import sys
 from itertools import accumulate
 from operator import mul as times
 
@@ -501,3 +502,123 @@ def test_arc_round_trip(n, a, b):
         return
     arc = Arc(n, start, end)
     assert parse_arc(str(arc), n) == arc
+
+
+# ---------------------------------------------------------------------------
+# the token readers return None or exactly what the scanner reads
+
+LIMIT = sys.get_int_max_str_digits()
+NATS = st.integers(0, 12).map(str)
+
+
+def _sums(exponents):
+    terms = st.one_of(NATS, st.builds(
+        "w{}{}".format,
+        st.one_of(st.just(""), exponents.map("^{}".format)),
+        st.one_of(st.just(""), NATS.map("*{}".format))))
+    return st.builds(lambda ts, sep: sep.join(ts), st.lists(terms, min_size=1, max_size=4),
+                     st.sampled_from(["+", " + ", "+  ", "\t+"]))
+
+
+# grammar literals, in any order, with blanks between tokens
+ORDINAL_TEXTS = _sums(st.recursive(
+    st.one_of(NATS, st.just("w")),
+    lambda e: st.one_of(e.map("w^{}".format), _sums(e).map("({})".format)),
+    max_leaves=10))
+# the grammar's characters, blanks, and digits of other scripts
+MUTATIONS = "w^*+()0123456789 \t٣２/x"
+
+
+def _mutated(text, at, new, kind):
+    at %= len(text) + 1
+    if kind == "insert":
+        return text[:at] + new + text[at:]
+    return text[:at] + (new if kind == "replace" else "") + text[at + 1:]
+
+
+MUTATED = st.builds(_mutated, ORDINAL_TEXTS, st.integers(0, 200),
+                    st.sampled_from(MUTATIONS), st.sampled_from(["insert", "replace", "delete"]))
+
+
+def _nested_forms(depth):
+    return [_nested(depth), "w^" * (depth - 2) + "w", "1 + " + "w^" * (depth - 2) + "w*2",
+            "w^(" + "w^" * (depth - 3) + "w + 1)"]
+
+
+@settings(max_examples=400)
+@given(st.one_of(ORDINAL_TEXTS, MUTATED, ordinals.map(str)))
+@example("3 4")
+@example("w^2 1")
+@example("w*1 0")
+@example("٣")
+@example("w^２")
+@example("w*" + "7" * LIMIT)
+@example("w*" + "7" * (LIMIT + 1))
+@example("7" * (LIMIT + 1) + "+w")
+@example("w^(" + "1" * LIMIT + ")")
+@example("w + 1 + w^2*0 + 0")
+@example("w^(w*0) + 1")
+@example("")
+@example(" ")
+@example("w^()")
+def test_ordinal_reader_agrees_with_scanner(text):
+    value = parsing._read_ordinal(text)
+    scanned = _outcome(parsing._scan_ordinal, text, 0)
+    assert value is None or value == scanned
+    assert _outcome(parse_ordinal, text) == scanned
+
+
+@pytest.mark.parametrize("depth", [15, 16, 17])
+def test_ordinal_reader_keeps_the_depth_bound(depth):
+    for text in _nested_forms(depth):
+        value = parsing._read_ordinal(text)
+        scanned = _outcome(parsing._scan_ordinal, text, 0)
+        assert (value is None) == (depth > DEFAULT_DEPTH_BOUND), text
+        assert value is None or value == scanned
+        assert _outcome(parse_ordinal, text) == scanned
+
+
+def _position_texts(n):
+    number = st.one_of(st.integers(0, 30).map(str), st.sampled_from(
+        ["0" * 3, "1" * LIMIT, "1" * (LIMIT + 1), "٣", "-0", "-1", "+1", "1 2", " 1", ""]))
+    return st.one_of(number, st.builds("{}+{}/{}".format, number, number, number),
+                     st.builds("{}+{}".format, number, number), st.text("0123+/ -", max_size=8))
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 40).flatmap(lambda n: st.tuples(st.just(n), _position_texts(n))))
+@example((3, "2+2/3"))
+@example((3, "3"))
+@example((3, "1+3/3"))
+@example((3, "1+0/0"))
+@example((3, "01+02/04"))
+@example((3, "1+1/" + "7" * LIMIT))
+@example((3, "1+1/" + "7" * (LIMIT - 4)))
+def test_position_reader_agrees_with_scanner(case):
+    n, text = case
+    value = parsing._read_position(text, n)
+    scanned = _outcome(parsing._parse_position, text, n, 0)
+    assert value is None or value == scanned
+    assert _outcome(parse_arc, text + "..0", n) == _outcome(
+        lambda: Arc(n, parsing._parse_position(text, n, 0), 0))
+
+
+def _entrywise(text):
+    return tuple(parsing._parse_int(piece, start) for piece, start in parsing._split_top(text, ","))
+
+
+@settings(max_examples=300)
+@given(st.one_of(
+    st.lists(st.integers(0, 10**6).map(str), min_size=1, max_size=6).map(",".join),
+    st.text("0123456789,-+ ٣", max_size=12)))
+@example("2,2,2")
+@example("2,,2")
+@example("")
+@example(",")
+@example("7" * LIMIT)
+@example("2," + "7" * (LIMIT + 1))
+@example(" 2,3")
+@example("2,-3")
+@example("٣")
+def test_exponent_reader_agrees_with_entrywise_reader(text):
+    assert _outcome(parsing.parse_exponents, text) == _outcome(_entrywise, text)

@@ -51,8 +51,8 @@ PUBLIC = [
 # checks would agree with any mistake in it.
 RECORD = "a record: a value the models build, not a routine under test"
 ORACLE_SHARES = {
-    "Address": RECORD, "CnfOrdinal": RECORD, "DirectLimitElement": RECORD,
-    "StagePoint": RECORD, "Thread": RECORD, "TowerPoint": RECORD,
+    "Address": RECORD, "Arc": RECORD, "CnfOrdinal": RECORD, "DirectLimitElement": RECORD,
+    "StagePoint": RECORD, "Thread": RECORD, "TowerPoint": RECORD, "WitnessReport": RECORD,
     "ZERO": "an ordinal value", "nat": "builds an ordinal value",
     "ParseError": "an error, raised with the library's message",
     "TokenUndefinedError": "an error, raised with the library's message",
