@@ -23,6 +23,14 @@ positions ``I`` or ``I+N/D``.
 Every syntax error carries the character position it was noticed at, and
 so does the ``DepthBoundError`` for an ordinal literal nesting too deep
 (see ``parse_ordinal``) or an integer literal too long (see ``_decimal``).
+
+Ordinal literals, arc positions, printed threads and plain lists of
+integers are first read by a fast reader: a tokenizer and an index loop
+(``_read_ordinal``), one ``re.fullmatch`` (``_read_position``),
+``str.split`` (``_printed_thread``, ``_plain_ints``).  A fast reader
+returns None for any text it does not take, and the scanner then reads
+that text, so every value is the scanner's and every error, message and
+position comes from the scanner.
 """
 
 import re

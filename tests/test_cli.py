@@ -2,6 +2,7 @@
 
 import argparse
 import importlib
+import itertools
 import json
 import os
 import shlex
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from golden_replay import BOUNDS, call, load
+from golden_replay import BOUNDS, bounds, call, load
 from reference_models import ref_extension_threads, ref_fiber_points, ref_render
 from test_cli_golden import _README, ARGVS
 
@@ -111,6 +112,66 @@ def test_orbit_verdicts(capsys):
         "--x", "inf0", "--y", "(0| w1*(2))",
     )
     assert (code, doc) == (0, {"status": "unknown"})
+
+
+CENSUS_RHOS = [ZERO, nat(1), nat(4), omega_pow(nat(1)), add(omega_pow(nat(1)), nat(1)),
+               omega_pow(nat(2))]
+
+
+@st.composite
+def census_inners(draw, kappa, kind):
+    """An inner point of the given type on the level-kappa tower, in the
+    shapes of ``test_acceptance._tower_point_of_type``: type 1 a base,
+    type t from 2 to kappa an integer stop at depth kappa + 1 - t, and
+    type kappa + 1 the joint (None)."""
+    if kind == kappa + 1:
+        return None
+    length = kappa - 1 if kind == 1 else kappa + 1 - kind
+    ints = tuple(draw(st.lists(st.integers(-6, 6), min_size=length, max_size=length)))
+    if kind > 1:
+        return TowerPoint(kappa, Address(ints))
+    rho = draw(st.sampled_from(CENSUS_RHOS))
+    frac = draw(st.sampled_from([F(1, 2), F(1, 3), F(2, 3)] + [F(0)] * (rho != ZERO)))
+    return TowerPoint(kappa, Address(ints, rho, frac))
+
+
+@st.composite
+def censuses(draw):
+    """(kappa, p, [(type, thread)]): two threads of each of the kappa + 1
+    point types, at depth len(p) + 1 with a drawn top index each."""
+    kappa = draw(st.integers(1, 4))
+    p = tuple(draw(st.lists(st.sampled_from([2, 3]), min_size=1, max_size=2)))
+    threads = []
+    for kind in range(1, kappa + 2):
+        for _ in range(2):
+            inner = draw(census_inners(kappa, kind))
+            top = draw(st.integers(0, prod(p) - 1))
+            sizes = [prod(p[:level]) for level in range(len(p) + 1)]
+            threads.append((kind, Thread(p, tuple(StagePoint(n, top % n, inner)
+                                                  for n in sizes))))
+    return kappa, p, threads
+
+
+@settings(max_examples=50, deadline=None)
+@given(censuses())
+def test_orbit_census_counts_kappa_plus_one_classes(census):
+    # the paper's count through cli.main: within a type every pair is a
+    # verified recipe, across types every pair is proven distinct, so the
+    # verdicts split the threads into exactly kappa + 1 classes
+    kappa, p, threads = census
+    classes = {}
+    with bounds({}):
+        for (kx, x), (ky, y) in itertools.combinations(threads, 2):
+            code, out = call(["orbit", "--tower", str(kappa), "--p", ",".join(map(str, p)),
+                              "--x", str(x), "--y", str(y)])
+            doc = json.loads(out)
+            if kx == ky:
+                assert (code, doc["status"], doc["verified"], doc["maps_x_to_y"]) == (
+                    0, "recipe", True, True), (x, y)
+                classes.setdefault(kx, set()).update((str(x), str(y)))
+            else:
+                assert (code, doc) == (0, {"status": "proven_distinct"}), (x, y)
+    assert len(classes) == kappa + 1
 
 
 def test_orbit_translation_recipe(capsys):

@@ -15,26 +15,38 @@ it exits 1 when that number is not 0, so it also checks that two trees
 answer byte for byte alike.  It writes no file.  It reads in-process
 ``main()`` only, so it neither times start-up nor replaces the paired
 ``bench/run.py`` runs.
+
+Beside the CPU it prints the bytecode instructions each tree executes per
+subcommand, counted once over the queries by ``tools/opcode_worker.py``
+(``sys.settrace`` with ``f_trace_opcodes``) running on that tree's ``src``
+with ``PYTHONHASHSEED=0``, after the same warm-up queries; it names the
+interpreter that counted.  The count does not depend on the load on the
+machine, so two runs over one tree give equal counts, but it weighs a
+big-int multiplication or a regular-expression match as one instruction.
 """
 
 import argparse
 import json
 import os
+import platform
 import subprocess
 import sys
 from collections import defaultdict
 from pathlib import Path
+
+OPCODE_WORKER = Path(__file__).resolve().with_name("opcode_worker.py")
 
 
 class Worker:
     """One tree's ``bench/child.py worker``: a JSON argv line in, a JSON head
     line and the output out."""
 
-    def __init__(self, tree, bounds):
+    def __init__(self, tree, bounds, command=("bench/child.py", "worker"), **env_extra):
         env = {k: v for k, v in os.environ.items() if not k.startswith("LONGSOL_")}
-        env.update(bounds, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+        env.update(bounds, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1",
+                   **env_extra)
         self.proc = subprocess.Popen(
-            [sys.executable, str(tree / "bench" / "child.py"), "worker"],
+            [sys.executable, str(tree / command[0]), *command[1:]],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env, cwd=tree)
 
     def call(self, argv):
@@ -46,6 +58,15 @@ class Worker:
             raise RuntimeError("a worker ended during %r" % argv[:4])
         head = json.loads(line)
         return head["rc"], head["cpu"], self.proc.stdout.read(head["bytes"])
+
+    def count(self, argv):
+        """Instructions one ``main(argv)`` executes, from an opcode worker."""
+        self.proc.stdin.write(json.dumps(argv).encode() + b"\n")
+        self.proc.stdin.flush()
+        line = self.proc.stdout.readline()
+        if not line:
+            raise RuntimeError("an opcode worker ended during %r" % argv[:4])
+        return json.loads(line)["ops"]
 
     def close(self):
         self.proc.stdin.close()
@@ -109,16 +130,34 @@ def main(argv=None):
         for w in workers:
             w.close()
 
+    ops = defaultdict(lambda: [0, 0])
+    for side, tree in enumerate(trees):
+        # the script's own worker, on each tree's src, in one fixed hash order
+        counter = Worker(tree, workload.env, (str(OPCODE_WORKER),), PYTHONHASHSEED="0")
+        try:
+            for argv in warm:
+                counter.count(argv)
+            for argv in queries:
+                ops[subcommand(argv)][side] += counter.count(argv)
+        finally:
+            counter.close()
+
     print("%d queries x %d passes, %s, seed %d" % (
         len(queries), args.passes, workload.name, args.seed))
-    print("%-22s %7s %11s %11s %7s" % ("subcommand", "calls", "old cpu ms",
-                                     "new cpu ms", "new/old"))
+    print("instructions: one pass, counted under %s %s (%s)" % (
+        platform.python_implementation(), platform.python_version(), sys.executable))
+    print("%-22s %7s %11s %11s %7s %12s %12s %7s" % (
+        "subcommand", "calls", "old cpu ms", "new cpu ms", "new/old",
+        "old ops", "new ops", "new/old"))
     rows = sorted(cpu.items(), key=lambda item: -item[1][0])
     total = [sum(sides[i] for _, sides in rows) for i in (0, 1)]
+    ops["total"] = [sum(ops[name][i] for name, _ in rows) for i in (0, 1)]
     for name, (old, new) in rows + [("total", total)]:
         n = sum(count.values()) if name == "total" else count[name]
-        print("%-22s %7d %11.1f %11.1f %7.3f" % (
-            name, n, old * 1000, new * 1000, new / old if old else float("nan")))
+        old_ops, new_ops = ops[name]
+        print("%-22s %7d %11.1f %11.1f %7.3f %12d %12d %7.3f" % (
+            name, n, old * 1000, new * 1000, new / old if old else float("nan"),
+            old_ops, new_ops, new_ops / old_ops if old_ops else float("nan")))
     print("differing outputs: %d" % differ)
     return 1 if differ else 0
 
