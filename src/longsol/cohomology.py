@@ -67,8 +67,8 @@ class SequenceDescriptor(Record):
 
     def partial_product(self, level):
         """p1 * ... * p_level (1 for level 0)."""
-        head, cycle, count, tail = self._product_factors(level)
-        return head * cycle**count * tail
+        head, whole, count, tail = self._product_factors(level)
+        return head * whole**count * tail
 
     def _product_factors(self, level):
         """(H, C, k, T) with H * C^k * T the product of the first ``level``
@@ -343,8 +343,8 @@ def dl_of_rational(s, r):
             level += 1
     limit = sys.get_int_max_str_digits()
     if limit and r.numerator:
-        head, cycle, count, tail = s._product_factors(level)
-        digits = (log10(abs(r.numerator)) + log10(head) + count * log10(cycle)
+        head, whole, count, tail = s._product_factors(level)
+        digits = (log10(abs(r.numerator)) + log10(head) + count * log10(whole)
                   + log10(tail) - log10(r.denominator))
         if digits >= limit + 1:
             raise DepthBoundError("printed integer longer than %d digits" % limit)
