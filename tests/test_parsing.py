@@ -540,13 +540,30 @@ MUTATED = st.builds(_mutated, ORDINAL_TEXTS, st.integers(0, 200),
                     st.sampled_from(MUTATIONS), st.sampled_from(["insert", "replace", "delete"]))
 
 
+def _split_number(text, at):
+    """The text with a blank between two digits, if it has two in a row."""
+    cuts = [i for i in range(1, len(text)) if text[i - 1:i + 1].isdigit()]
+    if not cuts:
+        return text
+    cut = cuts[at % len(cuts)]
+    return text[:cut] + " " + text[cut:]
+
+
 def _nested_forms(depth):
     return [_nested(depth), "w^" * (depth - 2) + "w", "1 + " + "w^" * (depth - 2) + "w*2",
             "w^(" + "w^" * (depth - 3) + "w + 1)"]
 
 
+SPLIT_NUMBERS = st.builds(_split_number, ORDINAL_TEXTS.filter(lambda t: any(
+    a.isdigit() and b.isdigit() for a, b in zip(t, t[1:]))), st.integers(0, 20))
+NESTED = st.sampled_from([15, 16, 17]).flatmap(lambda d: st.sampled_from(_nested_forms(d)))
+AT_THE_LIMIT = st.builds("{}{}{}".format, st.sampled_from(["w*", "w^", "", "w+"]),
+                         st.sampled_from([LIMIT - 1, LIMIT, LIMIT + 1]).map("7".__mul__),
+                         st.sampled_from(["", "+1", "*2"]))
+
+
 @settings(max_examples=400)
-@given(st.one_of(ORDINAL_TEXTS, MUTATED, ordinals.map(str)))
+@given(st.one_of(ORDINAL_TEXTS, MUTATED, ordinals.map(str), SPLIT_NUMBERS, NESTED, AT_THE_LIMIT))
 @example("3 4")
 @example("w^2 1")
 @example("w*1 0")
