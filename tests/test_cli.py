@@ -159,19 +159,26 @@ def test_orbit_census_counts_kappa_plus_one_classes(census):
     # verified recipe, across types every pair is proven distinct, so the
     # verdicts split the threads into exactly kappa + 1 classes
     kappa, p, threads = census
-    classes = {}
+    same = {}
     with bounds({}):
-        for (kx, x), (ky, y) in itertools.combinations(threads, 2):
+        for (i, (_, x)), (j, (_, y)) in itertools.combinations(enumerate(threads), 2):
             code, out = call(["orbit", "--tower", str(kappa), "--p", ",".join(map(str, p)),
                               "--x", str(x), "--y", str(y)])
             doc = json.loads(out)
-            if kx == ky:
-                assert (code, doc["status"], doc["verified"], doc["maps_x_to_y"]) == (
-                    0, "recipe", True, True), (x, y)
-                classes.setdefault(kx, set()).update((str(x), str(y)))
+            same[i, j] = doc.get("status") == "recipe"
+            if same[i, j]:
+                assert (code, doc["verified"], doc["maps_x_to_y"]) == (0, True, True), (x, y)
             else:
                 assert (code, doc) == (0, {"status": "proven_distinct"}), (x, y)
-    assert len(classes) == kappa + 1
+    # each thread joins the class of the first earlier thread it has a
+    # recipe with; the verdicts partition the threads when every pair
+    # within a class has a recipe and no pair across classes does
+    home = []
+    for j in range(len(threads)):
+        home.append(next((home[i] for i in range(j) if same[i, j]), j))
+    assert all(same[i, j] == (home[i] == home[j]) for i, j in same)
+    assert len(set(home)) == kappa + 1
+    assert all((home[i] == home[j]) == (threads[i][0] == threads[j][0]) for i, j in same)
 
 
 def test_orbit_translation_recipe(capsys):

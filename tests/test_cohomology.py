@@ -265,7 +265,7 @@ def test_dl_deep_levels_match_downward_walk(s, level, numerator):
 
 def test_dl_of_rational_refuses_numerators_past_the_digit_limit():
     # 1/2^k over ":6" sits at level k with numerator 3^k: 4294 digits fit,
-    # 4772 do not, and its 4771-digit value is never built
+    # 4772 do not, and that numerator is never built
     assert dl_of_rational(d((), (6,)), F(1, 2**9000)).numerator == 3**9000
     with pytest.raises(DepthBoundError, match="printed integer longer than 4300 digits"):
         dl_of_rational(d((), (6,)), F(1, 2**10000))
