@@ -24,19 +24,23 @@ Every syntax error carries the character position it was noticed at, and
 so does the ``DepthBoundError`` for an ordinal literal nesting too deep
 (see ``parse_ordinal``) or an integer literal too long (see ``_decimal``).
 
-Ordinal literals, arc positions, printed threads and plain lists of
-integers are first read by a fast reader: a tokenizer and an index loop
-(``_read_ordinal``), one ``re.fullmatch`` (``_read_position``),
-``str.split`` (``_printed_thread``, ``_plain_ints``).  A fast reader
-returns None for any text it does not take, and the scanner then reads
-that text, so every value is the scanner's and every error, message and
-position comes from the scanner.
+Ordinal literals, and the ``N/D`` offsets of long and tower points, are
+read by one reader: a tokenizer (``_TOKEN``) and an index loop, which
+raises every error of those grammars itself.  Arc positions and printed
+threads are first read by a fast reader, one ``re.fullmatch``
+(``_read_position``) or ``str.split`` (``_printed_thread``), and a list
+of plain digit runs by ``str.split`` and ``int`` (``parse_exponents``).
+A fast reader returns None for any text it does not take, and the
+general reader then reads that text, so every value is the general
+reader's and every error, message and position comes from it.  The fast
+readers stay because each is several times faster than the general
+reader on the text it takes.
 """
 
 import re
 import sys
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, islice
 from operator import mul
 
 from .arcs import Arc
@@ -48,6 +52,9 @@ from .cohomology import SequenceDescriptor
 from .tower import Address, TowerPoint
 
 
+_TOO_LONG = "integer literal longer than %d digits"
+
+
 def _decimal(text, position, message):
     """The value of ``text``, which must be ASCII digits (``int`` reads any
     script's) no more than ``sys.get_int_max_str_digits()`` long (0: no
@@ -56,52 +63,8 @@ def _decimal(text, position, message):
         raise ParseError(message, position=position)
     limit = sys.get_int_max_str_digits()
     if limit and len(text) > limit:
-        raise DepthBoundError(
-            "integer literal longer than %d digits" % limit, position=position
-        )
+        raise DepthBoundError(_TOO_LONG % limit, position=position)
     return int(text)
-
-
-class _Scanner:
-    def __init__(self, text, offset=0):
-        self.text = text
-        self.i = 0
-        self.offset = offset
-
-    def error(self, message):
-        raise ParseError(message, position=self.offset + self.i)
-
-    def ws(self):
-        while self.i < len(self.text) and self.text[self.i].isspace():
-            self.i += 1
-
-    def peek(self):
-        return self.text[self.i] if self.i < len(self.text) else ""
-
-    def try_eat(self, ch):
-        self.ws()
-        if self.peek() == ch:
-            self.i += 1
-            return True
-        return False
-
-    def expect(self, ch):
-        self.ws()
-        if self.peek() != ch:
-            self.error("expected %r" % ch)
-        self.i += 1
-
-    def nat(self):
-        self.ws()
-        start = self.i
-        while self.i < len(self.text) and "0" <= self.text[self.i] <= "9":
-            self.i += 1
-        digits = self.text[start : self.i]
-        return _decimal(digits, self.offset + start, "expected a number")
-
-    def done(self):
-        self.ws()
-        return self.i >= len(self.text)
 
 
 def _split_top(text, sep, offset=0):
@@ -135,6 +98,15 @@ def _split_top(text, sep, offset=0):
     return pieces
 
 
+# blanks, then one number (ASCII digits only) or one other character
+_TOKEN = re.compile(r"\s*([0-9]+|\S)")
+_TOO_DEEP = "ordinal literal nests deeper than the depth bound %d" % DEFAULT_DEPTH_BOUND
+
+
+class _Stop(Exception):
+    """Where the token reader stopped: (token index, error class, message)."""
+
+
 def parse_ordinal(text, offset=0):
     """An ordinal literal whose value nests no deeper than the depth bound.
 
@@ -143,79 +115,56 @@ def parse_ordinal(text, offset=0):
     every normal form.  A literal that would only stay within the bound
     through a ``^0`` or ``*0`` collapsing it is rejected all the same.
 
-    The token reader (``_read_ordinal``) reads the text first; any text it
-    does not take, and so every error, is read by the scanner.
-    """
-    value = _read_ordinal(text)
-    return _scan_ordinal(text, offset) if value is None else value
-
-
-def _scan_ordinal(text, offset):
-    s = _Scanner(text, offset)
-    value = _ordinal(s, 0)
-    if not s.done():
-        s.error("unexpected trailing input")
-    return value
-
-
-# blanks, then one number (ASCII digits only) or one other character
-_TOKEN = re.compile(r"\s*([0-9]+|\S)")
-
-
-class _Irregular(Exception):
-    """Text the token reader leaves to the scanner."""
-
-
-def _read_ordinal(text):
-    """The ordinal literal read from its tokens, or None for text that does
-    not follow the grammar, nests past the depth bound, or holds a number
-    past the digit limit.
-
-    Blanks only separate tokens.  Two numbers in a row never follow the
-    grammar, so blanks inside a number leave the text to the scanner.  Each
-    sum collects its (exponent, coefficient) pairs: one already strictly
-    descending is built as one ``CnfOrdinal``, any other is summed by
-    ``add`` as the scanner sums.  Equal natural exponents are one object.
+    The text is split into tokens, which are read by index.  Blanks only
+    separate tokens, so blanks inside a number leave two numbers, which the
+    grammar never takes in a row.  Each sum collects its (exponent,
+    coefficient) pairs: one already strictly descending is built as one
+    ``CnfOrdinal``, any other is summed by ``add``.  Equal natural
+    exponents are one object.  An error is raised at the start of the
+    token the reader stopped at, or at the end of the text.
     """
     tokens = _TOKEN.findall(text)
-    limit = sys.get_int_max_str_digits()
-    if limit and tokens and max(map(len, tokens)) > limit:
-        return None
     tokens.append("")  # the end: no rule takes it
     try:
         value, i = _read_sum(tokens, 0, 0, {})
-    except _Irregular:
-        return None
-    return value if i == len(tokens) - 1 else None
+        if not tokens[i]:
+            return value
+        raise _Stop(i, ParseError, "unexpected trailing input")
+    except _Stop as stop:
+        i, error, message = stop.args
+    match = next(islice(_TOKEN.finditer(text), i, None), None)
+    raise error(message, position=offset + (match.start(1) if match else len(text)))
 
 
-def _read_int(token):
-    """The value of a number token: one that sorts from "0" to ":"."""
-    if not "0" <= token < ":":
-        raise _Irregular
-    return int(token)
+def _read_int(t, i, message):
+    """The value of the number token t[i], one that sorts from "0" to ":"."""
+    if not "0" <= t[i] < ":":
+        raise _Stop(i, ParseError, message)
+    try:
+        return int(t[i])
+    except ValueError:  # past the digit limit
+        raise _Stop(i, DepthBoundError, _TOO_LONG % sys.get_int_max_str_digits()) from None
 
 
 def _read_sum(t, i, nest, nats):
     """(the sum starting at token i, the index after it)"""
     pairs = []
     while True:
-        token = t[i]
-        if token == "w":
+        if t[i] == "w":
             if nest + 2 > DEFAULT_DEPTH_BOUND:
-                raise _Irregular
+                raise _Stop(i, DepthBoundError, _TOO_DEEP)
             exponent, coeff = ONE, 1
             if t[i + 1] == "^":
                 exponent, i = _read_exponent(t, i + 2, nest + 1, nats)
             else:
                 i += 1
             if t[i] == "*":
-                coeff = _read_int(t[i + 1])
+                coeff = _read_int(t, i + 1, "expected a number")
                 i += 2
             if coeff:
                 pairs.append((exponent, coeff))
         else:
-            coeff = _read_int(token)
+            coeff = _read_int(t, i, "expected a term")
             i += 1
             if coeff:
                 pairs.append((ZERO, coeff))
@@ -235,86 +184,34 @@ def _read_exponent(t, i, nest, nats):
     if token == "(":
         value, i = _read_sum(t, i + 1, nest, nats)
         if t[i] != ")":
-            raise _Irregular
+            raise _Stop(i, ParseError, "expected ')'")
         return value, i + 1
     if token == "w":
         if nest + 2 > DEFAULT_DEPTH_BOUND:
-            raise _Irregular
+            raise _Stop(i, DepthBoundError, _TOO_DEEP)
         if t[i + 1] == "^":
             exponent, i = _read_exponent(t, i + 2, nest + 1, nats)
             return CnfOrdinal(((exponent, 1),)), i
         return OMEGA, i + 1
     value = nats.get(token)
     if value is None:
-        value = nats[token] = nat(_read_int(token))
+        value = nats[token] = nat(_read_int(t, i, "expected an exponent"))
     return value, i + 1
 
 
-def _ordinal(s, nest):
-    terms = [_term(s, nest)]
-    while s.try_eat("+"):
-        terms.append(_term(s, nest))
-    return add(*terms)
-
-
-def _omega(s, nest):
-    """Consume a ``w`` found inside ``nest`` exponents."""
-    if nest + 2 > DEFAULT_DEPTH_BOUND:
-        raise DepthBoundError(
-            "ordinal literal nests deeper than the depth bound %d"
-            % DEFAULT_DEPTH_BOUND,
-            position=s.offset + s.i,
-        )
-    s.i += 1
-
-
-def _term(s, nest):
-    s.ws()
-    ch = s.peek()
-    if "0" <= ch <= "9":
-        return nat(s.nat())
-    if ch != "w":
-        s.error("expected a term")
-    _omega(s, nest)
-    exponent = ONE
-    if s.try_eat("^"):
-        exponent = _exponent(s, nest + 1)
-    coeff = 1
-    if s.try_eat("*"):
-        coeff = s.nat()
-    if coeff == 0:
-        return ZERO
-    return CnfOrdinal(((exponent, coeff),))
-
-
-def _exponent(s, nest):
-    s.ws()
-    ch = s.peek()
-    if ch == "(":
-        s.i += 1
-        value = _ordinal(s, nest)
-        s.expect(")")
-        return value
-    if "0" <= ch <= "9":
-        return nat(s.nat())
-    if ch != "w":
-        s.error("expected an exponent")
-    _omega(s, nest)
-    if s.try_eat("^"):
-        return CnfOrdinal(((_exponent(s, nest + 1), 1),))
-    return OMEGA
-
-
 def _parse_unit_fraction(text, offset):
-    s = _Scanner(text, offset)
-    num = s.nat()
-    s.expect("/")
-    den_pos = s.offset + s.i
-    den = s.nat()
-    if not s.done():
-        s.error("unexpected trailing input")
+    """``N/D`` with 0 <= N/D < 1, read from the first four tokens."""
+    tokens = [(m[1], offset + m.start(1)) for m in islice(_TOKEN.finditer(text), 4)]
+    tokens += [("", offset + len(text))] * (4 - len(tokens))
+    (num, at_num), (slash, at_slash), (den, at_den), (rest, at_rest) = tokens
+    num = _decimal(num, at_num, "expected a number")
+    if slash != "/":
+        raise ParseError("expected '/'", position=at_slash)
+    den = _decimal(den, at_den, "expected a number")
+    if rest:
+        raise ParseError("unexpected trailing input", position=at_rest)
     if den == 0:
-        raise ParseError("zero denominator", position=den_pos)
+        raise ParseError("zero denominator", position=at_slash + 1)
     value = Fraction(num, den)
     if not 0 <= value < 1:
         raise ParseError("unit offsets lie in [0, 1)", position=offset)
@@ -367,38 +264,26 @@ def _parse_int(text, offset):
     return value if body == stripped else -value
 
 
-def _plain_ints(text):
-    """The entries of a comma separated list whose every entry is a plain
-    run of ASCII digits within the digit limit, read by ``int`` at once;
-    None for any other text, which is read entry by entry."""
+def _parse_int_list(text, offset, allow_empty):
+    if not text.strip():
+        if allow_empty:
+            return ()
+        raise ParseError("expected at least one integer", position=offset)
+    return parse_exponents(text, offset)
+
+
+def parse_exponents(text, offset=0):
+    """A comma separated list of integers, such as bonding exponents.
+
+    A list of plain runs of ASCII digits within the digit limit is read by
+    ``int`` at once; any other text is read entry by entry."""
     entries = text.split(",")
     digits = "".join(entries)
     limit = sys.get_int_max_str_digits()
     if (digits.isascii() and digits.isdecimal() and "" not in entries
             and not (limit and max(map(len, entries)) > limit)):
         return tuple(map(int, entries))
-    return None
-
-
-def _parse_int_list(text, offset, allow_empty):
-    if not text.strip():
-        if allow_empty:
-            return ()
-        raise ParseError("expected at least one integer", position=offset)
-    ints = _plain_ints(text)
-    if ints is not None:
-        return ints
-    return tuple(
-        _parse_int(piece, start) for piece, start in _split_top(text, ",", offset)
-    )
-
-
-def parse_exponents(text):
-    """A comma separated list of integers, such as bonding exponents."""
-    ints = _plain_ints(text)
-    if ints is not None:
-        return ints
-    return tuple(_parse_int(piece, start) for piece, start in _split_top(text, ","))
+    return tuple(_parse_int(piece, start) for piece, start in _split_top(text, ",", offset))
 
 
 def parse_tower_point(text, kappa, offset=0):
@@ -470,9 +355,9 @@ def parse_thread(p, text, mode=None, kappa=None, offset=0):
     the value depends only on the text, the mode and kappa, and the offset
     only on where an error is reported, which is always the first reading.
 
-    Text in the printed form, what ``str(Thread)`` writes, is read without
-    the scanner (see ``_printed_thread``); all other text, and every error
-    in the body, is read by the scanner.
+    Text in the printed form, what ``str(Thread)`` writes, is read at once
+    (see ``_printed_thread``); all other text, and every error in the body,
+    is read level by level.
     """
     thread = _printed_thread(p, text, mode, kappa, offset)
     if thread is not None:
@@ -490,12 +375,12 @@ def _printed_thread(p, text, mode, kappa, offset):
 
     The printed form is ``infI; infJ; ...`` or ``(I| B); (J| B); ...``
     with one body B, unsigned ASCII indices under 19 digits, and no more
-    levels than the tuple p covers.  B is read once, as the scanner reads
-    the first piece.  A body that reads holds no '|' and is
-    bracket-balanced, so the scanner would split the text into the same
+    levels than the tuple p covers.  B is read once, as the per-level
+    reader reads the first piece.  A body that reads holds no '|' and is
+    bracket-balanced, so that reader would split the text into the same
     pieces and read the same index and body from each.  The points
-    and the thread are built as the scanner builds them, so their errors
-    are the scanner's; an error while reading B answers None.
+    and the thread are built as it builds them, so their errors are its
+    errors; an error while reading B answers None.
     """
     if text.startswith("("):
         *heads, last = text.split("| ")
@@ -522,7 +407,7 @@ def _printed_thread(p, text, mode, kappa, offset):
         first = text[: len(heads[0]) + len(body) + 3]
         try:
             points.append(_stage_point(first, next(sizes), mode, kappa, offset, {}))
-        except Exception:  # the scanner reads it again and owns the error
+        except Exception:  # read again level by level, which owns the error
             return None
         inner = points[0].inner
     points += [StagePoint(n, int(i), inner) for i, n in zip(indices[len(points):], sizes)]
@@ -575,9 +460,9 @@ _POSITION = re.compile(r"([0-9]+)(?:\+([0-9]+)/([0-9]+))?")
 
 
 def _read_position(text, n):
-    """The position read by one match, or None for any text the scanner
-    must read: another form, a number past the digit limit, a copy index
-    past n, or an offset outside [0, 1)."""
+    """The position read by one match, or None for any text the general
+    reader must read: another form, a number past the digit limit, a copy
+    index past n, or an offset outside [0, 1)."""
     match = _POSITION.fullmatch(text)
     limit = sys.get_int_max_str_digits()
     if match is None or (limit and len(text) > limit):

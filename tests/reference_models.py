@@ -38,6 +38,9 @@ implementation:
   level above the token cut at its top integer by slicing the address and
   its base compared in the dense-vector ordinal model, instead of from the
   library's evaluator, ``strip_top`` and ``compare_base``;
+* ordinal literals and unit offsets ``N/D`` come from a recursive-descent
+  scanner, one method call per character class, instead of from the
+  library's token reader;
 * a thread literal is split by its own bracket-depth loop and read one
   level at a time, each level's inner literal parsed anew, instead of each
   distinct inner literal once per thread or the printed form at once;
@@ -51,13 +54,17 @@ implementation:
 """
 
 import json
+import sys
 from fractions import Fraction
 
 from longsol import (
+    DEFAULT_DEPTH_BOUND,
+    ONE,
     ZERO,
     Address,
     Arc,
     CnfOrdinal,
+    DepthBoundError,
     DirectLimitElement,
     ParseError,
     StagePoint,
@@ -66,10 +73,12 @@ from longsol import (
     TowerPoint,
     UnsupportedTranslationError,
     WitnessReport,
+    add,
     nat,
     parse_stage_point,
     stage_size,
 )
+from longsol import OMEGA as W  # this module's OMEGA is a point-type label
 from longsol.stages import fiber_indices, point_format
 
 # ---------------------------------------------------------------------------
@@ -514,6 +523,148 @@ def ref_verify_commutes(recipe, thread=None):
                     "high_then_bond": str(lhs),
                 }
     return True, None
+
+
+# ---------------------------------------------------------------------------
+# literal grammars
+
+
+def _decimal(text, position, message):
+    """The value of ``text``, which must be ASCII digits (``int`` reads any
+    script's) no more than ``sys.get_int_max_str_digits()`` long (0: no
+    limit); otherwise a positioned error, never one from ``int``."""
+    if not (text.isascii() and text.isdecimal()):
+        raise ParseError(message, position=position)
+    limit = sys.get_int_max_str_digits()
+    if limit and len(text) > limit:
+        raise DepthBoundError(
+            "integer literal longer than %d digits" % limit, position=position
+        )
+    return int(text)
+
+
+class _Scanner:
+    def __init__(self, text, offset=0):
+        self.text = text
+        self.i = 0
+        self.offset = offset
+
+    def error(self, message):
+        raise ParseError(message, position=self.offset + self.i)
+
+    def ws(self):
+        while self.i < len(self.text) and self.text[self.i].isspace():
+            self.i += 1
+
+    def peek(self):
+        return self.text[self.i] if self.i < len(self.text) else ""
+
+    def try_eat(self, ch):
+        self.ws()
+        if self.peek() == ch:
+            self.i += 1
+            return True
+        return False
+
+    def expect(self, ch):
+        self.ws()
+        if self.peek() != ch:
+            self.error("expected %r" % ch)
+        self.i += 1
+
+    def nat(self):
+        self.ws()
+        start = self.i
+        while self.i < len(self.text) and "0" <= self.text[self.i] <= "9":
+            self.i += 1
+        digits = self.text[start : self.i]
+        return _decimal(digits, self.offset + start, "expected a number")
+
+    def done(self):
+        self.ws()
+        return self.i >= len(self.text)
+
+
+def ref_parse_ordinal(text, offset=0):
+    """An ordinal literal read by a recursive-descent scanner, one method
+    call per character class and one ``add`` over the terms of each sum."""
+    s = _Scanner(text, offset)
+    value = _ordinal(s, 0)
+    if not s.done():
+        s.error("unexpected trailing input")
+    return value
+
+
+def _ordinal(s, nest):
+    terms = [_term(s, nest)]
+    while s.try_eat("+"):
+        terms.append(_term(s, nest))
+    return add(*terms)
+
+
+def _omega(s, nest):
+    """Consume a ``w`` found inside ``nest`` exponents."""
+    if nest + 2 > DEFAULT_DEPTH_BOUND:
+        raise DepthBoundError(
+            "ordinal literal nests deeper than the depth bound %d"
+            % DEFAULT_DEPTH_BOUND,
+            position=s.offset + s.i,
+        )
+    s.i += 1
+
+
+def _term(s, nest):
+    s.ws()
+    ch = s.peek()
+    if "0" <= ch <= "9":
+        return nat(s.nat())
+    if ch != "w":
+        s.error("expected a term")
+    _omega(s, nest)
+    exponent = ONE
+    if s.try_eat("^"):
+        exponent = _exponent(s, nest + 1)
+    coeff = 1
+    if s.try_eat("*"):
+        coeff = s.nat()
+    if coeff == 0:
+        return ZERO
+    return CnfOrdinal(((exponent, coeff),))
+
+
+def _exponent(s, nest):
+    s.ws()
+    ch = s.peek()
+    if ch == "(":
+        s.i += 1
+        value = _ordinal(s, nest)
+        s.expect(")")
+        return value
+    if "0" <= ch <= "9":
+        return nat(s.nat())
+    if ch != "w":
+        s.error("expected an exponent")
+    _omega(s, nest)
+    if s.try_eat("^"):
+        return CnfOrdinal(((_exponent(s, nest + 1), 1),))
+    return W
+
+
+def ref_parse_unit_fraction(text, offset):
+    """``N/D`` with 0 <= N/D < 1, read by the scanner."""
+    s = _Scanner(text, offset)
+    num = s.nat()
+    s.expect("/")
+    den_pos = s.offset + s.i
+    den = s.nat()
+    if not s.done():
+        s.error("unexpected trailing input")
+    if den == 0:
+        raise ParseError("zero denominator", position=den_pos)
+    value = Fraction(num, den)
+    if not 0 <= value < 1:
+        raise ParseError("unit offsets lie in [0, 1)", position=offset)
+    return value
 
 
 def ref_split_top(text, sep, offset=0):

@@ -2,11 +2,11 @@
 
 ``pyproject.toml`` asks for Python >= 3.10.7 and CI runs a 3.10 leg, but a
 newer interpreter accepts newer syntax without a word.  So each ``.py``
-file under ``src/``, ``tests/``, ``bench/`` and ``demos/`` is read with
-``ast.parse(..., feature_version=(3, 10))``, which rejects, for example,
-``except*`` and PEP 695 type parameters.  This checks grammar only: a call
-to a library function or argument added after 3.10 parses and is not
-caught here.
+file under ``src/``, ``tests/``, ``bench/``, ``demos/`` and ``tools/`` is
+read with ``ast.parse(..., feature_version=(3, 10))``, which rejects, for
+example, ``except*`` and PEP 695 type parameters.  This checks grammar
+only: a call to a library function or argument added after 3.10 parses
+and is not caught here.
 """
 
 import ast
@@ -17,7 +17,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted(
     path.relative_to(ROOT)
-    for folder in ("src", "tests", "bench", "demos")
+    for folder in ("src", "tests", "bench", "demos", "tools")
     for path in (ROOT / folder).rglob("*.py")
 )
 
@@ -25,6 +25,7 @@ SOURCES = sorted(
 def test_sources_found():
     assert Path("src/longsol/cli.py") in SOURCES
     assert Path("tests/test_grammar.py") in SOURCES
+    assert Path("tools/ab_workers.py") in SOURCES
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=str)

@@ -7,7 +7,12 @@ from operator import mul as times
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from reference_models import ref_parse_thread, ref_split_top
+from reference_models import (
+    ref_parse_ordinal,
+    ref_parse_thread,
+    ref_parse_unit_fraction,
+    ref_split_top,
+)
 
 from longsol import (
     OMEGA,
@@ -66,17 +71,37 @@ def test_parse_ordinal_normalizes():
 
 
 def test_parse_ordinal_errors():
-    for text, position in [
-        ("", 0),
-        ("w^", 2),
-        ("w++1", 2),
-        ("3 4", 2),
-        ("w^(w", 4),
-        ("^2", 0),
-    ]:
-        with pytest.raises(ParseError) as err:
-            parse_ordinal(text)
-        assert err.value.position == position, text
+    too_long = "integer literal longer than %d digits" % sys.get_int_max_str_digits()
+    too_deep = "ordinal literal nests deeper than the depth bound %d" % DEFAULT_DEPTH_BOUND
+    cases = [
+        (parse_ordinal, "", ParseError, 0, "expected a term"),
+        (parse_ordinal, "w^", ParseError, 2, "expected an exponent"),
+        (parse_ordinal, "w++1", ParseError, 2, "expected a term"),
+        (parse_ordinal, "3 4", ParseError, 2, "unexpected trailing input"),
+        (parse_ordinal, "w^(w", ParseError, 4, "expected ')'"),
+        (parse_ordinal, "^2", ParseError, 0, "expected a term"),
+        (parse_ordinal, "w^x", ParseError, 2, "expected an exponent"),
+        (parse_ordinal, "w* 1\u0663", ParseError, 4, "unexpected trailing input"),
+        (parse_ordinal, "w*\u0663", ParseError, 2, "expected a number"),
+        (parse_ordinal, "w^(1 + 2 ", ParseError, 9, "expected ')'"),
+        (parse_ordinal, "w*" + "7" * (sys.get_int_max_str_digits() + 1),
+         DepthBoundError, 2, too_long),
+        (parse_ordinal, "w^" * 15 + "w", DepthBoundError, 30, too_deep),
+        # the unit offset of a long point, N/D
+        (parse_long_point, "/2", ParseError, 0, "expected a number"),
+        (parse_long_point, "1/x", ParseError, 2, "expected a number"),
+        (parse_long_point, "1 2/3", ParseError, 2, "expected '/'"),
+        (parse_long_point, "1/2 3", ParseError, 4, "unexpected trailing input"),
+        (parse_long_point, "w + 1/ 0", ParseError, 6, "zero denominator"),
+        (parse_long_point, "w + 3/2", ParseError, 4, "unit offsets lie in [0, 1)"),
+        (parse_long_point, "1/" + "7" * (sys.get_int_max_str_digits() + 1),
+         DepthBoundError, 2, too_long),
+    ]
+    for parse, text, error, position, message in cases:
+        with pytest.raises(LongSolError) as err:
+            parse(text)
+        assert (type(err.value), err.value.position, str(err.value)) == (
+            error, position, message), text
 
 
 def _nested(depth):
@@ -505,7 +530,8 @@ def test_arc_round_trip(n, a, b):
 
 
 # ---------------------------------------------------------------------------
-# the token readers return None or exactly what the scanner reads
+# each reader answers as its oracle or its general reader: the same value,
+# or the same error type, code, position and message
 
 LIMIT = sys.get_int_max_str_digits()
 NATS = st.integers(0, 12).map(str)
@@ -579,20 +605,44 @@ AT_THE_LIMIT = st.builds("{}{}{}".format, st.sampled_from(["w*", "w^", "", "w+"]
 @example(" ")
 @example("w^()")
 def test_ordinal_reader_agrees_with_scanner(text):
-    value = parsing._read_ordinal(text)
-    scanned = _outcome(parsing._scan_ordinal, text, 0)
-    assert value is None or value == scanned
-    assert _outcome(parse_ordinal, text) == scanned
+    for offset in (0, 7):
+        assert _outcome(parse_ordinal, text, offset) == _outcome(ref_parse_ordinal, text, offset)
 
 
 @pytest.mark.parametrize("depth", [15, 16, 17])
 def test_ordinal_reader_keeps_the_depth_bound(depth):
     for text in _nested_forms(depth):
-        value = parsing._read_ordinal(text)
-        scanned = _outcome(parsing._scan_ordinal, text, 0)
-        assert (value is None) == (depth > DEFAULT_DEPTH_BOUND), text
-        assert value is None or value == scanned
-        assert _outcome(parse_ordinal, text) == scanned
+        read = _outcome(parse_ordinal, text)
+        if depth > DEFAULT_DEPTH_BOUND:
+            assert read[0] is DepthBoundError, text
+        else:
+            assert read.depth == depth, text
+        assert read == _outcome(ref_parse_ordinal, text)
+
+
+# numbers with blanks inside, digits of other scripts and runs at the limit
+FRACTION_NUMBERS = st.one_of(
+    st.integers(0, 30).map(str), st.sampled_from(["0", "00", "", "x", "\u0663", "\uff12", "\u00b9"]),
+    st.builds("{} {}".format, NATS, NATS),
+    st.sampled_from([LIMIT - 1, LIMIT, LIMIT + 1]).map("7".__mul__))
+BLANKS = st.sampled_from(["", " ", "\t ", "\u2003"])
+
+
+@settings(max_examples=300)
+@given(st.one_of(
+    st.builds("{1}{0}{1}/{1}{2}{1}{3}".format, FRACTION_NUMBERS, BLANKS, FRACTION_NUMBERS,
+              st.sampled_from(["", " 3", "/2", "x", "+1", "\u0663"])),
+    st.text("0123/ x\u0663", max_size=10)), st.integers(0, 5))
+@example("1/2", 0)
+@example("2/2", 3)
+@example("1/ 0", 0)
+@example("1/0 x", 0)
+@example("1 2/3", 0)
+@example("1/" + "7" * LIMIT, 0)
+@example("1/" + "7" * (LIMIT + 1), 0)
+def test_unit_fraction_reader_agrees_with_scanner(text, offset):
+    assert _outcome(parsing._parse_unit_fraction, text, offset) == _outcome(
+        ref_parse_unit_fraction, text, offset)
 
 
 def _position_texts(n):

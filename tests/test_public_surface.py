@@ -54,7 +54,12 @@ ORACLE_SHARES = {
     "Address": RECORD, "Arc": RECORD, "CnfOrdinal": RECORD, "DirectLimitElement": RECORD,
     "StagePoint": RECORD, "Thread": RECORD, "TowerPoint": RECORD, "WitnessReport": RECORD,
     "ZERO": "an ordinal value", "nat": "builds an ordinal value",
+    "ONE": "an ordinal value", "OMEGA": "an ordinal value",
+    "DEFAULT_DEPTH_BOUND": "the nesting bound the literal oracle enforces, a constant",
+    "add": "the literal oracle sums its terms; add is checked against the "
+           "vector model in test_ordinal, the oracle checks the grammar",
     "ParseError": "an error, raised with the library's message",
+    "DepthBoundError": "an error, raised with the library's message",
     "TokenUndefinedError": "an error, raised with the library's message",
     "UnsupportedTranslationError": "an error, raised with the library's message",
     "stage_size": "the product of earlier exponents, the shape every model walks",

@@ -1,0 +1,29 @@
+"""The comparison tool in ``tools/`` runs, and counts one tree alike twice.
+
+``tools/ab_workers.py`` compares two trees by CPU time and by bytecode
+instructions.  Given the same tree on both sides (an A/A run) it must
+find no differing output, and its instruction counts, taken under a fixed
+``PYTHONHASHSEED``, must be equal on every subcommand: the count is
+meant to be the instrument that does not move between two runs of one
+tree.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_ab_workers_counts_one_tree_alike():
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab_workers.py"), str(ROOT), str(ROOT),
+         "--workload", "warm_small", "--blocks", "1", "--passes", "1"],
+        capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert lines[-1] == "differing outputs: 0"
+    header = next(i for i, line in enumerate(lines) if line.startswith("subcommand"))
+    rows = lines[header + 1:-1]
+    assert rows and rows[-1].startswith("total")
+    assert [row.split()[-1] for row in rows] == ["1.000"] * len(rows), run.stdout
