@@ -312,13 +312,6 @@ def parse_tower_point(text, kappa, offset=0):
 
 def parse_stage_point(text, n, mode=None, kappa=None, offset=0):
     """Stage point literal; mode is needed only for inner points."""
-    return _stage_point(text, n, mode, kappa, offset, {})
-
-
-def _stage_point(text, n, mode, kappa, offset, inners):
-    """``parse_stage_point``, taking the inner point from ``inners`` when
-    its body text was read before under the same mode and kappa, and
-    recording it there otherwise."""
     stripped = text.strip()
     lead = offset + (len(text) - len(text.lstrip()))
     if stripped.startswith("inf"):
@@ -331,18 +324,15 @@ def _stage_point(text, n, mode, kappa, offset, inners):
     if not bar:
         raise ParseError("inner literals read (i| POINT)", position=lead)
     index = _parse_int(index_text, lead + 1)
-    point = inners.get(body)
-    if point is None:
-        body_off = lead + 2 + len(index_text)
-        if mode == TOWER_MODE:
-            if kappa is None:
-                raise ParseError("tower points need a level", position=body_off)
-            point = parse_tower_point(body, kappa, body_off)
-        elif mode == LONG_MODE:
-            point = parse_long_point(body, body_off)
-        else:
-            raise ParseError("inner points need a tower or long mode", position=body_off)
-        inners[body] = point
+    body_off = lead + 2 + len(index_text)
+    if mode == TOWER_MODE:
+        if kappa is None:
+            raise ParseError("tower points need a level", position=body_off)
+        point = parse_tower_point(body, kappa, body_off)
+    elif mode == LONG_MODE:
+        point = parse_long_point(body, body_off)
+    else:
+        raise ParseError("inner points need a tower or long mode", position=body_off)
     return StagePoint(n, index, point)
 
 
@@ -350,23 +340,17 @@ def parse_thread(p, text, mode=None, kappa=None, offset=0):
     """A thread literal: stage point literals joined by ';'.
 
     Every bond keeps the inner coordinate, so a thread writes one inner
-    literal at each level.  Each distinct body text is read once, at its
-    first level, and its value is shared with the levels that repeat it:
-    the value depends only on the text, the mode and kappa, and the offset
-    only on where an error is reported, which is always the first reading.
-
-    Text in the printed form, what ``str(Thread)`` writes, is read at once
-    (see ``_printed_thread``); all other text, and every error in the body,
-    is read level by level.
+    literal at each level.  Text in the printed form, what ``str(Thread)``
+    writes, is read at once, its body once (see ``_printed_thread``); all
+    other text, and every error in the body, is read level by level, one
+    ``parse_stage_point`` call per piece.
     """
     thread = _printed_thread(p, text, mode, kappa, offset)
     if thread is not None:
         return thread
     pieces = _split_top(text, ";", offset)
-    points, inners = [], {}
-    for level, (piece, start) in enumerate(pieces, start=1):
-        size = stage_size(p, level)
-        points.append(_stage_point(piece, size, mode, kappa, start, inners))
+    points = [parse_stage_point(piece, stage_size(p, level), mode, kappa, start)
+              for level, (piece, start) in enumerate(pieces, start=1)]
     return Thread(tuple(p), tuple(points))
 
 
@@ -375,12 +359,12 @@ def _printed_thread(p, text, mode, kappa, offset):
 
     The printed form is ``infI; infJ; ...`` or ``(I| B); (J| B); ...``
     with one body B, unsigned ASCII indices under 19 digits, and no more
-    levels than the tuple p covers.  B is read once, as the per-level
-    reader reads the first piece.  A body that reads holds no '|' and is
-    bracket-balanced, so that reader would split the text into the same
-    pieces and read the same index and body from each.  The points
-    and the thread are built as it builds them, so their errors are its
-    errors; an error while reading B answers None.
+    levels than p covers.  B is read once, by ``parse_stage_point`` on the
+    first piece, as the per-level reader reads it.  A body that reads holds
+    no '|' and is bracket-balanced, so that reader would split the text
+    into the same pieces and read the same index and body from each.  The
+    points and the thread are built as it builds them, so their errors are
+    its errors; an error while reading B answers None.
     """
     if text.startswith("("):
         *heads, last = text.split("| ")
@@ -398,7 +382,7 @@ def _printed_thread(p, text, mode, kappa, offset):
         if not all(piece.startswith("inf") for piece in pieces):
             return None
         body, indices = None, [piece[3:] for piece in pieces]
-    if not isinstance(p, tuple) or len(indices) > len(p) + 1 or not all(
+    if len(indices) > len(p) + 1 or not all(
             i.isascii() and i.isdigit() and len(i) < 19 for i in indices):
         return None
     sizes = accumulate(p, mul, initial=1)
@@ -406,7 +390,7 @@ def _printed_thread(p, text, mode, kappa, offset):
     if body is not None:
         first = text[: len(heads[0]) + len(body) + 3]
         try:
-            points.append(_stage_point(first, next(sizes), mode, kappa, offset, {}))
+            points.append(parse_stage_point(first, next(sizes), mode, kappa, offset))
         except Exception:  # read again level by level, which owns the error
             return None
         inner = points[0].inner

@@ -29,10 +29,10 @@ unknown; conjectural cases are never upgraded.
 Bonds keep the within-copy coordinate x, so fibers and extensions are
 index arithmetic, by one child rule: under exponent m, the children of
 index j on stage n are j + c*n for c < m, in that order.  The fiber of
-(i| x) onto stage m*n is those children of i (``fiber_indices``), and
-extending a thread with top index t on stage n_d applies the rule level
-by level under the exponents ``extension_exponents`` returns, so its tops
-are the j = t (mod n_d), ordered by their per-level indices.
+(i| x) onto stage m*n is those children of i (``fiber``), and extending
+a thread with top index t on stage n_d applies the rule level by level
+under the exponents ``extension_exponents`` returns, so its tops are the
+j = t (mod n_d), ordered by their per-level indices.
 
 Within-copy points are either tower points (finite level, integer
 addresses) or long-line points.  Both endpoints of each copy are
@@ -93,10 +93,6 @@ class StagePoint(Record):
         object.__setattr__(self, "index", self.index % self.n)
         _check_inner(self.inner)
 
-    @property
-    def is_joint(self):
-        return self.inner is None
-
     def __str__(self):
         return point_format(self.inner) % self.index
 
@@ -126,18 +122,13 @@ def point_format(inner):
     return "(%%d| %s)" % inner
 
 
-def fiber_indices(m, n, q):
-    """Indices of the m preimages of q under the bond, ascending."""
+def fiber(m, n, q):
+    """All m preimages of q under the bond, in ascending index order."""
     if m < 1 or n < 1:
         raise StageDomainError("bond multiplicity and target size must be >= 1")
     if q.n != n:
         raise StageDomainError("point lives on stage %d, fiber expects %d" % (q.n, n))
-    return range(q.index, m * n, n)
-
-
-def fiber(m, n, q):
-    """All m preimages of q under the bond, in ascending index order."""
-    return [StagePoint(m * n, j, q.inner) for j in fiber_indices(m, n, q)]
+    return [StagePoint(m * n, j, q.inner) for j in range(q.index, m * n, n)]
 
 
 def _shift_top(k, x):

@@ -16,6 +16,18 @@ integer stop at depth j, and type kappa + 1 to the joint, giving exactly
 kappa + 1 orbit classes with the joint alone on top.  The closed form is
 validated in the test suite against an independent neighborhood-germ
 classifier for the small levels.
+
+On the solenoid S over the level-kappa tower, the orbit census of the
+test suite (``test_orbit_census_counts_kappa_plus_one_classes``) finds
+kappa + 1 classes as far as the verdicts go.  That reads as the paper's
+1/K-homogeneous S with K = kappa + 1 >= 2 (K is the paper's cardinal,
+kappa here the level); K = 1, infinite K and the long-line circle are
+not modelled.  Across types the verdict ``proven_distinct`` assumes,
+and nothing here proves, that a point's type is invariant under
+homeomorphisms of S, not only of this level's circle: a point of S has
+a neighborhood that is an arc around its inner coordinate times the
+fiber over it, and each homeomorphism of S is assumed to carry the germ
+of that arc onto a germ of the same type.
 """
 
 from fractions import Fraction

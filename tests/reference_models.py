@@ -79,7 +79,7 @@ from longsol import (
     stage_size,
 )
 from longsol import OMEGA as W  # this module's OMEGA is a point-type label
-from longsol.stages import fiber_indices, point_format
+from longsol.stages import point_format
 
 # ---------------------------------------------------------------------------
 # dense-vector ordinal model (finite exponents only)
@@ -717,9 +717,11 @@ def ref_extensions(thread, levels):
 
 
 def ref_fiber_points(m, n, q):
-    """The fiber of q under the m-fold bond, one string per point."""
+    """The fiber of q under the m-fold bond, one string per point: the
+    indices j < m*n that the bond takes to q's index, j mod n (as
+    ``ref_bond`` states it), ascending."""
     text = point_format(q.inner)
-    return [text % j for j in fiber_indices(m, n, q)]
+    return [text % j for j in range(m * n) if j % n == q.index]
 
 
 def ref_extension_threads(thread, levels):

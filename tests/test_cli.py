@@ -1121,6 +1121,31 @@ def test_longest_chain_answers_in_bounded_time(capsys):
     assert elapsed < 1.0, elapsed
 
 
+def _levels(piece):
+    """``piece`` once per level, joined by ';', as many levels as fit in
+    one argument, and that count."""
+    count = (ARG_MAX + 1) // (len(piece) + 1)
+    return ";".join([piece] * count), count
+
+
+@pytest.mark.parametrize("piece", [
+    "(0| w+1); (1| w+1)",
+    "(0|w+1)",
+    "(0| %s+1/2)" % "+".join("w^%d*3" % e for e in range(149, 1, -1)),
+], ids=["printed", "spaced", "1KiB-body"])
+def test_longest_thread_answers_in_bounded_time(capsys, piece):
+    # past the levels p covers, a thread is read one level at a time,
+    # each level's inner literal read anew
+    points, count = _levels(piece)
+    depth = count * (piece.count(";") + 1)
+    t0 = time.perf_counter()
+    answer = run(capsys, "thread", "verify", "--long", "--p", "2", "--points", points)
+    elapsed = time.perf_counter() - t0
+    assert answer == (0, {"valid": False, "reason": "depth %d needs at least %d bonding "
+                                                    "exponents" % (depth, depth - 1)})
+    assert elapsed < 1.0, elapsed
+
+
 TWOS = ",".join(["2"] * 999)
 
 

@@ -339,7 +339,7 @@ def test_tower_point_round_trip(x):
 @given(st.integers(1, 6), st.integers(0, 5), tower_points())
 def test_stage_point_round_trip(n, index, inner):
     x = StagePoint(n, index, None if inner.is_joint else inner)
-    mode = None if x.is_joint else "tower"
+    mode = None if x.inner is None else "tower"
     assert parse_stage_point(str(x), n, mode=mode, kappa=inner.kappa) == x
 
 
@@ -356,8 +356,7 @@ def test_thread_round_trip(p, seed):
 
 
 # ---------------------------------------------------------------------------
-# a thread reads each distinct inner literal once, with the per-level
-# reader's values and errors
+# a thread answers as the per-level reader: the same values and errors
 
 finite_ordinals = st.lists(
     st.tuples(st.integers(0, 5).map(nat), st.integers(1, 4)), max_size=3
@@ -376,17 +375,18 @@ BAD_INDICES = ["", "x", "1.5", "\u0663", "--1", "1 2"]
 
 @st.composite
 def thread_literals(draw):
-    """(p, text, mode, kappa): one inner literal at every level, written as
-    ``str(Thread)`` prints it or with blanks that vary by level, maybe one
-    level with another inner, and maybe a bad index, a joint or a malformed
-    inner at a later level."""
+    """(p, text, mode, kappa): p a tuple or a list, one inner literal at
+    every level, written as ``str(Thread)`` prints it or with blanks that
+    vary by level, maybe one level with another inner, and maybe a bad
+    index, a joint or a malformed inner at a later level."""
     if draw(st.booleans()):
         inner, other = draw(tower_points()), draw(tower_points())
         mode, kappa = "tower", inner.kappa
     else:
         inner, other = draw(long_points), draw(long_points)
         mode, kappa = "long", None
-    p = tuple(draw(st.lists(st.sampled_from([2, 3, 5]), max_size=5)))
+    p = draw(st.sampled_from([tuple, list]))(
+        draw(st.lists(st.sampled_from([2, 3, 5]), max_size=5)))
     depth = len(p) + 1
     top = draw(st.integers(0, 10**4))
     indices = [str(top % n) for n in accumulate(p, times, initial=1)]
@@ -452,15 +452,28 @@ def test_thread_reader_matches_per_level_reader(case, offset):
     assert _outcome(parse_thread, *args) == _outcome(ref_parse_thread, *args)
 
 
-@pytest.mark.parametrize("thread, mode, kappa", [
-    (Thread((2, 3), (StagePoint(1, 0), StagePoint(2, 1), StagePoint(6, 5))),
-     None, None),
-    (Thread((2, 2), [StagePoint(n, 3, TowerPoint(3, Address((1, -2), W2, F(7, 9))))
-                     for n in (1, 2, 4)]), "tower", 3),
-    (Thread((3,), [StagePoint(n, 2, LongPoint(nat(3), add(W, nat(1)), F(1, 2)))
-                   for n in (1, 3)]), "long", None),
-], ids=["joints", "tower", "long"])
-def test_printed_threads_skip_the_scanner(monkeypatch, thread, mode, kappa):
+@st.composite
+def printed_threads(draw, kind):
+    """(thread, mode, kappa) over a tuple p, of up to len(p) + 1 levels:
+    all joints, or one tower stop or base at kappa 1..4, or one long point
+    at every level."""
+    p = tuple(draw(st.lists(st.sampled_from([2, 3, 5]), max_size=5)))
+    sizes = list(accumulate(p, times, initial=1))[:draw(st.integers(1, len(p) + 1))]
+    mode, kappa, inner = None, None, None
+    if kind == "tower":
+        inner = draw(tower_points().filter(lambda x: not x.is_joint))
+        mode, kappa = "tower", inner.kappa
+    elif kind == "long":
+        inner = draw(long_points.filter(lambda x: not x.is_zero))
+        mode = "long"
+    top = draw(st.integers(0, 10**4))
+    return Thread(p, [StagePoint(n, top, inner) for n in sizes]), mode, kappa
+
+
+@pytest.mark.parametrize("kind", ["joints", "tower", "long"])
+@given(data=st.data())
+def test_printed_threads_skip_the_scanner(kind, data):
+    thread, mode, kappa = data.draw(printed_threads(kind))
     text, split = str(thread), parsing._split_top
 
     def refuse(piece, *args):  # the body's own literals still split
@@ -468,8 +481,9 @@ def test_printed_threads_skip_the_scanner(monkeypatch, thread, mode, kappa):
             raise AssertionError("the printed form is not split into levels")
         return split(piece, *args)
 
-    monkeypatch.setattr(parsing, "_split_top", refuse)
-    assert parse_thread(thread.p, text, mode, kappa) == thread
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(parsing, "_split_top", refuse)
+        assert parse_thread(thread.p, text, mode, kappa) == thread
 
 
 def _split_outcome(split, *args):
@@ -498,6 +512,8 @@ def test_split_top_matches_depth_loop(text, sep, offset):
     ("long", None, ["w1*(3) + w + 1/2", "w1*(3)+w+1/2"]),
 ])
 def test_thread_reads_each_inner_literal_once(monkeypatch, mode, kappa, bodies):
+    # bodies spell one inner point; a thread printed with any one of them,
+    # "(0| B); (1| B); (3| B); ...", reads B once
     name = "parse_tower_point" if mode == "tower" else "parse_long_point"
     reader, calls = getattr(parsing, name), []
 
@@ -507,10 +523,13 @@ def test_thread_reads_each_inner_literal_once(monkeypatch, mode, kappa, bodies):
 
     monkeypatch.setattr(parsing, name, counted)
     p = (2,) * 9
-    text = "; ".join("(1|%s)" % bodies[level % len(bodies)] for level in range(10))
-    thread = parse_thread(p, text, mode, kappa)
-    assert calls == bodies
-    assert thread == ref_parse_thread(p, text, mode, kappa)
+    indices = [1023 % n for n in accumulate(p, times, initial=1)]
+    for body in bodies:
+        calls.clear()
+        text = "; ".join("(%d| %s)" % (i, body) for i in indices)
+        thread = parse_thread(p, text, mode, kappa)
+        assert calls == [" " + body]
+        assert thread == ref_parse_thread(p, text, mode, kappa)
 
 
 @given(st.lists(st.sampled_from([2, 3, 12]), max_size=2),

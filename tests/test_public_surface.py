@@ -63,10 +63,8 @@ ORACLE_SHARES = {
     "TokenUndefinedError": "an error, raised with the library's message",
     "UnsupportedTranslationError": "an error, raised with the library's message",
     "stage_size": "the product of earlier exponents, the shape every model walks",
-    "parse_stage_point": "ref_parse_thread checks the per-thread inner cache, "
-                         "not the literal grammar",
-    "fiber_indices": "the fiber oracle's index rule; the CLI's listing grows "
-                     "its fibers by the child rule and never calls it",
+    "parse_stage_point": "ref_parse_thread checks the printed-form reader against "
+                         "one parse_stage_point call per level, not the literal grammar",
     "point_format": "the renderer oracles knowingly share the template",
 }
 

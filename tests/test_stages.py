@@ -43,7 +43,6 @@ from longsol import (
     within_copy_hat,
 )
 from longsol import cli, stages
-from longsol.stages import fiber_indices
 
 W = omega_pow(nat(1))
 W2 = omega_pow(nat(2))
@@ -106,7 +105,7 @@ def test_fiber_frozen():
     with pytest.raises(StageDomainError, match="^point lives on stage 6, fiber expects 3$"):
         fiber(2, 3, joint(6, 0))
     with pytest.raises(StageDomainError, match="^bond multiplicity and target size"):
-        fiber_indices(0, 3, joint(3, 0))
+        fiber(0, 3, joint(3, 0))
 
 
 @given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 63))
@@ -216,7 +215,7 @@ def test_extension_order(capsys):
     assert cli.main(argv) == 0
     assert json.loads(capsys.readouterr().out)["threads"] == [
         "inf0; inf0; inf0", "inf0; inf0; inf2", "inf0; inf1; inf1", "inf0; inf1; inf3"]
-    assert list(fiber_indices(3, 4, joint(4, 5))) == [1, 5, 9]
+    assert [pt.index for pt in fiber(3, 4, joint(4, 5))] == [1, 5, 9]
 
 
 def test_extend_thread_rejections():
