@@ -316,7 +316,6 @@ def _cmd_thread_extend(args):
     thread = parsing.parse_thread(_exponents(args), args.points, mode, kappa)
     if args.levels < 1:
         raise CommandError("--levels is positive")
-    _check(args, "LONGSOL_DEPTH", thread.depth + args.levels)
     exps = extension_exponents(thread, args.levels)
     text = "; " + point_format(thread.points[0].inner)
     threads = _Listing(text, str(thread), exps, thread.points[-1])
