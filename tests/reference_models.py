@@ -42,13 +42,13 @@ implementation:
   scanner, one method call per character class, instead of from the
   library's token reader;
 * a thread literal is split by its own bracket-depth loop and read one
-  level at a time, each level's inner literal parsed anew, instead of each
-  distinct inner literal once per thread or the printed form at once;
+  level at a time, instead of in the printed form at once;
 * thread extensions come from trying every point of each new stage and
   keeping the ones the bond sends onto the level below, instead of from
   the index rule;
 * the command line's fiber and thread-extend answers come from lists of
-  strings, one ``%`` format per point, rendered by one ``json.dumps`` or
+  strings, one ``%`` format per point (a fiber's points found by trying
+  every index against the bond), rendered by one ``json.dumps`` or
   flattened one item at a time, instead of from a template escaped once
   and a join over the indices.
 """
