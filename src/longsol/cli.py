@@ -178,22 +178,27 @@ class _Listing:
     of its levels and the ``top`` point they grow from.  By the child rule
     of ``stages``, child c < m of the string of index j on stage n appends
     ``template % (j + c*n)``: a fiber is one level under exponent m with an
-    empty root, and a thread extension roots at the thread's text.  JSON
-    escapes one character at a time, so ``json_pieces()`` escapes the root
-    and template once.  A last level with one parent is one range, which
-    ``_decimal`` writes a thousand indices at a time; any other goes to
-    ``_render``'s one join as two pieces per string, parent and suffix: no
-    whole string is built."""
+    empty root, and a thread extension roots at the thread's text.  A
+    listing has one writer, ``json_pieces()``; ``--format text`` reads its
+    strings back from that JSON.  JSON escapes one character at a time, so
+    the root and template are escaped once.  A last level with one parent
+    is one range, which ``_decimal`` writes a thousand indices at a time;
+    any other goes to ``_render``'s one join as two pieces per string,
+    parent and suffix: no whole string is built."""
 
     def __init__(self, template, root, exponents, top):
         self.template, self.root = template, root
         self.exponents, self.top = exponents, top
 
-    def _above_last(self, text):
-        """The template in ``text`` split at its %d, the strings one level
-        above the last with their indices, and that level's n."""
-        head, tail = text(self.template).split("%d")
-        strings, indices, n = [text(self.root)], [self.top.index], self.top.n
+    def json_pieces(self):
+        """Strings that concatenate to the JSON array of the strings, byte
+        for byte as ``json.dumps`` writes it.  No piece joins the strings
+        themselves: the document they go into is the one large string."""
+        def escape(text):  # as written between a JSON string's quotes
+            return json.dumps(text)[1:-1]
+        # the strings one level above the last, with their indices
+        head, tail = escape(self.template).split("%d")
+        strings, indices, n = [escape(self.root)], [self.top.index], self.top.n
         for m in self.exponents[:-1]:
             grown, later = [None] * (m * len(strings)), [None] * (m * len(strings))
             for c in range(m):  # child c of each string, every m-th place
@@ -202,20 +207,6 @@ class _Listing:
                                for s, j in zip(strings, indices)]
                 later[c::m] = [j + o for j in indices]
             strings, indices, n = grown, later, n * m
-        return head, tail, strings, indices, n
-
-    def __iter__(self):
-        head, tail, strings, indices, n = self._above_last(str)
-        return (f"{s}{head}{j + o}{tail}" for s, j in zip(strings, indices)
-                for o in range(0, self.exponents[-1] * n, n))
-
-    def json_pieces(self):
-        """Strings that concatenate to the JSON array of the strings, byte
-        for byte as ``json.dumps`` writes it.  No piece joins the strings
-        themselves: the document they go into is the one large string."""
-        def escape(text):  # as written between a JSON string's quotes
-            return json.dumps(text)[1:-1]
-        head, tail, strings, indices, n = self._above_last(escape)
         m = self.exponents[-1]
         if len(strings) == 1:  # the children of one parent: one range
             parent, j = strings[0], indices[0]
@@ -458,7 +449,7 @@ COMMANDS = (
     ("cohomology invariant", _cmd_coh_invariant, "supernatural invariant",
      (("--s", dict(_REQUIRED, help="bonding descriptor PREFIX:CYCLE")),),
      ("cohomology.supernatural_of",)),
-    ("cohomology equiv", _cmd_coh_equiv, "McCord equivalence of two solenoids",
+    ("cohomology equiv", _cmd_coh_equiv, "isomorphic H^1: equal infinite prime sets",
      (("--a", _REQUIRED), ("--b", _REQUIRED)), ("cohomology.mccord_equivalent",)),
     ("cohomology member", _cmd_coh_member, "membership of a rational",
      (("--s", _REQUIRED), ("--r", dict(_REQUIRED, help="rational N/D"))),
@@ -578,7 +569,9 @@ def _flatten(doc, prefix=""):
     if isinstance(doc, (list, tuple)) and any(isinstance(x, nested) for x in doc):
         return [line for i, item in enumerate(doc)
                 for line in _flatten(item, "%s%d." % (prefix, i))]
-    if isinstance(doc, (list, tuple, _Listing)):
+    if isinstance(doc, _Listing):  # its strings, read back from its one writer
+        doc = json.loads("".join(doc.json_pieces()))
+    if isinstance(doc, (list, tuple)):
         # scalars, as a listing's are: one line each, by the faster f-string
         return [f"{prefix}{i}: {item}" for i, item in enumerate(doc)]
     return ["%s: %s" % (prefix[:-1], doc)]

@@ -30,9 +30,10 @@ raises every error of those grammars itself.  Arc positions and printed
 threads are first read by a fast reader, one ``re.fullmatch``
 (``_read_position``) or ``str.split`` (``_printed_thread``), and a list
 of plain digit runs by ``str.split`` and ``int`` (``parse_exponents``).
-A fast reader returns None for any text it does not take, and the
+A fast reader returns None for any text not in its form, and the
 general reader then reads that text, so every value is the general
-reader's and every error, message and position comes from it.  The fast
+reader's and every error, message and position comes from it (a printed
+thread too deep for p meets the same ``Thread`` refusal).  The fast
 readers stay because each is several times faster than the general
 reader on the text it takes.
 """
@@ -40,7 +41,7 @@ reader on the text it takes.
 import re
 import sys
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import accumulate, chain, islice, repeat
 from operator import mul
 
 from .arcs import Arc
@@ -358,13 +359,14 @@ def _printed_thread(p, text, mode, kappa, offset):
     """The thread read from its printed form, or None for any other text.
 
     The printed form is ``infI; infJ; ...`` or ``(I| B); (J| B); ...``
-    with one body B, unsigned ASCII indices under 19 digits, and no more
-    levels than p covers.  B is read once, by ``parse_stage_point`` on the
-    first piece, as the per-level reader reads it.  A body that reads holds
-    no '|' and is bracket-balanced, so that reader would split the text
-    into the same pieces and read the same index and body from each.  The
-    points and the thread are built as it builds them, so their errors are
-    its errors; an error while reading B answers None.
+    with one body B and unsigned ASCII indices under 19 digits, at any
+    depth.  B is read once, by ``parse_stage_point`` on the first piece,
+    as the per-level reader reads it.  A body that reads holds no '|' and
+    is bracket-balanced, so that reader would split the text into the same
+    pieces and read the same index and body from each.  The points (on the
+    stages ``stage_size`` gives, past p too) and the thread are built as it
+    builds them, so their errors are its errors; an error while reading B
+    answers None.
     """
     if text.startswith("("):
         *heads, last = text.split("| ")
@@ -382,10 +384,9 @@ def _printed_thread(p, text, mode, kappa, offset):
         if not all(piece.startswith("inf") for piece in pieces):
             return None
         body, indices = None, [piece[3:] for piece in pieces]
-    if len(indices) > len(p) + 1 or not all(
-            i.isascii() and i.isdigit() and len(i) < 19 for i in indices):
+    if not all(i.isascii() and i.isdigit() and len(i) < 19 for i in indices):
         return None
-    sizes = accumulate(p, mul, initial=1)
+    sizes = accumulate(chain(p, repeat(1)), mul, initial=1)  # as stage_size
     points, inner = [], None
     if body is not None:
         first = text[: len(heads[0]) + len(body) + 3]

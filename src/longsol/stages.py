@@ -15,16 +15,16 @@ integer.  Recipes carry the shared translation and token plus a rotation
 offset per level, nothing else; validity means commuting with every bond
 on a finite verification set: the joints, and for the thread a recipe is
 checked against, that thread's point and the integer stops of its level
-(see ``verify_commutes``; under the identity hat or a hat one level
-below, a stop strips to the fixed minimum and stays, so the stops are
-evaluated only under other hats).  Bonds keep the inner coordinate, and
-translation and hat ignore copy and level, so the square at level k
-commutes at a point exactly when rotations[k] = rotations[k-1] (mod n_k)
-and the hat and translation are defined at its inner coordinate.  A
-thread has one inner coordinate, so applying or verifying a recipe
-evaluates it once.  Synthesis from a pair of threads, decided by the class
-of their inner points, answers with a recipe, a distinctness proof, or
-unknown; conjectural cases are never upgraded.
+(see ``verify_commutes``; a stop fails where the thread's point does not
+only under a token at the stops' own level, which fails first at [-8]
+or [-7], so only those two are evaluated).  Bonds keep the inner
+coordinate, and translation and hat ignore copy and level, so the square
+at level k commutes at a point exactly when rotations[k] = rotations[k-1]
+(mod n_k) and the hat and translation are defined at its inner
+coordinate.  A thread has one inner coordinate, so applying or verifying
+a recipe evaluates it once.  Synthesis from a pair of threads, decided by
+the class of their inner points, answers with a recipe, a distinctness
+proof, or unknown; conjectural cases are never upgraded.
 
 Bonds keep the within-copy coordinate x, so fibers and extensions are
 index arithmetic, by one child rule: under exponent m, the children of
@@ -327,11 +327,11 @@ def verify_commutes(recipe, thread=None):
 
     The stops have a closed form.  Under the identity hat, or a hat one
     level below x, a stop [z] strips to the fixed minimum and stays, and
-    the top shift is defined at every level >= 2, so no stop can fail and
-    none is evaluated; every recipe ``synthesize_recipe`` builds has such
-    a hat.  Under any other hat (a token at x's own level, at another
-    level, or on the long line) all 17 stops are still evaluated first,
-    in order.
+    the top shift is defined at every level >= 2, so no stop can fail;
+    every recipe ``synthesize_recipe`` builds has such a hat.  Under a
+    token at another level, or on the long line, every stop fails as x
+    then does.  A token at x's level has no fixed region, so of [-8] and
+    [-7] the one not its source fails first: only those two are mapped.
 
     Returns (True, None) when every level pair commutes, otherwise
     (False, record) with the first offending level and point.
@@ -343,9 +343,8 @@ def verify_commutes(recipe, thread=None):
     hat, k = recipe.hat, recipe.translate_by
     if thread is not None:
         x = thread.points[0].inner
-        if (isinstance(x, TowerPoint) and x.kappa >= 2
-                and not (hat.is_identity or hat.kappa == x.kappa - 1)):
-            for z in range(-8, 9):
+        if isinstance(x, TowerPoint) and hat.kappa == x.kappa >= 2:
+            for z in (-8, -7):
                 _map_inner(hat, k, TowerPoint(x.kappa, Address((z,))))
         _map_inner(hat, k, x)
     joint, sizes = point_format(None), accumulate(recipe.p, mul, initial=1)

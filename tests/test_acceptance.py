@@ -6,9 +6,12 @@ just like a wrong value.
 """
 
 import itertools
+import json
 import random
 import time
+from contextlib import redirect_stdout
 from fractions import Fraction as F
+from io import StringIO
 
 from longsol import (
     ONE,
@@ -54,6 +57,7 @@ from longsol import (
     synthesize_recipe,
     verify_commutes,
 )
+from longsol.cli import main
 from reference_models import ref_bond, ref_member
 
 W = OMEGA
@@ -533,3 +537,63 @@ def test_11_orbit_symmetry():
         if failures:
             break
     _finish(11, "orbit-symmetry", start, 10, failures)
+
+
+def _cli(*argv):
+    """(exit code, answer document) of one ``cli.main`` call."""
+    out = StringIO()
+    with redirect_stdout(out):
+        code = main(list(argv))
+    return code, json.loads(out.getvalue())
+
+
+def test_12_kappa_two_through_the_cli(monkeypatch):
+    """The abstract's kappa = 2 case (1/2-homogeneous, indecomposable and
+    circle-like) as the CLI asks it, on the one set of bonds p = 2,2.
+
+    How far each query reaches:
+    - ``orbit --tower 1`` over depth-3 threads of both point types finds 2
+      classes: each base pair a verified recipe, each base against joint
+      ``proven_distinct``.  A recipe is checked on a finite verification
+      set; the cross-type verdict rests on the type-invariance assumption
+      README names (a point's type is kept by homeomorphisms of S, not
+      only of Lambda).
+    - ``indecomp`` finds the two-arc witness on the bond of degree 4 from
+      stage 1 to stage 3.  A witness at finitely many stages does not
+      prove that the limit is indecomposable.
+    - ``chain-check`` audits a circular chain of arcs on the 4-copy stage
+      and answers false for one with a gap: a chain at one stage, not a
+      proof that the limit is circle-like.
+    """
+    start = time.perf_counter()
+    failures = []
+    for name in ("LONGSOL_DEPTH", "LONGSOL_INDEX_BOUND"):
+        monkeypatch.delenv(name, raising=False)
+    bases = ["[; w]", "[; w^2+3+1/3]", "[; 1/2]"]
+    threads = ["(0| %s); (%d| %s); (%d| %s)" % (b, top % 2, b, top, b)
+               for b, top in zip(bases, (1, 2, 3))]
+    threads += ["inf0; inf1; inf3", "inf0; inf0; inf2"]
+    home = list(range(len(threads)))  # the first thread with a recipe to it
+    for (i, x), (j, y) in itertools.combinations(enumerate(threads), 2):
+        code, doc = _cli("orbit", "--tower", "1", "--p", "2,2", "--x", x, "--y", y)
+        recipe = code == 0 and doc.get("status") == "recipe"
+        if recipe:
+            home[j] = min(home[j], home[i])
+        if (i < 3) == (j < 3):  # base pair or joint pair
+            if not (recipe and doc["verified"] and doc["maps_x_to_y"]):
+                failures.append("no verified recipe from %s to %s: %s" % (x, y, doc))
+        elif (code, doc) != (0, {"status": "proven_distinct"}):
+            failures.append("%s and %s not proven distinct: %s" % (x, y, doc))
+    if len(set(home)) != 2:
+        failures.append("%d classes under --tower 1" % len(set(home)))
+    code, doc = _cli("indecomp", "--pn", "4", "--n", "1",
+                     "--c-arc", "0..0+1/2", "--g-arc", "0+2/5..0+1/10")
+    if (code, doc.get("multiplicity"), doc.get("witness")) != (0, 4, True):
+        failures.append("no indecomposability witness: %s" % doc)
+    chain = ["0..1+1/2", "1..2+1/2", "2..3+1/2", "3..0+1/2"]
+    broken = chain[:2] + ["2+3/4..3+1/2"] + chain[3:]
+    for arcs, want in ((chain, True), (broken, False)):
+        code, doc = _cli("chain-check", "--n", "4", "--arcs", ",".join(arcs))
+        if (code, doc) != (0, {"circular": want}):
+            failures.append("chain %s: %s" % (arcs, doc))
+    _finish(12, "kappa-two-through-the-cli", start, 10, failures)

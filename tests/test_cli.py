@@ -952,7 +952,6 @@ def test_listing_json_escapes_template_as_json_dumps_does():
         fiber = _Listing(template, "", (m,), StagePoint(n, i))
         want = [template % j for j in range(i, m * n, n)]
         assert _listing_json(fiber) == json.dumps(want)
-        assert list(fiber) == want
     # an extension of a top point (1| ...) on stage 2 by exponents 2 and 3:
     # children 1, 3 on stage 4, then 1, 5, 9 and 3, 7, 11 on stage 12
     root, t = '"\\\x1f\u0663', "; " + template
@@ -967,7 +966,6 @@ def test_listing_json_escapes_template_as_json_dumps_does():
                             ((1, 3), ones), ((1500,), wide)):
         extension = _Listing(t, root, exponents, StagePoint(2, 1))
         assert _listing_json(extension) == json.dumps(want)
-        assert list(extension) == want
 
 
 def _descendants(template, root, exponents, top):
@@ -991,7 +989,6 @@ def test_listing_writes_json_dumps_of_its_strings(root, head, tail, above, m, n,
     template, top = head + "%d" + tail, StagePoint(n, index)
     listing = _Listing(template, root, (*above, m), top)
     want = _descendants(template, root, (*above, m), top)
-    assert list(listing) == want
     assert _listing_json(listing) == json.dumps(want)
     assert json.loads(_listing_json(listing)) == want
 
@@ -1121,22 +1118,24 @@ def test_longest_chain_answers_in_bounded_time(capsys):
     assert elapsed < 1.0, elapsed
 
 
-def _levels(piece):
-    """``piece`` once per level, joined by ';', as many levels as fit in
-    one argument, and that count."""
-    count = (ARG_MAX + 1) // (len(piece) + 1)
-    return ";".join([piece] * count), count
+def _levels(piece, sep=";"):
+    """``piece`` once per level, joined by ``sep``, as many levels as fit
+    in one argument, and that count."""
+    count = (ARG_MAX + 1) // (len(piece) + len(sep))
+    return sep.join([piece] * count), count
 
 
-@pytest.mark.parametrize("piece", [
-    "(0| w+1); (1| w+1)",
-    "(0|w+1)",
-    "(0| %s+1/2)" % "+".join("w^%d*3" % e for e in range(149, 1, -1)),
-], ids=["printed", "spaced", "1KiB-body"])
-def test_longest_thread_answers_in_bounded_time(capsys, piece):
-    # past the levels p covers, a thread is read one level at a time,
-    # each level's inner literal read anew
-    points, count = _levels(piece)
+@pytest.mark.parametrize("piece, sep", [
+    ("(0| w+1); (1| w+1)", ";"),
+    ("(0|w+1)", ";"),
+    ("(0| %s+1/2)" % "+".join("w^%d*3" % e for e in range(149, 1, -1)), ";"),
+    ("(0| w+1)", "; "),
+], ids=["printed", "spaced", "1KiB-body", "printed-form"])
+def test_longest_thread_answers_in_bounded_time(capsys, piece, sep):
+    # past the levels p covers, a thread in its printed form ("; " between
+    # levels, one body) is read at once; any other is read one level at a
+    # time, each level's inner literal read anew
+    points, count = _levels(piece, sep)
     depth = count * (piece.count(";") + 1)
     t0 = time.perf_counter()
     answer = run(capsys, "thread", "verify", "--long", "--p", "2", "--points", points)

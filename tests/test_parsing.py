@@ -44,6 +44,7 @@ from longsol import (
     parse_tower_point,
 )
 from longsol import parsing
+from longsol.stages import point_format
 
 W = OMEGA
 W2 = omega_pow(nat(2))
@@ -454,11 +455,14 @@ def test_thread_reader_matches_per_level_reader(case, offset):
 
 @st.composite
 def printed_threads(draw, kind):
-    """(thread, mode, kappa) over a tuple p, of up to len(p) + 1 levels:
-    all joints, or one tower stop or base at kappa 1..4, or one long point
-    at every level."""
+    """(p, depth, text, mode, kappa): a thread of up to len(p) + 3 levels
+    over a tuple p, written from its point template: all joints, or one
+    tower stop or base at kappa 1..4, or one long point at every level.
+    Past the len(p) + 1 levels p covers, the stage keeps its size, as
+    ``stage_size`` gives it."""
     p = tuple(draw(st.lists(st.sampled_from([2, 3, 5]), max_size=5)))
-    sizes = list(accumulate(p, times, initial=1))[:draw(st.integers(1, len(p) + 1))]
+    depth = draw(st.integers(1, len(p) + 3))
+    sizes = list(accumulate(p + (1, 1), times, initial=1))[:depth]
     mode, kappa, inner = None, None, None
     if kind == "tower":
         inner = draw(tower_points().filter(lambda x: not x.is_joint))
@@ -466,15 +470,24 @@ def printed_threads(draw, kind):
     elif kind == "long":
         inner = draw(long_points.filter(lambda x: not x.is_zero))
         mode = "long"
-    top = draw(st.integers(0, 10**4))
-    return Thread(p, [StagePoint(n, top, inner) for n in sizes]), mode, kappa
+    top, template = draw(st.integers(0, 10**4)), point_format(inner)
+    return p, depth, "; ".join(template % (top % n) for n in sizes), mode, kappa
 
 
 @pytest.mark.parametrize("kind", ["joints", "tower", "long"])
 @given(data=st.data())
 def test_printed_threads_skip_the_scanner(kind, data):
-    thread, mode, kappa = data.draw(printed_threads(kind))
-    text, split = str(thread), parsing._split_top
+    # a printed thread is read without being split into levels, and one
+    # deeper than p covers is refused by Thread as the per-level reader
+    # refuses it
+    p, depth, text, mode, kappa = data.draw(printed_threads(kind))
+    want = _outcome(ref_parse_thread, p, text, mode, kappa)
+    if depth <= len(p) + 1:
+        assert isinstance(want, Thread)
+    else:
+        assert want == (ThreadMismatchError, "thread-mismatch", None,
+                        "depth %d needs at least %d bonding exponents" % (depth, depth - 1))
+    split = parsing._split_top
 
     def refuse(piece, *args):  # the body's own literals still split
         if piece == text:
@@ -483,7 +496,7 @@ def test_printed_threads_skip_the_scanner(kind, data):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(parsing, "_split_top", refuse)
-        assert parse_thread(thread.p, text, mode, kappa) == thread
+        assert _outcome(parse_thread, p, text, mode, kappa) == want
 
 
 def _split_outcome(split, *args):

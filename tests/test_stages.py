@@ -494,15 +494,18 @@ def test_inner_coordinate_is_mapped_once(monkeypatch, depth, kappa):
         assert calls == [inner]
         assert ref_verify_commutes(recipe, x) == (True, None)
     if kappa:
-        # a token at the points' own level is undefined at the stops, which
-        # are still mapped first: the first one fails, as in the oracle
-        hat = IntervalAutToken(source=inner, target=TowerPoint(kappa, Address((5,), W)))
-        recipe = HomeoRecipe(p=p, rotations=(1,) * depth, translate_by=shift, hat=hat)
-        calls.clear()
-        outcome = _outcome(verify_commutes, recipe, x)
-        assert outcome[0] is TokenUndefinedError
-        assert outcome == _outcome(ref_verify_commutes, recipe, x)
-        assert calls == [TowerPoint(kappa, Address((-8,)))]
+        # a token at the points' own level is defined at its source alone,
+        # so the first stop that is not its source fails first, as in the
+        # oracle: [-8], or [-7] when [-8] is the source
+        stops = [TowerPoint(kappa, Address((z,))) for z in (-8, -7)]
+        for source, mapped in ((inner, stops[:1]), (stops[0], stops)):
+            hat = IntervalAutToken(source=source, target=TowerPoint(kappa, Address((5,), W)))
+            recipe = HomeoRecipe(p=p, rotations=(1,) * depth, translate_by=shift, hat=hat)
+            calls.clear()
+            outcome = _outcome(verify_commutes, recipe, x)
+            assert outcome[0] is TokenUndefinedError
+            assert outcome == _outcome(ref_verify_commutes, recipe, x)
+            assert calls == mapped
 
 
 def test_translation_recipe_round_trip():

@@ -8,9 +8,12 @@ meant to be the instrument that does not move between two runs of one
 tree.
 """
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -27,3 +30,16 @@ def test_ab_workers_counts_one_tree_alike():
     rows = lines[header + 1:-1]
     assert rows and rows[-1].startswith("total")
     assert [row.split()[-1] for row in rows] == ["1.000"] * len(rows), run.stdout
+
+
+@pytest.mark.parametrize("argv, leaf", [
+    (["thread", "extend", "--p", "2", "--points", "inf0"], "thread extend"),
+    (["--format", "text", "thread", "extend", "--p", "2"], "thread extend"),
+    (["--format=text", "thread", "extend", "--p", "2"], "thread extend"),
+    (["--format=text", "fiber", "--m", "8"], "fiber"),
+])
+def test_subcommand_skips_a_leading_format(argv, leaf):
+    spec = importlib.util.spec_from_file_location("ab_workers", ROOT / "tools" / "ab_workers.py")
+    ab_workers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab_workers)
+    assert ab_workers.subcommand(argv) == leaf

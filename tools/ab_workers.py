@@ -76,9 +76,13 @@ class Worker:
 
 
 def subcommand(argv):
-    """The leaf path of an argv, such as 'thread extend'."""
-    words = argv[2:] if argv[0] == "--format" else argv
-    return " ".join(w for w in words[:2] if not w.startswith("-"))
+    """The leaf path of an argv, such as 'thread extend', after a leading
+    ``--format X`` or ``--format=X``."""
+    if argv[0] == "--format":
+        argv = argv[2:]
+    elif argv[0].startswith("--format="):
+        argv = argv[1:]
+    return " ".join(w for w in argv[:2] if not w.startswith("-"))
 
 
 def main(argv=None):
