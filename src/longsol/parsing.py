@@ -28,14 +28,15 @@ Ordinal literals, and the ``N/D`` offsets of long and tower points, are
 read by one reader: a tokenizer (``_TOKEN``) and an index loop, which
 raises every error of those grammars itself.  Arc positions and printed
 threads are first read by a fast reader, one ``re.fullmatch``
-(``_read_position``) or ``str.split`` (``_printed_thread``), and a list
-of plain digit runs by ``str.split`` and ``int`` (``parse_exponents``).
-A fast reader returns None for any text not in its form, and the
-general reader then reads that text, so every value is the general
-reader's and every error, message and position comes from it (a printed
-thread too deep for p meets the same ``Thread`` refusal).  The fast
-readers stay because each is several times faster than the general
-reader on the text it takes.
+(``_read_position``) or one ``str.split`` for both printed forms
+(``_printed_thread``), and an ASCII integer list without '+' or '_' by
+``str.split`` and ``int`` (``parse_exponents``).  A fast reader returns
+None (``int`` raises) for any text not in its form, and the general
+reader then reads that text, so every value is the general reader's and
+every error, message and position comes from it (a printed thread too
+deep for p meets the same ``Thread`` refusal).  The fast readers stay
+because each is several times faster than the general reader on the
+text it takes.
 """
 
 import re
@@ -276,14 +277,16 @@ def _parse_int_list(text, offset, allow_empty):
 def parse_exponents(text, offset=0):
     """A comma separated list of integers, such as bonding exponents.
 
-    A list of plain runs of ASCII digits within the digit limit is read by
-    ``int`` at once; any other text is read entry by entry."""
-    entries = text.split(",")
-    digits = "".join(entries)
-    limit = sys.get_int_max_str_digits()
-    if (digits.isascii() and digits.isdecimal() and "" not in entries
-            and not (limit and max(map(len, entries)) > limit)):
-        return tuple(map(int, entries))
+    ASCII text with no '+' or '_' is read by ``int`` at once: on it ``int``
+    takes an entry exactly when ``_parse_int`` does, with the same blanks
+    stripped, one '-', ASCII digits and the same digit limit.  Text that
+    ``int`` refuses, and any other text, is read entry by entry, which
+    owns every error."""
+    if text.isascii() and "+" not in text and "_" not in text:
+        try:
+            return tuple(map(int, text.split(",")))
+        except ValueError:
+            pass
     return tuple(_parse_int(piece, start) for piece, start in _split_top(text, ",", offset))
 
 
@@ -360,43 +363,32 @@ def _printed_thread(p, text, mode, kappa, offset):
 
     The printed form is ``infI; infJ; ...`` or ``(I| B); (J| B); ...``
     with one body B and unsigned ASCII indices under 19 digits, at any
-    depth.  B is read once, by ``parse_stage_point`` on the first piece,
-    as the per-level reader reads it.  A body that reads holds no '|' and
-    is bracket-balanced, so that reader would split the text into the same
-    pieces and read the same index and body from each.  The points (on the
-    stages ``stage_size`` gives, past p too) and the thread are built as it
-    builds them, so their errors are its errors; an error while reading B
-    answers None.
+    depth.  Every piece is a head, an index and a tail: ``inf`` and
+    nothing for joints, ``(`` and ``| B)`` for inner points, B being what
+    follows the last ``"| "``.  So one split, of the text between the
+    first head and the last tail at ``tail; head``, gives the indices.
+    The first piece is read by ``parse_stage_point``, as the per-level
+    reader reads it.  A body that reads holds no '|' and is
+    bracket-balanced, so that reader would split the text into the same
+    pieces and read the same index and body from each.  The points (on
+    the stages ``stage_size`` gives, past p too) and the thread are built
+    as it builds them, so their errors are its errors; an error while
+    reading the first piece answers None.
     """
+    head, tail = "inf", ""
     if text.startswith("("):
-        *heads, last = text.split("| ")
-        body = last[:-1]
-        if not heads or not last.endswith(")"):
-            return None
-        glue = body + "); ("
-        indices = [heads[0][1:]]
-        for head in heads[1:]:
-            if not head.startswith(glue):
-                return None
-            indices.append(head[len(glue):])
-    else:
-        pieces = text.split("; ")
-        if not all(piece.startswith("inf") for piece in pieces):
-            return None
-        body, indices = None, [piece[3:] for piece in pieces]
-    if not all(i.isascii() and i.isdigit() and len(i) < 19 for i in indices):
+        head, tail = "(", "| " + text.rpartition("| ")[2]
+    indices = text[len(head):len(text) - len(tail)].split(tail + "; " + head)
+    if not (text.startswith(head) and text.endswith(tail)
+            and all(i.isascii() and i.isdigit() and len(i) < 19 for i in indices)):
         return None
     sizes = accumulate(chain(p, repeat(1)), mul, initial=1)  # as stage_size
-    points, inner = [], None
-    if body is not None:
-        first = text[: len(heads[0]) + len(body) + 3]
-        try:
-            points.append(parse_stage_point(first, next(sizes), mode, kappa, offset))
-        except Exception:  # read again level by level, which owns the error
-            return None
-        inner = points[0].inner
-    points += [StagePoint(n, int(i), inner) for i, n in zip(indices[len(points):], sizes)]
-    return Thread(p, points)
+    try:
+        first = parse_stage_point(head + indices[0] + tail, next(sizes), mode, kappa, offset)
+    except Exception:  # read again level by level, which owns the error
+        return None
+    return Thread(p, [first, *(StagePoint(n, int(i), first.inner)
+                               for i, n in zip(indices[1:], sizes))])
 
 
 def parse_descriptor(text, offset=0):

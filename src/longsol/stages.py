@@ -197,7 +197,8 @@ class Thread(Record):
         return len(self.points)
 
     def __str__(self):
-        return "; ".join(str(pt) for pt in self.points)
+        template = point_format(self.points[0].inner)
+        return "; ".join(template % pt.index for pt in self.points)
 
 
 def extension_exponents(thread, levels):

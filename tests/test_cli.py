@@ -735,6 +735,19 @@ def test_reader_never_disagrees_with_argparse(argv):
         assert vars(fast) == vars(_argparse().parse_args(argv))
 
 
+@pytest.mark.parametrize("argv, value", [
+    (["classify", "--long=x", "--point", "w1*(2)"], "x"),
+    (["classify", "--long=", "--point", "w1*(2)"], ""),
+    (["--format=text", "fiber", "--m", "2", "--n", "1", "--long=1", "--point", "(0| w)"],
+     "1"),
+])
+def test_store_true_flag_given_a_value_goes_to_argparse(capsys, argv, value):
+    assert _fast_args(argv) is None
+    assert run(capsys, *argv) == (1, {"error": {
+        "code": "bad-command",
+        "message": "argument --long: ignored explicit argument %r" % value}})
+
+
 def test_plain_argvs_never_build_the_parser(monkeypatch):
     def refuse():
         raise AssertionError("build_parser() called")

@@ -345,15 +345,18 @@ def test_stage_point_round_trip(n, index, inner):
 
 
 @given(st.lists(st.sampled_from([2, 3, 5]), min_size=1, max_size=3),
-       st.integers(0, 29))
-def test_thread_round_trip(p, seed):
-    pts = [StagePoint(1, 0)]
+       st.integers(0, 29), st.none() | tower_points().filter(lambda x: not x.is_joint))
+def test_thread_round_trip(p, seed, inner):
+    # joints, or one inner tower point at every level
+    pts = [StagePoint(1, 0, inner)]
     size = 1
     for m in p:
         size *= m
-        pts.append(StagePoint(size, pts[-1].index + (seed % m) * (size // m)))
+        pts.append(StagePoint(size, pts[-1].index + (seed % m) * (size // m), inner))
     t = Thread(tuple(p), tuple(pts))
-    assert parse_thread(tuple(p), str(t)) == t
+    assert str(t) == "; ".join(map(str, t.points))
+    mode, kappa = (None, None) if inner is None else ("tower", inner.kappa)
+    assert parse_thread(tuple(p), str(t), mode, kappa) == t
 
 
 # ---------------------------------------------------------------------------
@@ -444,6 +447,19 @@ DIGITS_18, DIGITS_19 = "9" * 18, "1" * 19
 # joints and a piece that is not one: left to the scanner
 @example(((2,), "inf0; abc1", None, None), 0)
 @example(((2,), " inf0; inf1", None, None), 0)
+# text the one split takes apart otherwise than the printed form: no
+# "| ", a bare head, a trailing "; ", both forms mixed, a body ending in
+# "| ", and a joint-like piece not starting with "inf"
+@example(((2,), "(", "long", None), 0)
+@example(((2,), "(12345", "long", None), 0)
+@example(((2,), "inf", None, None), 0)
+@example(((2,), "inf0; ", None, None), 0)
+@example(((2,), "(0| w); ", "long", None), 0)
+@example(((2,), "inf0; (1| w)", "long", None), 0)
+@example(((2,), "(0| w); inf1", "long", None), 0)
+@example(((2,), "(0| ", "long", None), 0)
+@example(((2,), "(0| w); (1| ", "long", None), 0)
+@example(((), "abc1", None, None), 0)
 # p shorter than the depth
 @example(((2,), "inf0; inf1; inf1", None, None), 0)
 @example(((), "(0| w+1); (0| w+1)", "long", None), 0)
@@ -709,8 +725,13 @@ def _entrywise(text):
 @settings(max_examples=300)
 @given(st.one_of(
     st.lists(st.integers(0, 10**6).map(str), min_size=1, max_size=6).map(",".join),
-    st.text("0123456789,-+ ٣", max_size=12)))
+    st.text("0123456789,-+ ٣_\t\x0b\x1c", max_size=12)))
 @example("2,2,2")
+@example("1_0")
+@example("+3")
+@example("\x1c3")
+@example("0" * LIMIT + "1")
+@example("-" + "7" * (LIMIT + 1))
 @example("2,,2")
 @example("")
 @example(",")

@@ -26,6 +26,9 @@ def test_ab_workers_counts_one_tree_alike():
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()
     assert lines[-1] == "differing outputs: 0"
+    sizes = next(line for line in lines if line.startswith("src/longsol/*.py lines:"))
+    old, new = sizes.split(":")[1].split(",")
+    assert old.split()[-1] == new.split()[-1], sizes
     header = next(i for i, line in enumerate(lines) if line.startswith("subcommand"))
     rows = lines[header + 1:-1]
     assert rows and rows[-1].startswith("total")

@@ -9,7 +9,8 @@ from each, with that tree's ``src`` on PYTHONPATH and the workload's
 goes to both workers in turn, and which goes first alternates, so both
 sides see the same load on the machine at nearly the same moment.
 
-It prints the CPU seconds of ``main()`` summed per subcommand, NEW over OLD
+It prints each tree's ``src/longsol/*.py`` line count (as ``wc -l``
+counts), the CPU seconds of ``main()`` summed per subcommand, NEW over OLD
 for each, and the number of queries whose exit code or output differed;
 it exits 1 when that number is not 0, so it also checks that two trees
 answer byte for byte alike.  It writes no file.  It reads in-process
@@ -49,24 +50,17 @@ class Worker:
             [sys.executable, str(tree / command[0]), *command[1:]],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env, cwd=tree)
 
-    def call(self, argv):
-        """(exit code, CPU seconds, output bytes) of one ``main(argv)``."""
+    def request(self, argv):
+        """(head, output bytes) of one ``main(argv)``: the head holds the
+        exit code and the CPU seconds from a bench worker, the instruction
+        count from an opcode worker, which writes no output after it."""
         self.proc.stdin.write(json.dumps(argv).encode() + b"\n")
         self.proc.stdin.flush()
         line = self.proc.stdout.readline()
         if not line:
             raise RuntimeError("a worker ended during %r" % argv[:4])
         head = json.loads(line)
-        return head["rc"], head["cpu"], self.proc.stdout.read(head["bytes"])
-
-    def count(self, argv):
-        """Instructions one ``main(argv)`` executes, from an opcode worker."""
-        self.proc.stdin.write(json.dumps(argv).encode() + b"\n")
-        self.proc.stdin.flush()
-        line = self.proc.stdout.readline()
-        if not line:
-            raise RuntimeError("an opcode worker ended during %r" % argv[:4])
-        return json.loads(line)["ops"]
+        return head, self.proc.stdout.read(head.get("bytes", 0))
 
     def close(self):
         self.proc.stdin.close()
@@ -119,17 +113,17 @@ def main(argv=None):
     try:
         for argv in warm:
             for w in workers:
-                w.call(argv)
+                w.request(argv)
         for turn, argv in enumerate(queries * args.passes):
             answers = [None, None]
             for side in ((0, 1), (1, 0))[turn % 2]:
-                answers[side] = workers[side].call(argv)
+                answers[side] = workers[side].request(argv)
             name = subcommand(argv)
             count[name] += 1
-            for side, (_, seconds, _) in enumerate(answers):
-                cpu[name][side] += seconds
-            (rc0, _, out0), (rc1, _, out1) = answers
-            differ += (rc0, out0) != (rc1, out1)
+            for side, (head, _) in enumerate(answers):
+                cpu[name][side] += head["cpu"]
+            (head0, out0), (head1, out1) = answers
+            differ += (head0["rc"], out0) != (head1["rc"], out1)
     finally:
         for w in workers:
             w.close()
@@ -140,14 +134,17 @@ def main(argv=None):
         counter = Worker(tree, workload.env, (str(OPCODE_WORKER),), PYTHONHASHSEED="0")
         try:
             for argv in warm:
-                counter.count(argv)
+                counter.request(argv)
             for argv in queries:
-                ops[subcommand(argv)][side] += counter.count(argv)
+                ops[subcommand(argv)][side] += counter.request(argv)[0]["ops"]
         finally:
             counter.close()
 
     print("%d queries x %d passes, %s, seed %d" % (
         len(queries), args.passes, workload.name, args.seed))
+    print("src/longsol/*.py lines: old %d, new %d" % tuple(
+        sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "longsol").glob("*.py"))
+        for tree in trees))
     print("instructions: one pass, counted under %s %s (%s)" % (
         platform.python_implementation(), platform.python_version(), sys.executable))
     print("%-22s %7s %11s %11s %7s %12s %12s %7s" % (
