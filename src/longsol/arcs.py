@@ -15,9 +15,9 @@ single preimage component and therefore misses the others, and one
 component of each preimage never covers the whole covering stage.
 
 Arcs keep their positions as ``Fraction``s, but the two-arc rules
-(``Arc.contains``, ``arcs_intersect``, ``uncovered_point``,
-``preimage_components`` and ``indecomposability_witness``) work on
-integers: the positions involved, at most four denominators, are scaled by
+(``arcs_intersect``, ``uncovered_point``, ``preimage_components`` and
+``indecomposability_witness``, and the containment test they share) work
+on integers: the positions involved, at most four denominators, are scaled by
 their lcm, or twice it where a midpoint is taken, so every position and
 midpoint is an integer no larger than the input's own numbers.  Only the
 values returned are built as ``Fraction``s.  The ``Fraction`` forms of the
@@ -46,13 +46,6 @@ class Arc(Record):
     @property
     def length(self):
         return (self.end - self.start) % self.n
-
-    def contains(self, pos):
-        if not isinstance(pos, Fraction):
-            pos = Fraction(pos)
-        scale = lcm(pos.denominator, self.start.denominator, self.end.denominator)
-        s, e, p = _scaled(scale, self.start, self.end, pos)
-        return _within(s, e, p, self.n * scale)
 
     def __str__(self):
         return "%s..%s" % (format_position(self.start), format_position(self.end))

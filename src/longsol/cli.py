@@ -5,10 +5,8 @@ answer is a single JSON document on stdout (``--format text`` flattens it
 to ``key: value`` lines) and exits 0.  Failures print ``{"error": {"code",
 "message", "position"?}}`` and exit 1; anything unexpected exits 2.  A
 reader that closes stdout early ends the call with exit 1 and no traceback.
-A plain argv (an optional leading ``--format``, one subcommand, then its
-own flags by their exact names) is read straight from ``COMMANDS``; the
-argparse tree is built only for any other argv, such as help, an
-abbreviated flag or an error, and argparse answers it as it always has.
+Every argv is read from ``COMMANDS`` by argparse's own rules (``_read_args``);
+the argparse tree is built only to print help.
 Two environment knobs bound the work done per call, and each is checked
 before the work it bounds starts: ``LONGSOL_DEPTH`` caps thread depth
 (default 6) and ``LONGSOL_INDEX_BOUND`` caps stage sizes (default 48); a
@@ -21,13 +19,14 @@ digit limit, fail with ``representation-overflow`` while they are read;
 so does an answer or message that would print an integer past that limit.
 """
 
-import argparse
 import json
 import operator
 import os
+import re
 import sys
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import prod
+from types import SimpleNamespace
 
 from . import parsing
 from .arcs import circular_chain_check, format_position, indecomposability_witness
@@ -67,7 +66,7 @@ def _int(text):
     try:
         return parsing._parse_int(text, 0)
     except LongSolError:
-        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+        raise ValueError("invalid int value: %r" % text) from None
 
 
 def _check(args, name, size):
@@ -86,19 +85,6 @@ def _check(args, name, size):
     bound = args.bounds[name]
     if size > bound:
         raise CommandError("%s %d exceeds %s=%d" % (caps, size, name, bound))
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise CommandError(message)
-
-    def _check_value(self, action, value):
-        # worded here, so every interpreter answers alike: later argparse
-        # releases write the choices with str, where older ones use repr
-        if action.choices is not None and value not in action.choices:
-            choices = ", ".join(map(repr, action.choices))
-            raise argparse.ArgumentError(
-                action, "invalid choice: %r (choose from %s)" % (value, choices))
 
 
 def _mode(args, required=True):
@@ -464,12 +450,17 @@ COMMANDS = (
 OPERATION_COVERAGE = {op: path for path, *_, ops in COMMANDS for op in ops}
 
 
+_FORMAT = ("--format", {"choices": ("json", "text"), "default": "json",
+                        "help": "output style (default json)"})
+
+
 def build_parser():
-    parser = _Parser(prog="longsol", description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--format", choices=("json", "text"), default="json",
-        help="output style (default json)",
-    )
+    """The argparse tree of ``COMMANDS``; ``main`` builds it only to print
+    help, so argparse is imported here and nowhere else."""
+    import argparse
+
+    parser = argparse.ArgumentParser(prog="longsol", description=__doc__.splitlines()[0])
+    parser.add_argument(_FORMAT[0], **_FORMAT[1])
     subparsers = {"": parser.add_subparsers(dest="command", required=True)}
     for path, handler, help_text, arguments, _ in COMMANDS:
         group, _, name = path.rpartition(" ")
@@ -484,81 +475,129 @@ def build_parser():
     return parser
 
 
-_parser = None  # built by the first call _fast_args leaves to argparse
+def _parser_table():
+    """Each parser of ``build_parser()`` by path ("", "thread", "thread
+    verify", ...): {flag: (dest, switch, type, choices)} in argparse's order
+    (dest None for help), the (name, dest) pairs it requires, {name: path}
+    below it (None at a leaf) and the namespace values it starts from."""
+    def parser(arguments, required=(), subcommands=None, **defaults):
+        flags = dict.fromkeys(("-h", "--help"), (None, True, None, None))
+        for flag, kwargs in arguments:
+            dest, switch = flag[2:].replace("-", "_"), kwargs.get("action") == "store_true"
+            flags[flag] = dest, switch, kwargs.get("type", str), kwargs.get("choices")
+            defaults[dest] = False if switch else kwargs.get("default")
+            if kwargs.get("required"):
+                required += ((flag, dest),)
+        return flags, required, subcommands, defaults
 
-
-def _leaves():
-    """Each leaf's path, as a tuple of words, mapped to what ``_fast_args``
-    needs of its row: the namespace with nothing given, its flags as
-    ``{flag: (dest, type)}`` (type None for a store_true flag), and the
-    flags it requires."""
-    leaves = {}
+    table = {"": parser((_FORMAT,), (("command", "command"),), {}, command=None)}
     for path, handler, _, arguments, _ in COMMANDS:
         group, _, name = path.rpartition(" ")
-        defaults = {"command": group or name, "handler": handler}
-        flags, required = {}, set()
-        if group:
-            defaults[group + "_command"] = name
-        for flag, kwargs in arguments:
-            dest = flag[2:].replace("-", "_")
-            switch = kwargs.get("action") == "store_true"
-            defaults[dest] = False if switch else kwargs.get("default")
-            flags[flag] = (dest, None if switch else kwargs.get("type", str))
-            if kwargs.get("required"):
-                required.add(flag)
-        leaves[tuple(path.split())] = (defaults, flags, required)
-    return leaves
+        if group not in table:
+            dest = group + "_command"
+            table[""][2][group] = group
+            table[group] = parser((), ((dest, dest),), {}, **{dest: None})
+        table[group][2][name] = path
+        table[path] = parser(arguments, handler=handler)
+    return table
 
 
-_LEAVES = _leaves()
+_PARSERS = _parser_table()
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$").match  # argparse's negative number
+_DASHES = (None, "--")  # the first "--": a value only where a subcommand is due
 
 
-def _fast_args(argv):
-    """The namespace ``build_parser().parse_args(argv)`` returns, read
-    straight from ``COMMANDS``, or None where argparse must decide.
-
-    ``argv`` is read only in its plain form: an optional leading ``--format
-    json|text`` or ``--format=...``, one leaf path, then that leaf's flags
-    by their exact names, each ``--flag value`` or ``--flag=value``.  Help,
-    abbreviations, unknown tokens, a separate value starting with '-', a
-    missing value or required flag, a failed conversion and a store_true
-    flag given '=' all answer None."""
-    head = argv[0] if argv else ""
-    if head == "--format" and len(argv) > 1:
-        fmt, argv = argv[1], argv[2:]
-    elif head.startswith("--format="):
-        fmt, argv = head[9:], argv[1:]
-    else:
-        fmt = "json"
-    depth = 2 if argv and argv[0] in _GROUPS else 1
-    leaf = _LEAVES.get(tuple(argv[:depth]))
-    if fmt not in ("json", "text") or leaf is None:
+def _sort(path, token):
+    """What parser ``path`` takes ``token`` for, by argparse's
+    ``_parse_optional``: None for a value, (None,) for an unknown option,
+    else (flag, the text given it or None) and its row of ``_PARSERS``."""
+    flags = _PARSERS[path][0]
+    if token[:1] != "-" or token == "-":
         return None
-    defaults, flags, required = leaf
-    values, given = dict(defaults, format=fmt), set()
-    tokens = iter(argv[depth:])
-    for token in tokens:
-        flag, eq, value = token.partition("=")
-        if flag not in flags:
-            return None
-        dest, convert = flags[flag]
-        if convert is None:
-            if eq:
-                return None
-            values[dest] = True
-        else:
-            if not eq:
-                value = next(tokens, "-")  # "-": the value is missing
-                if value.startswith("-"):
+    flag, sep, explicit = token.partition("=")
+    explicit = explicit if sep else None
+    if flag in flags:
+        return (flag, explicit) + flags[flag]
+    if token[1] == "-":  # a unique prefix of a long flag stands for it
+        found = [name for name in flags if name.startswith(flag)]
+        if len(found) > 1:
+            raise CommandError("ambiguous option: %s could match %s" % (token, ", ".join(found)))
+        if found:
+            return (found[0], explicit) + flags[found[0]]
+    elif token[:2] in flags:  # -hh is help; -hx fails on "x", as in argparse 3.12
+        return (token[:2], token[2:].lstrip("h") or None) + flags[token[:2]]
+    return None if _NEGATIVE(token) or " " in token else (None,)
+
+
+# each parser's sort of every flag in the table: one dict lookup per such token
+_KNOWN = {path: {flag: _sort(path, flag) for row in _PARSERS.values() for flag in row[0]}
+          for path in _PARSERS}
+
+
+def _invalid(name, value, choices):
+    return CommandError("argument %s: invalid choice: %r (choose from %s)" % (
+        name, value, ", ".join(map(repr, choices))))
+
+
+def _read_args(argv):
+    """``build_parser().parse_args(argv)``'s namespace, read by argparse's
+    rules from ``_PARSERS``, or None where argparse prints help; a bad argv
+    raises ``CommandError`` with argparse's message.  Each parser sorts every
+    token, then reads them in order: a flag takes the next token if that is
+    a value (``--flag=--`` reads "--", as in argparse 3.13), and the first
+    value, or a "--" before one, names the subcommand, whose parser reads
+    the rest.  Leftovers fail last, in argv order."""
+    path, tokens, values, extras = "", list(argv), {}, []
+    while True:
+        flags, required, subcommands, defaults = _PARSERS[path]
+        values.update(defaults)
+        # after the first "--" every token is a value, and a flag before it has none
+        head = tokens[:tokens.index("--")] if "--" in tokens else tokens
+        kinds = list(map(_KNOWN[path].get, head))
+        if kinds.count(None) + sum(map(str.startswith, head, repeat("-"))) > len(head):
+            kinds = [_sort(path, token) for token in head]  # a "-" token no flag spells
+        kinds += [_DASHES, *repeat(None, len(tokens))]
+        at = iter(range(len(tokens)))
+        for i in at:
+            kind = kinds[i]
+            if subcommands is not None and (
+                    kind is None or kind is _DASHES and i + 1 < len(tokens)):
+                name, dest = required[0]
+                if tokens[i] not in subcommands:
+                    raise _invalid(name, tokens[i], subcommands)
+                values[dest] = tokens[i]
+                path, tokens = subcommands[tokens[i]], tokens[i + 1:]
+                break
+            if kind is None or kind[0] is None:
+                extras.append(tokens[i])
+                continue
+            flag, explicit, dest, switch, convert, choices = kind
+            if switch:  # help or a store_true flag
+                if explicit is not None:
+                    raise CommandError("argument %s: ignored explicit argument %r" % (
+                        "-h/--help" if dest is None else flag, explicit))
+                if dest is None:
                     return None
-            elif value == "--":  # argparse drops an explicit "--" value
-                return None
+                values[dest] = True
+                continue
+            if explicit is None:
+                if kinds[i + 1] is not None:
+                    raise CommandError("argument %s: expected one argument" % flag)
+                explicit = tokens[next(at)]
             try:
-                values[dest] = convert(value)
-            except (argparse.ArgumentTypeError, TypeError, ValueError):
-                return None
-        given.add(flag)
-    return argparse.Namespace(**values) if required <= given else None
+                values[dest] = convert(explicit)
+            except ValueError as err:
+                raise CommandError("argument %s: %s" % (flag, err)) from None
+            if choices is not None and explicit not in choices:
+                raise _invalid(flag, explicit, choices)
+        else:
+            missing = ", ".join(name for name, dest in required if values[dest] is None)
+            if missing:
+                raise CommandError("the following arguments are required: " + missing)
+            break
+    if extras:
+        raise CommandError("unrecognized arguments: %s" % " ".join(extras))
+    return SimpleNamespace(**values)
 
 
 def _flatten(doc, prefix=""):
@@ -597,14 +636,10 @@ def _render(doc, fmt="json"):
 
 
 def main(argv=None):
-    global _parser
     try:
         argv = sys.argv[1:] if argv is None else argv
-        args = _fast_args(argv)
-        if args is None:
-            if _parser is None:
-                _parser = build_parser()
-            args = _parser.parse_args(argv)
+        # where the reader finds help, argparse prints it and exits 0
+        args = _read_args(argv) or build_parser().parse_args(argv)
         args.bounds = {}  # the work bounds read so far in this call
         text, code = _render(args.handler(args), args.format), 0
     except Exception as err:

@@ -57,14 +57,6 @@ class SequenceDescriptor(Record):
                 raise InvalidPointError("bonding entries are integers >= 2")
         self.__dict__.update(prefix=prefix, cycle=cycle)
 
-    def entry(self, i):
-        """The 1-based i-th bonding exponent."""
-        if i < 1:
-            raise InvalidPointError("bonding entries are 1-based")
-        if i <= len(self.prefix):
-            return self.prefix[i - 1]
-        return self.cycle[(i - len(self.prefix) - 1) % len(self.cycle)]
-
     def partial_product(self, level):
         """p1 * ... * p_level (1 for level 0)."""
         head, whole, count, tail = self._product_factors(level)

@@ -68,7 +68,8 @@ class WitnessInputError(LongSolError):
 
 
 class CommandError(LongSolError):
-    """Bad command line usage that argparse itself cannot express."""
+    """Bad command line usage: an argv the CLI's reader refuses, worded as
+    argparse words it, or flag values a subcommand refuses."""
 
     code = "bad-command"
 

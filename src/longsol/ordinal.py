@@ -35,7 +35,7 @@ class CnfOrdinal(Record):
             exp, coeff = term
             if not isinstance(exp, CnfOrdinal):
                 raise TypeError("exponents must be CnfOrdinal instances")
-            if not isinstance(coeff, int) or coeff < 1:
+            if type(coeff) is not int or coeff < 1:  # no bool
                 raise ValueError("coefficients must be integers >= 1")
             if prev is not None and compare(prev, exp) <= 0:
                 raise ValueError("exponents must be strictly decreasing")
@@ -86,7 +86,7 @@ OMEGA = CnfOrdinal(((ONE, 1),))
 
 def nat(n):
     """The finite ordinal n >= 0."""
-    if not isinstance(n, int) or n < 0:
+    if type(n) is not int or n < 0:  # no bool
         raise ValueError("naturals must be integers >= 0")
     return ZERO if n == 0 else CnfOrdinal(((ZERO, n),))
 

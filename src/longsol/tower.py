@@ -58,7 +58,7 @@ class Address(Record):
     def __init__(self, ints=(), rho=None, frac=None):
         ints = tuple(ints)
         for z in ints:
-            if not isinstance(z, int):
+            if type(z) is not int:  # no bool: True would print as True
                 raise InvalidPointError("address entries must be integers")
         if rho is None:
             if frac is not None:

@@ -50,12 +50,18 @@ implementation:
   strings, one ``%`` format per point (a fiber's points found by trying
   every index against the bond), rendered by one ``json.dumps`` or
   flattened one item at a time, instead of from a template escaped once
-  and a join over the indices.
+  and a join over the indices;
+* an argv's namespace, error message or help text comes from argparse
+  itself, the tree ``cli.build_parser()`` prints help with, instead of from
+  the command line's own reader of ``COMMANDS``.
 """
 
+import argparse
 import json
 import sys
+from contextlib import redirect_stdout
 from fractions import Fraction
+from io import StringIO
 
 from longsol import (
     DEFAULT_DEPTH_BOUND,
@@ -71,6 +77,7 @@ from longsol import (
     Thread,
     TokenUndefinedError,
     TowerPoint,
+    CommandError,
     UnsupportedTranslationError,
     WitnessReport,
     add,
@@ -79,6 +86,7 @@ from longsol import (
     stage_size,
 )
 from longsol import OMEGA as W  # this module's OMEGA is a point-type label
+from longsol import cli
 from longsol.stages import point_format
 
 # ---------------------------------------------------------------------------
@@ -301,8 +309,15 @@ def ref_dl_element(descriptor, level, numerator):
     exponent divides the numerator, divide it out and step a level down."""
     if numerator == 0:
         return DirectLimitElement(0, 0)
-    while level >= 1 and numerator % descriptor.entry(level) == 0:
-        numerator //= descriptor.entry(level)
+    prefix, cycle = descriptor.prefix, descriptor.cycle
+    while level >= 1:
+        if level <= len(prefix):
+            entry = prefix[level - 1]
+        else:
+            entry = cycle[(level - len(prefix) - 1) % len(cycle)]
+        if numerator % entry:
+            break
+        numerator //= entry
         level -= 1
     return DirectLimitElement(level, numerator)
 
@@ -757,3 +772,49 @@ def ref_render(doc, fmt="json"):
     if fmt == "text":
         return "\n".join(ref_flatten(doc))
     return json.dumps(doc, sort_keys=True)
+
+
+# ---------------------------------------------------------------------------
+# the command line's argv, read by argparse
+
+
+def _ref_raise(message):
+    raise CommandError(message)
+
+
+def _ref_check_value(action, value):
+    # the choices worded with repr: later argparse releases word them with str
+    if action.choices is not None and value not in action.choices:
+        raise argparse.ArgumentError(action, "invalid choice: %r (choose from %s)" % (
+            value, ", ".join(map(repr, action.choices))))
+
+
+def _ref_int(text):
+    try:
+        return cli._int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+
+
+def ref_parse_args(argv):
+    """("args", the namespace's vars), ("error", the message) or ("help", the
+    help text) of ``cli.build_parser().parse_args(argv)``, with errors
+    raised instead of printed, choices worded alike on every interpreter,
+    and integer flags failing as argparse words a failed conversion."""
+    parsers = [cli.build_parser()]
+    for parser in parsers:
+        parser.error, parser._check_value = _ref_raise, _ref_check_value
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers += action.choices.values()
+            if action.type is cli._int:
+                action.type = _ref_int
+    out = StringIO()
+    try:
+        with redirect_stdout(out):
+            return "args", vars(parsers[0].parse_args(argv))
+    except CommandError as err:
+        return "error", str(err)
+    except SystemExit as stop:
+        assert stop.code == 0, stop.code
+        return "help", out.getvalue()

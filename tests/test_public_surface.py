@@ -66,6 +66,9 @@ ORACLE_SHARES = {
     "parse_stage_point": "ref_parse_thread checks the printed-form reader against "
                          "one parse_stage_point call per level, not the literal grammar",
     "point_format": "the renderer oracles knowingly share the template",
+    "CommandError": "an error, raised with argparse's message",
+    "cli": "ref_parse_args runs argparse over cli.build_parser()'s tree: it "
+           "shares the COMMANDS table and cli._int's integer rule, not the reader",
 }
 
 
@@ -137,11 +140,12 @@ def test_bench_resolves_every_traced_name():
 def test_cli_import_loads_every_layer_and_no_dataclasses():
     # the tracer patches each layer module in sys.modules right after
     # ``import longsol.cli``; dataclasses, with the inspect it imports,
-    # would add about 10 ms to every cold call and no answer uses them
+    # would add about 10 ms to every cold call and no answer uses them;
+    # argparse (with gettext) is imported only to print help
     code = "import sys, longsol.cli; print(*sorted(sys.modules))"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     run = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     loaded = set(run.stdout.split())
-    assert not {"dataclasses", "inspect"} & loaded
+    assert not {"dataclasses", "inspect", "argparse", "gettext"} & loaded
     assert {"longsol." + layer for layer in bench_tracing().LAYER_FUNCTIONS} <= loaded

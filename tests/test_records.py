@@ -190,6 +190,9 @@ REJECTIONS = [
     pytest.param(lambda: Address((1.5,)), InvalidPointError,
                  "address entries must be integers",
                  id="<lambda>-InvalidPointError-address entries must be integers"),
+    # bool is an int, but a record holding True would print "True"
+    pytest.param(lambda: Address((True,)), InvalidPointError,
+                 "address entries must be integers", id="address-bool-entry"),
     pytest.param(lambda: Address((1,), frac=Fraction(1, 2)), InvalidPointError,
                  "an integer stop carries no base coordinate",
                  id="<lambda>-InvalidPointError-an integer stop carries no base coordinate"),
@@ -229,6 +232,10 @@ REJECTIONS = [
                  id="<lambda>-ValueError-naturals must be integers >= 0_0"),
     pytest.param(lambda: nat(2.0), ValueError, "naturals must be integers >= 0",
                  id="<lambda>-ValueError-naturals must be integers >= 0_1"),
+    pytest.param(lambda: nat(True), ValueError, "naturals must be integers >= 0",
+                 id="nat-bool"),
+    pytest.param(lambda: CnfOrdinal(((ZERO, True),)), ValueError,
+                 "coefficients must be integers >= 1", id="coefficient-bool"),
     pytest.param(lambda: OrbitClassLabel("block", ONE), ValueError,
                  "unknown orbit class kind 'block'",
                  id="<lambda>-ValueError-unknown orbit class kind 'block'"),

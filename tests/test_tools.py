@@ -9,6 +9,7 @@ tree.
 """
 
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -35,11 +36,31 @@ def test_ab_workers_counts_one_tree_alike():
     assert [row.split()[-1] for row in rows] == ["1.000"] * len(rows), run.stdout
 
 
+def test_ab_workers_reads_argvs_from_a_file(tmp_path):
+    # an argv file reaches what no workload sends: errors, help, no argv
+    argvs = tmp_path / "argvs.json"
+    argvs.write_text(json.dumps([["ord", "--expr=--"], ["fiber", "--m", "x"], ["-h"],
+                                 ["thread", "extend", "-h"], [], ["ord", "--expr", "w"]]))
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab_workers.py"), str(ROOT), str(ROOT),
+         "--workload", "warm_small", "--passes", "1", "--argvs", str(argvs)],
+        capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert lines[0].startswith("6 queries x 1 passes")
+    assert lines[-1] == "differing outputs: 0"
+    header = next(i for i, line in enumerate(lines) if line.startswith("subcommand"))
+    assert {line.split()[0] for line in lines[header + 1:-1]} == {
+        "ord", "fiber", "(none)", "thread", "total"}
+
+
 @pytest.mark.parametrize("argv, leaf", [
     (["thread", "extend", "--p", "2", "--points", "inf0"], "thread extend"),
     (["--format", "text", "thread", "extend", "--p", "2"], "thread extend"),
     (["--format=text", "thread", "extend", "--p", "2"], "thread extend"),
     (["--format=text", "fiber", "--m", "8"], "fiber"),
+    ([], "(none)"),
+    (["--format"], "(none)"),
 ])
 def test_subcommand_skips_a_leading_format(argv, leaf):
     spec = importlib.util.spec_from_file_location("ab_workers", ROOT / "tools" / "ab_workers.py")

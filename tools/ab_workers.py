@@ -1,13 +1,16 @@
 """Interleaved A/B of two longsol trees on one benchmark workload.
 
     python3 tools/ab_workers.py OLD NEW --workload W --blocks B --passes K [--seed S]
+                                [--argvs FILE]
 
 OLD and NEW are two longsol checkouts.  One ``bench/child.py worker`` runs
 from each, with that tree's ``src`` on PYTHONPATH and the workload's
 ``LONGSOL_*`` bounds.  The queries are the first B blocks of the workload
-(seed S, from NEW's ``bench/workloads.py``), sent K times over.  Each query
-goes to both workers in turn, and which goes first alternates, so both
-sides see the same load on the machine at nearly the same moment.
+(seed S, from NEW's ``bench/workloads.py``), sent K times over; with
+``--argvs``, they are the argvs of FILE, a JSON list, such as drawn
+irregular argvs, which no workload sends.  Each query goes to both workers
+in turn, and which goes first alternates, so both sides see the same load
+on the machine at nearly the same moment.
 
 It prints each tree's ``src/longsol/*.py`` line count (as ``wc -l``
 counts), the CPU seconds of ``main()`` summed per subcommand, NEW over OLD
@@ -71,12 +74,13 @@ class Worker:
 
 def subcommand(argv):
     """The leaf path of an argv, such as 'thread extend', after a leading
-    ``--format X`` or ``--format=X``."""
-    if argv[0] == "--format":
+    ``--format X`` or ``--format=X``; '(none)' where no word follows."""
+    head = argv[0] if argv else ""
+    if head == "--format":
         argv = argv[2:]
-    elif argv[0].startswith("--format="):
+    elif head.startswith("--format="):
         argv = argv[1:]
-    return " ".join(w for w in argv[:2] if not w.startswith("-"))
+    return " ".join(w for w in argv[:2] if not w.startswith("-")) or "(none)"
 
 
 def main(argv=None):
@@ -87,6 +91,8 @@ def main(argv=None):
     parser.add_argument("--blocks", type=int, default=1)
     parser.add_argument("--passes", type=int, default=3)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--argvs", type=Path,
+                        help="a JSON list of argvs to send instead of the workload's")
     args = parser.parse_args(argv)
     trees = [args.old.resolve(), args.new.resolve()]
     for tree in trees:
@@ -104,7 +110,10 @@ def main(argv=None):
     if workload.subprocess:
         parser.error("%s times fresh interpreters, not main()" % workload.name)
     stream = workload.blocks(args.seed, False)
-    queries = [q.argv for _ in range(args.blocks) for q in next(stream)]
+    if args.argvs is None:
+        queries = [q.argv for _ in range(args.blocks) for q in next(stream)]
+    else:
+        queries = json.loads(args.argvs.read_text())
     warm = [q.argv for q in workloads.Gen(args.seed + 1_000_003).one_of_each()]
 
     workers = [Worker(tree, workload.env) for tree in trees]
@@ -140,8 +149,9 @@ def main(argv=None):
         finally:
             counter.close()
 
-    print("%d queries x %d passes, %s, seed %d" % (
-        len(queries), args.passes, workload.name, args.seed))
+    print("%d queries x %d passes, %s, seed %d%s" % (
+        len(queries), args.passes, workload.name, args.seed,
+        "" if args.argvs is None else ", argvs from %s" % args.argvs))
     print("src/longsol/*.py lines: old %d, new %d" % tuple(
         sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "longsol").glob("*.py"))
         for tree in trees))
