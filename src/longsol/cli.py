@@ -24,6 +24,7 @@ import operator
 import os
 import re
 import sys
+from functools import lru_cache
 from itertools import accumulate, repeat
 from math import prod
 from types import SimpleNamespace
@@ -507,6 +508,7 @@ _NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$").match  # argparse's negative numbe
 _DASHES = (None, "--")  # the first "--": a value only where a subcommand is due
 
 
+@lru_cache(maxsize=256)  # the flags, and the few other "-" tokens callers send
 def _sort(path, token):
     """What parser ``path`` takes ``token`` for, by argparse's
     ``_parse_optional``: None for a value, (None,) for an unknown option,
@@ -529,11 +531,6 @@ def _sort(path, token):
     return None if _NEGATIVE(token) or " " in token else (None,)
 
 
-# each parser's sort of every flag in the table: one dict lookup per such token
-_KNOWN = {path: {flag: _sort(path, flag) for row in _PARSERS.values() for flag in row[0]}
-          for path in _PARSERS}
-
-
 def _invalid(name, value, choices):
     return CommandError("argument %s: invalid choice: %r (choose from %s)" % (
         name, value, ", ".join(map(repr, choices))))
@@ -553,9 +550,7 @@ def _read_args(argv):
         values.update(defaults)
         # after the first "--" every token is a value, and a flag before it has none
         head = tokens[:tokens.index("--")] if "--" in tokens else tokens
-        kinds = list(map(_KNOWN[path].get, head))
-        if kinds.count(None) + sum(map(str.startswith, head, repeat("-"))) > len(head):
-            kinds = [_sort(path, token) for token in head]  # a "-" token no flag spells
+        kinds = [_sort(path, token) if token[:1] == "-" else None for token in head]
         kinds += [_DASHES, *repeat(None, len(tokens))]
         at = iter(range(len(tokens)))
         for i in at:

@@ -798,7 +798,7 @@ def test_flag_given_dashes_by_equals_fails_alike_everywhere(capsys, argv, error)
      "1"),
 ])
 def test_store_true_flag_given_a_value_goes_to_argparse(capsys, monkeypatch, argv, value):
-    # named for the route it once took; the reader words argparse's message
+    # the reader words argparse's message without building the parser
     monkeypatch.setattr(cli, "build_parser", None)
     assert run(capsys, *argv) == (1, {"error": {
         "code": "bad-command",
@@ -820,7 +820,7 @@ def test_plain_argvs_never_build_the_parser(monkeypatch):
 
 
 def test_help_and_irregular_argvs_go_through_argparse(monkeypatch, capsys):
-    # only help builds the parser now; an irregular argv is the reader's
+    # only help builds the parser; the reader answers an irregular argv
     built = []
 
     def counted():
