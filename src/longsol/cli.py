@@ -25,7 +25,7 @@ import os
 import re
 import sys
 from functools import lru_cache
-from itertools import accumulate, repeat
+from itertools import accumulate
 from math import prod
 from types import SimpleNamespace
 
@@ -551,7 +551,7 @@ def _read_args(argv):
         # after the first "--" every token is a value, and a flag before it has none
         head = tokens[:tokens.index("--")] if "--" in tokens else tokens
         kinds = [_sort(path, token) if token[:1] == "-" else None for token in head]
-        kinds += [_DASHES, *repeat(None, len(tokens))]
+        kinds += [_DASHES] + [None] * len(tokens)
         at = iter(range(len(tokens)))
         for i in at:
             kind = kinds[i]
