@@ -70,6 +70,7 @@ from longsol import (
     Address,
     Arc,
     CnfOrdinal,
+    CommandError,
     DepthBoundError,
     DirectLimitElement,
     ParseError,
@@ -77,7 +78,6 @@ from longsol import (
     Thread,
     TokenUndefinedError,
     TowerPoint,
-    CommandError,
     UnsupportedTranslationError,
     WitnessReport,
     add,
