@@ -508,7 +508,6 @@ _NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$").match  # argparse's negative numbe
 _DASHES = (None, "--")  # the first "--": a value only where a subcommand is due
 
 
-@lru_cache(maxsize=256)  # the flags, and the few other "-" tokens callers send
 def _sort(path, token):
     """What parser ``path`` takes ``token`` for, by argparse's
     ``_parse_optional``: None for a value, (None,) for an unknown option,
@@ -519,6 +518,8 @@ def _sort(path, token):
     flag, sep, explicit = token.partition("=")
     explicit = explicit if sep else None
     if flag in flags:
+        if flag == "-h" and explicit:  # -h=h is help and -h=hx fails on "x", as -hx
+            explicit = explicit.lstrip("h") or None
         return (flag, explicit) + flags[flag]
     if token[1] == "-":  # a unique prefix of a long flag stands for it
         found = [name for name in flags if name.startswith(flag)]
@@ -529,6 +530,9 @@ def _sort(path, token):
     elif token[:2] in flags:  # -hh is help; -hx fails on "x", as in argparse 3.12
         return (token[:2], token[2:].lstrip("h") or None) + flags[token[:2]]
     return None if _NEGATIVE(token) or " " in token else (None,)
+
+
+_sort_flag = lru_cache(maxsize=256)(_sort)  # for tokens holding no "=", so no "=" value
 
 
 def _invalid(name, value, choices):
@@ -550,7 +554,8 @@ def _read_args(argv):
         values.update(defaults)
         # after the first "--" every token is a value, and a flag before it has none
         head = tokens[:tokens.index("--")] if "--" in tokens else tokens
-        kinds = [_sort(path, token) if token[:1] == "-" else None for token in head]
+        kinds = [(_sort if "=" in token else _sort_flag)(path, token)
+                 if token[:1] == "-" else None for token in head]
         kinds += [_DASHES] + [None] * len(tokens)
         at = iter(range(len(tokens)))
         for i in at:

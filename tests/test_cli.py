@@ -695,8 +695,9 @@ def _read(argv):
 # the reader, as argparse 3.13 does, reads "--"
 _DASHES_AS_LIST = ref_parse_args(["ord", "--expr=--"])[1]["expr"] == []
 # argparse 3.13 reads -h run into other characters (-hx, -hh=) as help and
-# an unknown option, or words the error otherwise; the reader fails on what
-# follows the h's, as 3.10 to 3.12 do
+# an unknown option, and -h= followed by an h (-h=h, -h=hx) as -h given that
+# text, or words the error otherwise; the reader skips the h's after -h or
+# -h= and fails on what follows them, as 3.10 to 3.12 do
 _HELP_RUNS_ON = ref_parse_args(["-hx"])[0] == "help"
 
 
@@ -705,8 +706,8 @@ def _oracle_differs(argv):
     design: one of the two families above, on an argparse that has it."""
     return any(
         _DASHES_AS_LIST and token.startswith("--") and token.endswith("=--")
-        or _HELP_RUNS_ON and token.startswith("-h") and token.rstrip("h") != "-"
-        and not token.startswith("-h=")
+        or _HELP_RUNS_ON and token[:2] == "-h" and token.rstrip("h") != "-"
+        and (token[2] != "=" or token[3:4] == "h")
         for token in argv)
 
 
@@ -720,7 +721,7 @@ FORMAT_FLAGS = (["--format", "text"], ["--format", "json"], ["--format=text"],
 DASHED = ("-1", "-w", "-h", "--", "-", "--expr", "--format", "--tower",
           "-hh", "-hx", "-1.5", "-x y")
 STRAYS = ("-h", "--help", "frob", "--zzz", "--", "-x", "text", "verify", "",
-          "-h=x", "--help=x", "--=x", "a b")
+          "-h=x", "-h=hx", "--help=x", "--=x", "a b")
 
 
 @st.composite
@@ -764,6 +765,8 @@ def mutated_argvs(draw):
 @example(["-hx"])
 @example(["-hh"])
 @example(["-h=x"])
+@example(["-h=h"])
+@example(["-h=hx"])
 @example(["--", "ord"])
 @example(["ord", "--expr", "-1.5"])
 @example(["ord", "--expr", "-x y"])
@@ -789,6 +792,19 @@ def test_reader_never_disagrees_with_argparse(argv):
 ])
 def test_flag_given_dashes_by_equals_fails_alike_everywhere(capsys, argv, error):
     assert run(capsys, *argv) == (1, {"error": error})
+
+
+# -h run into other characters, or given h's by '=': the reader skips the
+# h's and fails on what follows them, as argparse 3.10 to 3.12 do, on every
+# interpreter (argparse 3.13 prints help for -hx and fails on -h=h)
+@pytest.mark.parametrize("argv, explicit", [
+    (["-hh"], None), (["-h=h"], None), (["ord", "-h=hh"], None),
+    (["-hx"], "x"), (["-h=hx"], "x"), (["-hh=x"], "=x"), (["-h="], ""),
+])
+def test_help_run_into_other_characters_reads_alike_everywhere(argv, explicit):
+    expected = ("help",) if explicit is None else (
+        "error", "argument -h/--help: ignored explicit argument %r" % explicit)
+    assert _read(argv)[:len(expected)] == expected
 
 
 @pytest.mark.parametrize("argv, value", [
