@@ -34,7 +34,7 @@ class Arc(Record):
     """Closed cyclic interval on the size-n stage, start to end, increasing."""
 
     def __init__(self, n, start, end):
-        if not isinstance(n, int) or n < 1:
+        if type(n) is not int or n < 1:  # no bool
             raise StageDomainError("stage sizes are integers >= 1")
         start, end = Fraction(start), Fraction(end)
         if not (0 <= start < n and 0 <= end < n):

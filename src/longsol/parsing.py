@@ -30,13 +30,12 @@ raises every error of those grammars itself.  Arc positions and printed
 threads are first read by a fast reader, one ``re.fullmatch``
 (``_read_position``) or one ``str.split`` for both printed forms
 (``_printed_thread``), and an ASCII integer list without '+' or '_' by
-``str.split`` and ``int`` (``parse_exponents``).  A fast reader returns
-None (``int`` raises) for any text not in its form, and the general
-reader then reads that text, so every value is the general reader's and
-every error, message and position comes from it (a printed thread too
-deep for p meets the same ``Thread`` refusal).  The fast readers stay
-because each is several times faster than the general reader on the
-text it takes.
+``str.split`` and ``int`` (``parse_exponents``).  Each fast reader hands
+any text not in its form to the general reader (``_printed_thread`` by
+returning None), so every value is the general reader's and every error,
+message and position comes from it (a printed thread too deep for p
+meets the same ``Thread`` refusal).  The fast readers stay because each
+is several times faster than the general reader on the text it takes.
 """
 
 import re
@@ -48,7 +47,7 @@ from operator import mul
 from .arcs import Arc
 from .errors import DepthBoundError, ParseError
 from .longline import LongPoint
-from .ordinal import DEFAULT_DEPTH_BOUND, OMEGA, ONE, ZERO, CnfOrdinal, add, nat
+from .ordinal import DEFAULT_DEPTH_BOUND, ONE, ZERO, CnfOrdinal, add, nat
 from .stages import LONG_MODE, TOWER_MODE, StagePoint, Thread, stage_size
 from .cohomology import SequenceDescriptor
 from .tower import Address, TowerPoint
@@ -121,14 +120,14 @@ def parse_ordinal(text, offset=0):
     separate tokens, so blanks inside a number leave two numbers, which the
     grammar never takes in a row.  Each sum collects its (exponent,
     coefficient) pairs: one already strictly descending is built as one
-    ``CnfOrdinal``, any other is summed by ``add``.  Equal natural
-    exponents are one object.  An error is raised at the start of the
-    token the reader stopped at, or at the end of the text.
+    ``CnfOrdinal``, any other is summed by ``add``.  An error is raised at
+    the start of the token the reader stopped at, or at the end of the
+    text.
     """
     tokens = _TOKEN.findall(text)
     tokens.append("")  # the end: no rule takes it
     try:
-        value, i = _read_sum(tokens, 0, 0, {})
+        value, i = _read_sum(tokens, 0, 0)
         if not tokens[i]:
             return value
         raise _Stop(i, ParseError, "unexpected trailing input")
@@ -148,18 +147,22 @@ def _read_int(t, i, message):
         raise _Stop(i, DepthBoundError, _TOO_LONG % sys.get_int_max_str_digits()) from None
 
 
-def _read_sum(t, i, nest, nats):
+def _read_power(t, i, nest):
+    """(the exponent of the power of w at token i, the index after it)"""
+    if nest + 2 > DEFAULT_DEPTH_BOUND:
+        raise _Stop(i, DepthBoundError, _TOO_DEEP)
+    if t[i + 1] == "^":
+        return _read_exponent(t, i + 2, nest + 1)
+    return ONE, i + 1
+
+
+def _read_sum(t, i, nest):
     """(the sum starting at token i, the index after it)"""
     pairs = []
     while True:
         if t[i] == "w":
-            if nest + 2 > DEFAULT_DEPTH_BOUND:
-                raise _Stop(i, DepthBoundError, _TOO_DEEP)
-            exponent, coeff = ONE, 1
-            if t[i + 1] == "^":
-                exponent, i = _read_exponent(t, i + 2, nest + 1, nats)
-            else:
-                i += 1
+            exponent, i = _read_power(t, i, nest)
+            coeff = 1
             if t[i] == "*":
                 coeff = _read_int(t, i + 1, "expected a number")
                 i += 2
@@ -181,24 +184,16 @@ def _read_sum(t, i, nest, nats):
         return add(*[CnfOrdinal((pair,)) for pair in pairs]), i
 
 
-def _read_exponent(t, i, nest, nats):
-    token = t[i]
-    if token == "(":
-        value, i = _read_sum(t, i + 1, nest, nats)
+def _read_exponent(t, i, nest):
+    if t[i] == "(":
+        value, i = _read_sum(t, i + 1, nest)
         if t[i] != ")":
             raise _Stop(i, ParseError, "expected ')'")
         return value, i + 1
-    if token == "w":
-        if nest + 2 > DEFAULT_DEPTH_BOUND:
-            raise _Stop(i, DepthBoundError, _TOO_DEEP)
-        if t[i + 1] == "^":
-            exponent, i = _read_exponent(t, i + 2, nest + 1, nats)
-            return CnfOrdinal(((exponent, 1),)), i
-        return OMEGA, i + 1
-    value = nats.get(token)
-    if value is None:
-        value = nats[token] = nat(_read_int(t, i, "expected an exponent"))
-    return value, i + 1
+    if t[i] == "w":
+        exponent, i = _read_power(t, i, nest)
+        return CnfOrdinal(((exponent, 1),)), i
+    return nat(_read_int(t, i, "expected an exponent")), i + 1
 
 
 def _parse_unit_fraction(text, offset):
@@ -221,7 +216,8 @@ def _parse_unit_fraction(text, offset):
 
 
 def _parse_summands(text, offset, allow_block):
-    """Shared reader for `[w1*(ORD) +] ORD parts + [N/D]` sums."""
+    """Shared reader for `[w1*(ORD) +] ORD parts + [N/D]` sums: the block
+    count, the sum of the ORD parts and the unit offset, each 0 if absent."""
     gamma = None
     rho = []
     frac = None
@@ -246,16 +242,12 @@ def _parse_summands(text, offset, allow_block):
             if frac is not None:
                 raise ParseError("the unit offset must come last", position=lead)
             rho.append(parse_ordinal(stripped, lead))
-    return gamma, add(*rho), frac
+    return (ZERO if gamma is None else gamma, add(*rho),
+            Fraction(0) if frac is None else frac)
 
 
 def parse_long_point(text, offset=0):
-    gamma, rho, frac = _parse_summands(text, offset, allow_block=True)
-    return LongPoint(
-        gamma if gamma is not None else ZERO,
-        rho,
-        frac if frac is not None else Fraction(0),
-    )
+    return LongPoint(*_parse_summands(text, offset, allow_block=True))
 
 
 def _parse_int(text, offset):
@@ -309,9 +301,7 @@ def parse_tower_point(text, kappa, offset=0):
     if not base_text.strip():
         raise ParseError("empty base coordinate", position=base_start)
     _, rho, frac = _parse_summands(base_text, base_start, allow_block=False)
-    return TowerPoint(
-        kappa, Address(ints, rho, frac if frac is not None else Fraction(0))
-    )
+    return TowerPoint(kappa, Address(ints, rho, frac))
 
 
 def parse_stage_point(text, n, mode=None, kappa=None, offset=0):
@@ -436,35 +426,31 @@ def _parse_position(text, n, offset):
 _POSITION = re.compile(r"([0-9]+)(?:\+([0-9]+)/([0-9]+))?")
 
 
-def _read_position(text, n):
-    """The position read by one match, or None for any text the general
-    reader must read: another form, a number past the digit limit, a copy
-    index past n, or an offset outside [0, 1)."""
+def _read_position(text, n, offset):
+    """The position read by one match; any text the match does not take
+    (another form, a number past the digit limit, a copy index past n, or
+    an offset outside [0, 1)) is read by ``_parse_position``, which owns
+    every error."""
     match = _POSITION.fullmatch(text)
     limit = sys.get_int_max_str_digits()
-    if match is None or (limit and len(text) > limit):
-        return None
-    copy, num, den = match.groups()
-    copy = int(copy)
-    if copy >= n:
-        return None
-    if num is None:
-        return Fraction(copy)
-    num, den = int(num), int(den)
-    return Fraction(copy * den + num, den) if num < den else None
+    if match and not (limit and len(text) > limit):
+        copy, num, den = match.groups()
+        copy = int(copy)
+        if copy < n:
+            if num is None:
+                return Fraction(copy)
+            num, den = int(num), int(den)
+            if num < den:
+                return Fraction(copy * den + num, den)
+    return _parse_position(text, n, offset)
 
 
 def parse_arc(text, n, offset=0):
     halves = text.split("..")
     if len(halves) != 2:
         raise ParseError("arcs read START..END", position=offset)
-    start = _read_position(halves[0], n)
-    if start is None:
-        start = _parse_position(halves[0], n, offset)
-    end = _read_position(halves[1], n)
-    if end is None:
-        end = _parse_position(halves[1], n, offset + len(halves[0]) + 2)
-    return Arc(n, start, end)
+    return Arc(n, _read_position(halves[0], n, offset),
+               _read_position(halves[1], n, offset + len(halves[0]) + 2))
 
 
 def parse_arc_list(text, n):

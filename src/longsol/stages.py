@@ -86,9 +86,9 @@ class StagePoint(Record):
         self.__post_init__()
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+        if type(self.n) is not int or self.n < 1:  # no bool
             raise StageDomainError("stage sizes are integers >= 1")
-        if not isinstance(self.index, int):
+        if type(self.index) is not int:
             raise StageDomainError("copy indices are integers")
         object.__setattr__(self, "index", self.index % self.n)
         _check_inner(self.inner)
@@ -146,7 +146,7 @@ def _exponents(p, depth):
     """The bonding exponents as a tuple, enough for `depth` levels; like the
     paper's p, any positive integers (a 1 repeats a stage)."""
     p = tuple(p)
-    if not all(isinstance(k, int) and k >= 1 for k in p):
+    if not all(type(k) is int and k >= 1 for k in p):  # no bool
         raise ThreadMismatchError("bonding exponents are integers >= 1")
     if len(p) < depth - 1:
         raise ThreadMismatchError(
@@ -233,7 +233,7 @@ class HomeoRecipe(Record):
 
     def __init__(self, p=(), rotations=(), translate_by=0, hat=IDENTITY_TOKEN):
         rotations = tuple(rotations)
-        if not all(isinstance(k, int) for k in (translate_by, *rotations)):
+        if not all(type(k) is int for k in (translate_by, *rotations)):
             raise ThreadMismatchError("rotations and the translation are integers")
         p = _exponents(p, len(rotations))
         if not rotations:

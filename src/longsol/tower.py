@@ -97,7 +97,7 @@ class TowerPoint(Record):
     """A point of the level-kappa quotient circle; address None is the joint."""
 
     def __init__(self, kappa, address=None):
-        if not isinstance(kappa, int) or kappa < 1:
+        if type(kappa) is not int or kappa < 1:  # no bool
             raise InvalidPointError("tower levels start at 1")
         if address is not None:
             if address.is_base:

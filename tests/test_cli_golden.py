@@ -19,10 +19,18 @@ import json
 import os
 import shutil
 import subprocess
+from collections import Counter
+from functools import partial
 from pathlib import Path
 
 import pytest
 from golden_replay import GOLDEN, bounds, call, differing, load
+
+from longsol import cli
+from longsol.parsing import (parse_arc, parse_exponents, parse_long_point, parse_ordinal,
+                             parse_rational, parse_stage_point, parse_thread,
+                             parse_tower_point)
+from longsol.stages import LONG_MODE, TOWER_MODE
 
 ENVS = (
     {},
@@ -316,6 +324,49 @@ def test_golden_transcript_under_other_interpreters(python):
     diffs = report["differing"]
     assert not diffs, "%s (%s): %d of %d entries differ\n%s" % (
         python, report["version"], len(diffs), report["entries"], _report(diffs[:3]))
+
+
+def _printed_values(args, doc):
+    """(kind, reader, text) for each literal a JSON answer prints, the
+    reader given what the argv and the answer say: p, mode and stage."""
+    kappa = getattr(args, "tower", None)
+    mode = (LONG_MODE if getattr(args, "long", False) else
+            None if kappa is None else TOWER_MODE)
+    for key in ("normal", "result", "gamma"):  # ord, and classify --long
+        if key in doc:
+            yield "ordinal", parse_ordinal, doc[key]
+    for thread in doc.get("threads", ()):
+        yield "thread", partial(parse_thread, parse_exponents(args.p), mode=mode,
+                                kappa=kappa), thread
+    for point in doc.get("points", ()):
+        yield "fiber point", partial(parse_stage_point, n=doc["stage"], mode=mode,
+                                     kappa=kappa), point
+    for step in doc.get("recipe", ()):
+        hat = step["hat"]
+        if hat["mode"] == "mapping":
+            kind, read = (("tower hat", partial(parse_tower_point, kappa=hat["kappa"]))
+                          if "kappa" in hat else ("long hat", parse_long_point))
+            yield kind, read, hat["source"]
+            yield kind, read, hat["target"]
+    for arc in doc.get("c_components", []) + doc.get("g_components", []):
+        yield "arc", partial(parse_arc, n=doc["stage"] * doc["multiplicity"]), arc
+    if "value" in doc:  # cohomology sum
+        yield "rational", parse_rational, doc["value"]
+
+
+def test_every_printed_value_reads_back():
+    kinds, failures = Counter(), []
+    for entry in load():
+        args = cli._read_args(entry["argv"]) if entry["code"] == 0 else None
+        if args is None or args.format != "json":  # an error, help, or text
+            continue
+        for kind, read, text in _printed_values(args, json.loads(entry["stdout"])):
+            kinds[kind] += 1
+            if str(read(text)) != text:
+                failures.append((entry["argv"], kind, text))
+    assert not failures
+    assert set(kinds) == {"ordinal", "thread", "fiber point", "tower hat", "long hat",
+                          "arc", "rational"}, kinds
 
 
 if __name__ == "__main__":

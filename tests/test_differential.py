@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from longsol.cli import main
 
@@ -36,28 +37,39 @@ def answer(argv):
     return rc, out.getvalue()
 
 
-def check_smoke_block(name, seed, monkeypatch):
+def check_smoke_block(name, seed):
     workload = workloads.WORKLOADS[name]
-    for bound in ("LONGSOL_DEPTH", "LONGSOL_INDEX_BOUND"):
-        monkeypatch.delenv(bound, raising=False)
-    for bound, value in workload.env.items():
-        monkeypatch.setenv(bound, value)
-    for q in workload.block(workloads.Gen(seed), smoke=True):
-        rc, out = answer(q.json_argv())
-        assert rc == 0, (q.argv, out)
-        doc = json.loads(out)
-        assert q.check(doc) is None, (q.argv, q.check(doc))
-        if q.text:
-            assert answer(q.argv) == (0, "\n".join(oracle.flatten(doc)) + "\n"), q.argv
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for bound in ("LONGSOL_DEPTH", "LONGSOL_INDEX_BOUND"):
+            monkeypatch.delenv(bound, raising=False)
+        for bound, value in workload.env.items():
+            monkeypatch.setenv(bound, value)
+        for q in workload.block(workloads.Gen(seed), smoke=True):
+            rc, out = answer(q.json_argv())
+            assert rc == 0, (q.argv, out)
+            doc = json.loads(out)
+            assert q.check(doc) is None, (q.argv, q.check(doc))
+            if q.text:
+                assert answer(q.argv) == (0, "\n".join(oracle.flatten(doc)) + "\n"), q.argv
 
 
 @pytest.mark.parametrize("seed", range(20))
-def test_warm_small_block(seed, monkeypatch):
-    check_smoke_block("warm_small", seed, monkeypatch)
+def test_warm_small_block(seed):
+    check_smoke_block("warm_small", seed)
 
 
 # top stages up to 4096: recipes, addresses and tower points built at scale
 @pytest.mark.parametrize("seed", range(20))
 @pytest.mark.parametrize("name", ["verify_large", "enumerate_large"])
-def test_large_block(name, seed, monkeypatch):
-    check_smoke_block(name, seed, monkeypatch)
+def test_large_block(name, seed):
+    check_smoke_block(name, seed)
+
+
+# the fixed seeds above stay; Hypothesis draws more from the whole 32-bit
+# range (it refuses function-scoped fixtures, so each block sets its bounds
+# in its own MonkeyPatch context)
+@pytest.mark.parametrize("name", ["warm_small", "verify_large", "enumerate_large"])
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_drawn_block(name, seed):
+    check_smoke_block(name, seed)

@@ -31,10 +31,12 @@ from longsol import (
     OrbitAnswer,
     OrbitClassLabel,
     SequenceDescriptor,
+    StageDomainError,
     StagePoint,
     SupernaturalNumber,
     SynthesisResult,
     Thread,
+    ThreadMismatchError,
     TowerPoint,
     WitnessReport,
     nat,
@@ -236,6 +238,20 @@ REJECTIONS = [
                  id="nat-bool"),
     pytest.param(lambda: CnfOrdinal(((ZERO, True),)), ValueError,
                  "coefficients must be integers >= 1", id="coefficient-bool"),
+    pytest.param(lambda: TowerPoint(True), InvalidPointError, "tower levels start at 1",
+                 id="tower-kappa-bool"),
+    pytest.param(lambda: StagePoint(True, 0), StageDomainError,
+                 "stage sizes are integers >= 1", id="stage-n-bool"),
+    pytest.param(lambda: StagePoint(2, True), StageDomainError,
+                 "copy indices are integers", id="stage-index-bool"),
+    pytest.param(lambda: Arc(True, 0, Fraction(1, 2)), StageDomainError,
+                 "stage sizes are integers >= 1", id="arc-n-bool"),
+    pytest.param(lambda: Thread((True,), (ROOT,)), ThreadMismatchError,
+                 "bonding exponents are integers >= 1", id="exponent-bool"),
+    pytest.param(lambda: HomeoRecipe((2,), (True,)), ThreadMismatchError,
+                 "rotations and the translation are integers", id="rotation-bool"),
+    pytest.param(lambda: HomeoRecipe((2,), (0, 1), True), ThreadMismatchError,
+                 "rotations and the translation are integers", id="translation-bool"),
     pytest.param(lambda: OrbitClassLabel("block", ONE), ValueError,
                  "unknown orbit class kind 'block'",
                  id="<lambda>-ValueError-unknown orbit class kind 'block'"),
