@@ -29,31 +29,9 @@ from itertools import accumulate
 from math import prod
 from types import SimpleNamespace
 
-from . import parsing
-from .arcs import circular_chain_check, format_position, indecomposability_witness
-from .cohomology import (
-    _in_group,
-    dl_of_rational,
-    dl_value,
-    h1_action,
-    member,
-    mccord_equivalent,
-    supernatural_of,
-)
+# the layers are read as module attributes, so each runs at its first use
+from . import arcs, cohomology, longline, ordinal, parsing, stages, tokens, tower
 from .errors import CommandError, DepthBoundError, LongSolError
-from .longline import partition_class
-from .ordinal import add, compare, mul, omega_pow
-from .stages import (
-    LONG_MODE,
-    RECIPE,
-    TOWER_MODE,
-    apply_recipe,
-    extension_exponents,
-    point_format,
-    synthesize_recipe,
-    verify_commutes,
-)
-from .tower import point_type
 
 DEFAULT_DEPTH = 6
 DEFAULT_INDEX_BOUND = 48
@@ -94,9 +72,9 @@ def _mode(args, required=True):
     if args.tower is not None:
         if args.tower < 1:
             raise CommandError("--tower takes a level >= 1")
-        return TOWER_MODE, args.tower
+        return tokens.TOWER_MODE, args.tower
     if args.long:
-        return LONG_MODE, None
+        return tokens.LONG_MODE, None
     if required:
         raise CommandError("choose --tower KAPPA or --long")
     return None, None
@@ -220,25 +198,25 @@ def _cmd_ord(args):
     if args.omega_pow is not None:
         if given != 1:
             raise CommandError("--omega-pow stands alone")
-        return {"result": str(omega_pow(parsing.parse_ordinal(args.omega_pow)))}
+        return {"result": str(ordinal.omega_pow(parsing.parse_ordinal(args.omega_pow)))}
     if args.a is None or given != 2:
         raise CommandError("give --a with exactly one of --add, --mul, --cmp")
     a = parsing.parse_ordinal(args.a)
     if args.add is not None:
-        return {"result": str(add(a, parsing.parse_ordinal(args.add)))}
+        return {"result": str(ordinal.add(a, parsing.parse_ordinal(args.add)))}
     if args.mul is not None:
-        return {"result": str(mul(a, parsing.parse_ordinal(args.mul)))}
+        return {"result": str(ordinal.mul(a, parsing.parse_ordinal(args.mul)))}
     b = parsing.parse_ordinal(args.cmp)
-    order = compare(a, b)
+    order = ordinal.compare(a, b)
     return {"order": {-1: "less", 0: "equal", 1: "greater"}[order]}
 
 
 def _cmd_classify(args):
     mode, kappa = _mode(args)
-    if mode == TOWER_MODE:
+    if mode == tokens.TOWER_MODE:
         point = parsing.parse_tower_point(args.point, kappa)
-        return {"kappa": kappa, "type": point_type(point)}
-    label = partition_class(parsing.parse_long_point(args.point))
+        return {"kappa": kappa, "type": tower.point_type(point)}
+    label = longline.partition_class(parsing.parse_long_point(args.point))
     return {"class": label.kind, "gamma": str(label.gamma)}
 
 
@@ -247,14 +225,14 @@ def _cmd_orbit(args):
     exps = _exponents(args)
     x = parsing.parse_thread(exps, args.x, mode, kappa)
     y = parsing.parse_thread(exps, args.y, mode, kappa)
-    result = synthesize_recipe(x, y)
+    result = stages.synthesize_recipe(x, y)
     doc = {"status": result.status}
-    if result.status == RECIPE:
+    if result.status == tokens.RECIPE:
         recipe = result.recipe
-        ok, witness = verify_commutes(recipe, x)
+        ok, witness = stages.verify_commutes(recipe, x)
         doc["recipe"] = _recipe_doc(recipe)
         doc["verified"] = ok
-        doc["maps_x_to_y"] = apply_recipe(recipe, x) == y
+        doc["maps_x_to_y"] = stages.apply_recipe(recipe, x) == y
         if witness is not None:
             doc["counterexample"] = {
                 key: str(value) for key, value in witness.items()
@@ -269,7 +247,7 @@ def _cmd_fiber(args):
     joint = args.point.strip().startswith("inf")
     mode, kappa = (None, None) if joint else _mode(args)
     q = parsing.parse_stage_point(args.point, args.n, mode, kappa)
-    points = _Listing(point_format(q.inner), "", (args.m,), q)
+    points = _Listing(stages.point_format(q.inner), "", (args.m,), q)
     return {"stage": args.m * args.n, "points": points}
 
 
@@ -294,8 +272,8 @@ def _cmd_thread_extend(args):
     thread = parsing.parse_thread(_exponents(args), args.points, mode, kappa)
     if args.levels < 1:
         raise CommandError("--levels is positive")
-    exps = extension_exponents(thread, args.levels)
-    text = "; " + point_format(thread.points[0].inner)
+    exps = stages.extension_exponents(thread, args.levels)
+    text = "; " + stages.point_format(thread.points[0].inner)
     threads = _Listing(text, str(thread), exps, thread.points[-1])
     return {"count": prod(exps), "threads": threads}
 
@@ -308,16 +286,16 @@ def _cmd_indecomp(args):
     _check(args, "LONGSOL_INDEX_BOUND", args.pn * args.n)
     c_arc = parsing.parse_arc(args.c_arc, args.n)
     g_arc = parsing.parse_arc(args.g_arc, args.n)
-    report = indecomposability_witness(args.pn, args.n, c_arc, g_arc)
+    report = arcs.indecomposability_witness(args.pn, args.n, c_arc, g_arc)
     return {
         "multiplicity": report.multiplicity,
         "stage": report.stage,
         "c_components": [str(a) for a in report.c_components],
         "g_components": [str(a) for a in report.g_components],
-        "c_separators": [format_position(p) for p in report.c_separators],
-        "g_separators": [format_position(p) for p in report.g_separators],
+        "c_separators": [arcs.format_position(p) for p in report.c_separators],
+        "g_separators": [arcs.format_position(p) for p in report.g_separators],
         "uncovered": [
-            {"c": i, "g": j, "point": format_position(point)}
+            {"c": i, "g": j, "point": arcs.format_position(point)}
             for (i, j), point in report.pair_uncovered
         ],
         "witness": report.witnesses_indecomposability,
@@ -327,8 +305,8 @@ def _cmd_indecomp(args):
 def _cmd_chain_check(args):
     if args.n < 1:
         raise CommandError("--n is positive")
-    arcs = parsing.parse_arc_list(args.arcs, args.n)
-    return {"circular": circular_chain_check(arcs)}
+    chain = parsing.parse_arc_list(args.arcs, args.n)
+    return {"circular": arcs.circular_chain_check(chain)}
 
 
 def _sup_doc(sup):
@@ -340,36 +318,36 @@ def _sup_doc(sup):
 
 def _cmd_coh_invariant(args):
     descriptor = parsing.parse_descriptor(args.s)
-    return _sup_doc(supernatural_of(descriptor))
+    return _sup_doc(cohomology.supernatural_of(descriptor))
 
 
 def _cmd_coh_equiv(args):
     a = parsing.parse_descriptor(args.a)
     b = parsing.parse_descriptor(args.b)
-    return {"equivalent": mccord_equivalent(a, b)}
+    return {"equivalent": cohomology.mccord_equivalent(a, b)}
 
 
 def _cmd_coh_member(args):
     descriptor = parsing.parse_descriptor(args.s)
     value = parsing.parse_rational(args.r)
-    return {"member": member(descriptor, value)}
+    return {"member": cohomology.member(descriptor, value)}
 
 
 def _cmd_coh_sum(args):
     # only the sum's element is printed, so only its numerator is built
     descriptor = parsing.parse_descriptor(args.s)
-    a = _in_group(descriptor, parsing.parse_rational(args.a))
-    b = _in_group(descriptor, parsing.parse_rational(args.b))
-    total = dl_of_rational(descriptor, a + b)
+    a = cohomology._in_group(descriptor, parsing.parse_rational(args.a))
+    b = cohomology._in_group(descriptor, parsing.parse_rational(args.b))
+    total = cohomology.dl_of_rational(descriptor, a + b)
     return {
         "level": total.level,
         "numerator": total.numerator,
-        "value": str(dl_value(descriptor, total)),
+        "value": str(cohomology.dl_value(descriptor, total)),
     }
 
 
 def _cmd_coh_degree(args):
-    return {"degree": h1_action(args.m, args.n)}
+    return {"degree": cohomology.h1_action(args.m, args.n)}
 
 
 _MODE = (
@@ -629,7 +607,7 @@ def _render(doc, fmt="json"):
         if isinstance(value, _Listing):
             pieces += value.json_pieces()
         else:
-            pieces.append(json.dumps(value))
+            pieces.append(json.dumps(value, sort_keys=True))
     pieces[0] = "{"
     pieces.append("}")
     return "".join(pieces)

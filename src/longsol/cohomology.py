@@ -36,7 +36,6 @@ within it raises ``representation-overflow``; no factorisation is ever
 guessed.
 """
 
-from fractions import Fraction
 import functools
 import itertools
 from math import gcd, isqrt, log2, log10, prod
@@ -260,6 +259,8 @@ def member(s, r):
     """Is the rational r = a/b in the subgroup of Q the sequence generates,
     that is, does b divide a partial product?  Cycle primes come with any
     multiplicity, so iff b stripped of them divides the prefix product."""
+    from fractions import Fraction
+
     r = Fraction(r)
     return _product(s.prefix) % _strip(r.denominator, _product(s.cycle)) == 0
 
@@ -275,6 +276,8 @@ class DirectLimitElement(Record):
 
 def dl_element(s, level, numerator):
     """The canonical form of numerator over the product of `level` exponents."""
+    from fractions import Fraction
+
     if level < 0:
         raise InvalidPointError("levels are non-negative")
     return dl_of_rational(s, Fraction(numerator, s.partial_product(level)))
@@ -282,6 +285,8 @@ def dl_element(s, level, numerator):
 
 def dl_value(s, u):
     """The rational the element denotes."""
+    from fractions import Fraction
+
     return Fraction(u.numerator, s.partial_product(u.level))
 
 
@@ -292,6 +297,8 @@ def dl_add(s, u, v):
 
 def _in_group(s, r):
     """r as a Fraction, which must belong to the group of s."""
+    from fractions import Fraction
+
     r = Fraction(r)
     if not member(s, r):
         raise StageDomainError("%s is not in the group of %s" % (r, s))

@@ -40,17 +40,12 @@ is several times faster than the general reader on the text it takes.
 
 import re
 import sys
-from fractions import Fraction
 from itertools import accumulate, chain, islice, repeat
 from operator import mul
 
-from .arcs import Arc
+from . import arcs, cohomology, longline, stages, tokens, tower
 from .errors import DepthBoundError, ParseError
-from .longline import LongPoint
 from .ordinal import DEFAULT_DEPTH_BOUND, ONE, ZERO, CnfOrdinal, add, nat
-from .stages import LONG_MODE, TOWER_MODE, StagePoint, Thread, stage_size
-from .cohomology import SequenceDescriptor
-from .tower import Address, TowerPoint
 
 
 _TOO_LONG = "integer literal longer than %d digits"
@@ -198,6 +193,8 @@ def _read_exponent(t, i, nest):
 
 def _parse_unit_fraction(text, offset):
     """``N/D`` with 0 <= N/D < 1, read from the first four tokens."""
+    from fractions import Fraction
+
     tokens = [(m[1], offset + m.start(1)) for m in islice(_TOKEN.finditer(text), 4)]
     tokens += [("", offset + len(text))] * (4 - len(tokens))
     (num, at_num), (slash, at_slash), (den, at_den), (rest, at_rest) = tokens
@@ -218,6 +215,8 @@ def _parse_unit_fraction(text, offset):
 def _parse_summands(text, offset, allow_block):
     """Shared reader for `[w1*(ORD) +] ORD parts + [N/D]` sums: the block
     count, the sum of the ORD parts and the unit offset, each 0 if absent."""
+    from fractions import Fraction
+
     gamma = None
     rho = []
     frac = None
@@ -247,7 +246,7 @@ def _parse_summands(text, offset, allow_block):
 
 
 def parse_long_point(text, offset=0):
-    return LongPoint(*_parse_summands(text, offset, allow_block=True))
+    return longline.LongPoint(*_parse_summands(text, offset, allow_block=True))
 
 
 def _parse_int(text, offset):
@@ -286,14 +285,14 @@ def parse_tower_point(text, kappa, offset=0):
     stripped = text.strip()
     lead = offset + (len(text) - len(text.lstrip()))
     if stripped == "inf":
-        return TowerPoint(kappa)
+        return tower.TowerPoint(kappa)
     if not (stripped.startswith("[") and stripped.endswith("]")):
         raise ParseError("expected 'inf' or a bracketed address", position=lead)
     inner = stripped[1:-1]
     parts = _split_top(inner, ";", lead + 1)
     if len(parts) == 1:
         ints = _parse_int_list(*parts[0], allow_empty=False)
-        return TowerPoint(kappa, Address(ints))
+        return tower.TowerPoint(kappa, tower.Address(ints))
     if len(parts) != 2:
         raise ParseError("too many ';' in address", position=lead)
     ints = _parse_int_list(*parts[0], allow_empty=True)
@@ -301,7 +300,7 @@ def parse_tower_point(text, kappa, offset=0):
     if not base_text.strip():
         raise ParseError("empty base coordinate", position=base_start)
     _, rho, frac = _parse_summands(base_text, base_start, allow_block=False)
-    return TowerPoint(kappa, Address(ints, rho, frac))
+    return tower.TowerPoint(kappa, tower.Address(ints, rho, frac))
 
 
 def parse_stage_point(text, n, mode=None, kappa=None, offset=0):
@@ -310,7 +309,7 @@ def parse_stage_point(text, n, mode=None, kappa=None, offset=0):
     lead = offset + (len(text) - len(text.lstrip()))
     if stripped.startswith("inf"):
         index = _decimal(stripped[3:], lead, "joint literals read infI with an index")
-        return StagePoint(n, index, None)
+        return stages.StagePoint(n, index, None)
     if not (stripped.startswith("(") and stripped.endswith(")")):
         raise ParseError("expected infI or (i| POINT)", position=lead)
     # no tower, long or ordinal literal contains '|': the first one separates
@@ -319,15 +318,15 @@ def parse_stage_point(text, n, mode=None, kappa=None, offset=0):
         raise ParseError("inner literals read (i| POINT)", position=lead)
     index = _parse_int(index_text, lead + 1)
     body_off = lead + 2 + len(index_text)
-    if mode == TOWER_MODE:
+    if mode == tokens.TOWER_MODE:
         if kappa is None:
             raise ParseError("tower points need a level", position=body_off)
         point = parse_tower_point(body, kappa, body_off)
-    elif mode == LONG_MODE:
+    elif mode == tokens.LONG_MODE:
         point = parse_long_point(body, body_off)
     else:
         raise ParseError("inner points need a tower or long mode", position=body_off)
-    return StagePoint(n, index, point)
+    return stages.StagePoint(n, index, point)
 
 
 def parse_thread(p, text, mode=None, kappa=None, offset=0):
@@ -343,9 +342,9 @@ def parse_thread(p, text, mode=None, kappa=None, offset=0):
     if thread is not None:
         return thread
     pieces = _split_top(text, ";", offset)
-    points = [parse_stage_point(piece, stage_size(p, level), mode, kappa, start)
+    points = [parse_stage_point(piece, stages.stage_size(p, level), mode, kappa, start)
               for level, (piece, start) in enumerate(pieces, start=1)]
-    return Thread(tuple(p), tuple(points))
+    return stages.Thread(tuple(p), tuple(points))
 
 
 def _printed_thread(p, text, mode, kappa, offset):
@@ -377,7 +376,7 @@ def _printed_thread(p, text, mode, kappa, offset):
         first = parse_stage_point(head + indices[0] + tail, next(sizes), mode, kappa, offset)
     except Exception:  # read again level by level, which owns the error
         return None
-    return Thread(p, [first, *(StagePoint(n, int(i), first.inner)
+    return stages.Thread(p, [first, *(stages.StagePoint(n, int(i), first.inner)
                                for i, n in zip(indices[1:], sizes))])
 
 
@@ -389,7 +388,7 @@ def parse_descriptor(text, offset=0):
         )
     prefix = _parse_int_list(*pieces[0], allow_empty=True)
     cycle = _parse_int_list(*pieces[1], allow_empty=False)
-    return SequenceDescriptor(prefix, cycle)
+    return cohomology.SequenceDescriptor(prefix, cycle)
 
 
 def parse_rational(text, offset=0):
@@ -398,6 +397,8 @@ def parse_rational(text, offset=0):
     positioned ``representation-overflow``."""
     stripped = text.strip()
     lead = offset + len(text) - len(text.lstrip())
+    from fractions import Fraction
+
     num_text, slash, den_text = stripped.partition("/")
     if not any(ch.isspace() for ch in stripped):
         try:
@@ -410,6 +411,8 @@ def parse_rational(text, offset=0):
 
 
 def _parse_position(text, n, offset):
+    from fractions import Fraction
+
     pieces = _split_top(text, "+", offset)
     if not 1 <= len(pieces) <= 2:
         raise ParseError("positions read I or I+N/D", position=offset)
@@ -431,6 +434,8 @@ def _read_position(text, n, offset):
     (another form, a number past the digit limit, a copy index past n, or
     an offset outside [0, 1)) is read by ``_parse_position``, which owns
     every error."""
+    from fractions import Fraction
+
     match = _POSITION.fullmatch(text)
     limit = sys.get_int_max_str_digits()
     if match and not (limit and len(text) > limit):
@@ -449,7 +454,7 @@ def parse_arc(text, n, offset=0):
     halves = text.split("..")
     if len(halves) != 2:
         raise ParseError("arcs read START..END", position=offset)
-    return Arc(n, _read_position(halves[0], n, offset),
+    return arcs.Arc(n, _read_position(halves[0], n, offset),
                _read_position(halves[1], n, offset + len(halves[0]) + 2))
 
 

@@ -60,7 +60,8 @@ from .longline import (
     is_ng,
     same_orbit_recipe,
 )
-from .tokens import IDENTITY_TOKEN
+# the modes are read here too, as stages.LONG_MODE and stages.TOWER_MODE
+from .tokens import IDENTITY_TOKEN, LONG_MODE, RECIPE, TOWER_MODE
 from .tower import (
     MIN,
     Address,
@@ -70,12 +71,6 @@ from .tower import (
     strip_top,
     within_copy_hat,
 )
-
-RECIPE = "recipe"
-
-# what the parsers read a thread's inner points as
-TOWER_MODE = "tower"
-LONG_MODE = "long"
 
 
 class StagePoint(Record):

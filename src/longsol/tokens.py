@@ -11,9 +11,19 @@ level 1, where there is an order for one), and is undefined elsewhere
 point one level up, inside each top-integer copy.  Evaluation lives in
 :mod:`longsol.stages`; a token carries no shift, which a recipe keeps in
 ``HomeoRecipe.translate_by``.
+
+The names ``cli`` and the readers share with ``stages`` live here too, so
+that reading them runs no ``stages``: the modes a thread's inner points
+are read in, and the status of a synthesized recipe.
 """
 
 from .errors import Record
+
+# what the parsers read a thread's inner points as
+TOWER_MODE = "tower"
+LONG_MODE = "long"
+# the status of a synthesis that found a recipe
+RECIPE = "recipe"
 
 
 class IntervalAutToken(Record):

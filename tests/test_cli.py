@@ -415,6 +415,54 @@ def test_cohomology(capsys):
     )
 
 
+def _answer(*argv):
+    """The JSON answer of a call that must succeed."""
+    code, out = call(argv)
+    assert code == 0, (argv, out)
+    return json.loads(out)
+
+
+def _descriptor(prefix, cycle):
+    return "%s:%s" % (",".join(map(str, prefix)), ",".join(map(str, cycle)))
+
+
+bond_lists = st.lists(st.integers(2, 40), max_size=3)
+bond_cycles = st.lists(st.integers(2, 40), min_size=1, max_size=3)
+
+
+@st.composite
+def group_elements(draw, prefix, cycle):
+    """A numerator over the product of the first few bonding entries."""
+    level = draw(st.integers(0, 6))
+    entries = (prefix + cycle * level)[:level]
+    return F(draw(st.integers(-60, 60)), prod(entries))
+
+
+@given(st.data(), bond_lists, bond_cycles)
+def test_member_is_closed_under_sum_and_negation(data, prefix, cycle):
+    # values go as --r=VALUE: "--r -24/5" would read -24/5 as a flag
+    s = _descriptor(prefix, cycle)
+    a = data.draw(group_elements(prefix, cycle))
+    b = data.draw(group_elements(prefix, cycle))
+    for r in (a, -a):
+        assert _answer("cohomology", "member", "--s", s, "--r=%s" % r) == {"member": True}
+    value = _answer("cohomology", "sum", "--s", s, "--a=%s" % a, "--b=%s" % b)["value"]
+    assert F(value) == a + b
+    assert _answer("cohomology", "member", "--s", s, "--r=" + value) == {"member": True}
+
+
+@given(bond_lists, bond_lists, bond_cycles, st.integers(0, 2))
+def test_invariant_keeps_its_infinite_part(prefix, other, cycle, turn):
+    # a changed finite prefix, or a rotated cycle, keeps the cycle's primes
+    def infinite(prefix, cycle):
+        return _answer("cohomology", "invariant", "--s", _descriptor(prefix, cycle))["infinite"]
+
+    rotated = cycle[turn % len(cycle):] + cycle[:turn % len(cycle)]
+    want = infinite(prefix, cycle)
+    assert infinite(other, cycle) == want
+    assert infinite(prefix, rotated) == want
+
+
 def test_cohomology_large_numbers(capsys):
     # past the exact primality range (about 3.3e24), found factors prove it
     for base, exponent in ((1009, 12), (17, 30)):
@@ -558,12 +606,12 @@ def test_readme_examples(capsys):
 
 
 def test_internal_error_contract(capsys, monkeypatch):
-    from longsol import cli
+    from longsol import cohomology
 
     def boom(m, n):
         raise RuntimeError("wires crossed")
 
-    monkeypatch.setattr(cli, "h1_action", boom)
+    monkeypatch.setattr(cohomology, "h1_action", boom)
     code, doc = run(capsys, "cohomology", "degree", "--m", "1", "--n", "1")
     assert code == 2
     assert doc["error"]["code"] == "internal"
@@ -1052,6 +1100,15 @@ def test_listing_json_escapes_template_as_json_dumps_does():
                             ((1, 3), ones), ((1500,), wide)):
         extension = _Listing(t, root, exponents, StagePoint(2, 1))
         assert _listing_json(extension) == json.dumps(want)
+
+
+def test_render_sorts_the_keys_of_values_beside_a_listing():
+    # each value beside a listing is written by its own json.dumps, which
+    # sorts a nested dict's keys as the whole document's json.dumps does
+    fiber = _Listing("(%d| w)", "", (3,), StagePoint(2, 1))
+    doc = {"z": {"b": [1, {"y": 2, "x": 3}], "a": None}, "points": fiber, "k": 1}
+    written = dict(doc, points=json.loads(_listing_json(fiber)))
+    assert cli._render(doc) == json.dumps(written, sort_keys=True)
 
 
 def _descendants(template, root, exponents, top):

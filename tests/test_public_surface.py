@@ -8,6 +8,7 @@ only in ``python3 -m pytest bench``.
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -15,6 +16,8 @@ import types
 from pathlib import Path
 
 import longsol
+from golden_replay import load
+from longsol.cli import COMMANDS
 from longsol.errors import Record
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -149,3 +152,48 @@ def test_cli_import_loads_every_layer_and_no_dataclasses():
     loaded = set(run.stdout.split())
     assert not {"dataclasses", "inspect", "argparse", "gettext"} & loaded
     assert {"longsol." + layer for layer in bench_tracing().LAYER_FUNCTIONS} <= loaded
+
+
+# The library modules the first golden argv of each leaf (a README example)
+# runs beside the ones every call runs, and whether it imports fractions.
+EVERY_CALL = ("cli", "errors", "ordinal", "parsing")
+STAGES = "longline stages tokens tower"
+LAYERS_RUN = {
+    "ord": ("", False),
+    "classify": ("tokens tower", True),
+    "orbit": (STAGES, True),
+    "fiber": (STAGES, True),
+    "thread verify": (STAGES, True),
+    "thread extend": (STAGES, True),
+    "indecomp": ("arcs", True),
+    "chain-check": ("arcs", True),
+    "cohomology invariant": ("cohomology", False),
+    "cohomology equiv": ("cohomology", False),
+    "cohomology member": ("cohomology", True),
+    "cohomology sum": ("cohomology", True),
+    "cohomology degree": ("cohomology", False),
+}
+RAN = """import json, sys, types
+from longsol.cli import main
+code = main(sys.argv[1:])
+ran = sorted(name[8:] for name, module in sys.modules.items()
+             if name.startswith("longsol.") and type(module) is types.ModuleType)
+print(json.dumps([code, ran, "fractions" in sys.modules]), file=sys.stderr)
+"""
+
+
+def test_each_leaf_runs_only_the_layers_it_reaches():
+    # a layer is registered lazily and runs at its first attribute read;
+    # until then it is an instance of a subclass of ModuleType
+    assert set(LAYERS_RUN) == {path for path, *_ in COMMANDS}
+    env = {k: v for k, v in os.environ.items() if not k.startswith("LONGSOL_")}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    entries = [entry for entry in load() if not entry["env"]]
+    for path, (layers, fractions) in LAYERS_RUN.items():
+        entry = next(entry for entry in entries
+                     if entry["argv"][:path.count(" ") + 1] == path.split())
+        run = subprocess.run([sys.executable, "-S", "-c", RAN, *entry["argv"]], env=env,
+                             capture_output=True, text=True, check=True)
+        assert run.stdout == entry["stdout"], path
+        assert json.loads(run.stderr) == [
+            entry["code"], sorted((*EVERY_CALL, *layers.split())), fractions], path

@@ -5,7 +5,7 @@ instructions.  Given the same tree on both sides (an A/A run) it must
 find no differing output, and its instruction counts, taken under a fixed
 ``PYTHONHASHSEED``, must be equal on every subcommand: the count is
 meant to be the instrument that does not move between two runs of one
-tree.
+tree.  On ``cli_cold`` it runs a fresh interpreter per query and side.
 """
 
 import importlib.util
@@ -52,6 +52,23 @@ def test_ab_workers_reads_argvs_from_a_file(tmp_path):
     header = next(i for i, line in enumerate(lines) if line.startswith("subcommand"))
     assert {line.split()[0] for line in lines[header + 1:-1]} == {
         "ord", "fiber", "(none)", "thread", "total"}
+
+
+def test_ab_workers_times_fresh_interpreters_alike():
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab_workers.py"), str(ROOT), str(ROOT),
+         "--workload", "cli_cold", "--blocks", "1", "--passes", "1"],
+        capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    queries = int(lines[0].split()[0])
+    assert lines[0].endswith("cli_cold, seed 1") and queries > 0
+    assert lines[2].endswith("no instruction count is taken")
+    assert lines[-1] == "differing outputs: 0"
+    header = next(i for i, line in enumerate(lines) if line.startswith("subcommand"))
+    total = lines[-2].split()
+    assert total[:2] == ["total", str(queries)]
+    assert len(lines[header + 1:-1]) > 2
 
 
 @pytest.mark.parametrize("argv, leaf", [
