@@ -34,6 +34,9 @@ rho (Brent, BIT 1980) from fixed start values splits the rest.  One step
 budget per call pays for the gcds and rho; a cofactor rho does not split
 within it raises ``representation-overflow``; no factorisation is ever
 guessed.
+
+Only the functions that build a ``Fraction`` import ``fractions``, as in
+``parsing``, so ``invariant``, ``equiv`` and ``degree`` never import it.
 """
 
 import functools
@@ -259,9 +262,9 @@ def member(s, r):
     """Is the rational r = a/b in the subgroup of Q the sequence generates,
     that is, does b divide a partial product?  Cycle primes come with any
     multiplicity, so iff b stripped of them divides the prefix product."""
-    from fractions import Fraction
+    import fractions
 
-    r = Fraction(r)
+    r = fractions.Fraction(r)
     return _product(s.prefix) % _strip(r.denominator, _product(s.cycle)) == 0
 
 
@@ -276,18 +279,18 @@ class DirectLimitElement(Record):
 
 def dl_element(s, level, numerator):
     """The canonical form of numerator over the product of `level` exponents."""
-    from fractions import Fraction
+    import fractions
 
     if level < 0:
         raise InvalidPointError("levels are non-negative")
-    return dl_of_rational(s, Fraction(numerator, s.partial_product(level)))
+    return dl_of_rational(s, fractions.Fraction(numerator, s.partial_product(level)))
 
 
 def dl_value(s, u):
     """The rational the element denotes."""
-    from fractions import Fraction
+    import fractions
 
-    return Fraction(u.numerator, s.partial_product(u.level))
+    return fractions.Fraction(u.numerator, s.partial_product(u.level))
 
 
 def dl_add(s, u, v):
@@ -297,9 +300,9 @@ def dl_add(s, u, v):
 
 def _in_group(s, r):
     """r as a Fraction, which must belong to the group of s."""
-    from fractions import Fraction
+    import fractions
 
-    r = Fraction(r)
+    r = fractions.Fraction(r)
     if not member(s, r):
         raise StageDomainError("%s is not in the group of %s" % (r, s))
     return r

@@ -36,6 +36,14 @@ returning None), so every value is the general reader's and every error,
 message and position comes from it (a printed thread too deep for p
 meets the same ``Thread`` refusal).  The fast readers stay because each
 is several times faster than the general reader on the text it takes.
+
+The readers reach the classes they build as attributes of their modules
+(``stages.Thread``), and a function that builds a ``Fraction`` imports
+``fractions`` itself, so a call runs only the modules its literals need:
+reading ordinals runs neither ``stages`` nor ``fractions`` (see the
+package docstring).  The import is ``import fractions``: inside a
+function, ``from fractions import Fraction`` costs about 1 µs per call
+under Python 3.10 and 3.11, and ``import fractions`` about 0.15 µs.
 """
 
 import re
@@ -193,7 +201,7 @@ def _read_exponent(t, i, nest):
 
 def _parse_unit_fraction(text, offset):
     """``N/D`` with 0 <= N/D < 1, read from the first four tokens."""
-    from fractions import Fraction
+    import fractions
 
     tokens = [(m[1], offset + m.start(1)) for m in islice(_TOKEN.finditer(text), 4)]
     tokens += [("", offset + len(text))] * (4 - len(tokens))
@@ -206,7 +214,7 @@ def _parse_unit_fraction(text, offset):
         raise ParseError("unexpected trailing input", position=at_rest)
     if den == 0:
         raise ParseError("zero denominator", position=at_slash + 1)
-    value = Fraction(num, den)
+    value = fractions.Fraction(num, den)
     if not 0 <= value < 1:
         raise ParseError("unit offsets lie in [0, 1)", position=offset)
     return value
@@ -215,7 +223,7 @@ def _parse_unit_fraction(text, offset):
 def _parse_summands(text, offset, allow_block):
     """Shared reader for `[w1*(ORD) +] ORD parts + [N/D]` sums: the block
     count, the sum of the ORD parts and the unit offset, each 0 if absent."""
-    from fractions import Fraction
+    import fractions
 
     gamma = None
     rho = []
@@ -242,7 +250,7 @@ def _parse_summands(text, offset, allow_block):
                 raise ParseError("the unit offset must come last", position=lead)
             rho.append(parse_ordinal(stripped, lead))
     return (ZERO if gamma is None else gamma, add(*rho),
-            Fraction(0) if frac is None else frac)
+            fractions.Fraction(0) if frac is None else frac)
 
 
 def parse_long_point(text, offset=0):
@@ -397,21 +405,21 @@ def parse_rational(text, offset=0):
     positioned ``representation-overflow``."""
     stripped = text.strip()
     lead = offset + len(text) - len(text.lstrip())
-    from fractions import Fraction
+    import fractions
 
     num_text, slash, den_text = stripped.partition("/")
     if not any(ch.isspace() for ch in stripped):
         try:
             num = _parse_int(num_text, lead)
             den = _decimal(den_text, lead + len(num_text) + 1, "") if slash else 1
-            return Fraction(num, den)
+            return fractions.Fraction(num, den)
         except (ParseError, ZeroDivisionError):
             pass
     raise ParseError("expected a rational N/D", position=offset)
 
 
 def _parse_position(text, n, offset):
-    from fractions import Fraction
+    import fractions
 
     pieces = _split_top(text, "+", offset)
     if not 1 <= len(pieces) <= 2:
@@ -419,7 +427,7 @@ def _parse_position(text, n, offset):
     copy = _parse_int(*pieces[0])
     if not 0 <= copy < n:
         raise ParseError("copy index out of range", position=pieces[0][1])
-    frac = Fraction(0)
+    frac = fractions.Fraction(0)
     if len(pieces) == 2:
         frac = _parse_unit_fraction(*pieces[1])
     return copy + frac
@@ -434,7 +442,7 @@ def _read_position(text, n, offset):
     (another form, a number past the digit limit, a copy index past n, or
     an offset outside [0, 1)) is read by ``_parse_position``, which owns
     every error."""
-    from fractions import Fraction
+    import fractions
 
     match = _POSITION.fullmatch(text)
     limit = sys.get_int_max_str_digits()
@@ -443,10 +451,10 @@ def _read_position(text, n, offset):
         copy = int(copy)
         if copy < n:
             if num is None:
-                return Fraction(copy)
+                return fractions.Fraction(copy)
             num, den = int(num), int(den)
             if num < den:
-                return Fraction(copy * den + num, den)
+                return fractions.Fraction(copy * den + num, den)
     return _parse_position(text, n, offset)
 
 
