@@ -385,7 +385,7 @@ def _printed_thread(p, text, mode, kappa, offset):
     except Exception:  # read again level by level, which owns the error
         return None
     return stages.Thread(p, [first, *(stages.StagePoint(n, int(i), first.inner)
-                               for i, n in zip(indices[1:], sizes))])
+                                      for i, n in zip(indices[1:], sizes))])
 
 
 def parse_descriptor(text, offset=0):
@@ -403,10 +403,10 @@ def parse_rational(text, offset=0):
     """A rational ``[-]N[/D]`` with D > 0 and whitespace only around it.  N
     and D go through the one digit reader, so an overlong one fails with a
     positioned ``representation-overflow``."""
-    stripped = text.strip()
-    lead = offset + len(text) - len(text.lstrip())
     import fractions
 
+    stripped = text.strip()
+    lead = offset + len(text) - len(text.lstrip())
     num_text, slash, den_text = stripped.partition("/")
     if not any(ch.isspace() for ch in stripped):
         try:

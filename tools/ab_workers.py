@@ -5,12 +5,12 @@
 
 OLD and NEW are two longsol checkouts.  One ``bench/child.py worker`` runs
 from each, with that tree's ``src`` on PYTHONPATH, PYTHONDONTWRITEBYTECODE=1
-and the workload's ``LONGSOL_*`` bounds.  The queries are the first B blocks of the workload
-(seed S, from NEW's ``bench/workloads.py``), sent K times over; with
-``--argvs``, they are the argvs of FILE, a JSON list, such as drawn
-irregular argvs, which no workload sends.  Each query goes to both workers
-in turn, and which goes first alternates, so both sides see the same load
-on the machine at nearly the same moment.
+and the workload's ``LONGSOL_*`` bounds.  The queries are the first B
+blocks of the workload (seed S, from NEW's ``bench/workloads.py``), sent K
+times over; with ``--argvs``, they are the argvs of FILE, a JSON list,
+such as drawn irregular argvs, which no workload sends.  Each query goes
+to both workers in turn, and which goes first alternates, so both sides
+see the same load on the machine at nearly the same moment.
 
 It prints each tree's ``src/longsol/*.py`` line count (as ``wc -l``
 counts), the CPU seconds of ``main()`` summed per subcommand, NEW over OLD
@@ -160,11 +160,12 @@ def main(argv=None):
     warm = [q.argv for q in workloads.Gen(args.seed + 1_000_003).one_of_each()]
 
     cold = workload.subprocess  # a fresh interpreter per query: nothing to warm
-    workers = [] if cold else [Worker(tree, workload.env) for tree in trees]
     if cold:
+        workers = []
         ask = [functools.partial(cold_call, tree, tree_env(tree, workload.env))
                for tree in trees]
     else:
+        workers = [Worker(tree, workload.env) for tree in trees]
         ask = [w.request for w in workers]
     cpu = defaultdict(lambda: [0.0, 0.0])
     wall = defaultdict(lambda: ([], []))
