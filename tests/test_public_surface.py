@@ -3,7 +3,9 @@
 ``bench/`` resolves library functions by name (the tracer wraps them with
 ``getattr``), imports values from ``longsol`` and reads ``longsol.cli``'s
 default bounds; a removal or rename that breaks it would otherwise surface
-only in ``python3 -m pytest bench``.
+only in ``python3 -m pytest bench``.  The package runs a module at the
+first read of one of its attributes, so the last test pins which modules
+each subcommand runs in a fresh interpreter.
 """
 
 import ast
