@@ -32,14 +32,16 @@ lifts = fiber(2, 3, q)
 print("fiber over inf1:", [str(x) for x in lifts])
 print("bond sends them back:", all(x.index % 3 == q.index for x in lifts))
 
-# A thread records one point per stage.  Extending consumes the next
-# bonding exponents and branches like the Cantor set: one choice of
-# preimage per level.
-seed = Thread((2, 3, 2), (StagePoint(1, 0),))
+# A thread has one point per stage, and every bond keeps the inner
+# coordinate, so it is a copy index per stage over one inner point.
+# Extending consumes the next bonding exponents and branches like the
+# Cantor set: one choice of preimage per level.
+seed = Thread((2, 3, 2), (0,))
 for levels in (1, 2, 3):
     grown = extend_thread(seed, levels)
     print("extend by %d -> %d threads" % (levels, len(grown)))
-print("one of them:", grown[7])
+print("one of them:", grown[7], "- indices", grown[7].indices)
+print("its stage points:", [(pt.n, pt.index) for pt in grown[7].points])
 
 # Recipes: rotating the top stage by 3 forces compatible rotations
 # below, and verification replays every bond square.

@@ -24,7 +24,7 @@ import operator
 import os
 import re
 import sys
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import accumulate
 from math import prod
 from types import SimpleNamespace
@@ -140,9 +140,9 @@ class _Listing:
     """An answer's strings as the descendants of one point, written on output.
 
     A listing keeps a text ``root``, a %d ``template``, the ``exponents``
-    of its levels and the ``top`` point they grow from.  By the child rule
-    of ``stages``, child c < m of the string of index j on stage n appends
-    ``template % (j + c*n)``: a fiber is one level under exponent m with an
+    of its levels and the ``index`` on stage ``n`` they grow from.  By the
+    child rule of ``stages``, child c < m of the string of index j on
+    stage n appends ``template % (j + c*n)``: a fiber is one level under exponent m with an
     empty root, and a thread extension roots at the thread's text.  A
     listing has one writer, ``json_pieces()``; ``--format text`` reads its
     strings back from that JSON.  JSON escapes one character at a time, so
@@ -151,9 +151,9 @@ class _Listing:
     any other goes to ``_render``'s one join as two pieces per string,
     parent and suffix: no whole string is built."""
 
-    def __init__(self, template, root, exponents, top):
+    def __init__(self, template, root, exponents, index, n):
         self.template, self.root = template, root
-        self.exponents, self.top = exponents, top
+        self.exponents, self.index, self.n = exponents, index, n
 
     def json_pieces(self):
         """Strings that concatenate to the JSON array of the strings, byte
@@ -163,7 +163,7 @@ class _Listing:
             return json.dumps(text)[1:-1]
         # the strings one level above the last, with their indices
         head, tail = escape(self.template).split("%d")
-        strings, indices, n = [escape(self.root)], [self.top.index], self.top.n
+        strings, indices, n = [escape(self.root)], [self.index], self.n
         for m in self.exponents[:-1]:
             grown, later = [None] * (m * len(strings)), [None] * (m * len(strings))
             for c in range(m):  # child c of each string, every m-th place
@@ -247,7 +247,7 @@ def _cmd_fiber(args):
     joint = args.point.strip().startswith("inf")
     mode, kappa = (None, None) if joint else _mode(args)
     q = parsing.parse_stage_point(args.point, args.n, mode, kappa)
-    points = _Listing(stages.point_format(q.inner), "", (args.m,), q)
+    points = _Listing(stages.point_format(q.inner), "", (args.m,), q.index, q.n)
     return {"stage": args.m * args.n, "points": points}
 
 
@@ -260,11 +260,8 @@ def _cmd_thread_verify(args):
         if err.code in ("parse-error", "representation-overflow"):
             raise
         return {"valid": False, "reason": str(err)}
-    return {
-        "valid": True,
-        "depth": thread.depth,
-        "top_stage": thread.points[-1].n,
-    }
+    top = stages.stage_size(thread.p, thread.depth)
+    return {"valid": True, "depth": thread.depth, "top_stage": top}
 
 
 def _cmd_thread_extend(args):
@@ -273,8 +270,9 @@ def _cmd_thread_extend(args):
     if args.levels < 1:
         raise CommandError("--levels is positive")
     exps = stages.extension_exponents(thread, args.levels)
-    text = "; " + stages.point_format(thread.points[0].inner)
-    threads = _Listing(text, str(thread), exps, thread.points[-1])
+    text, top = "; " + stages.point_format(thread.inner), thread.indices[-1]
+    n = stages.stage_size(thread.p, thread.depth)
+    threads = _Listing(text, str(thread), exps, top, n)
     return {"count": prod(exps), "threads": threads}
 
 
@@ -433,9 +431,10 @@ _FORMAT = ("--format", {"choices": ("json", "text"), "default": "json",
                         "help": "output style (default json)"})
 
 
+@cache
 def build_parser():
-    """The argparse tree of ``COMMANDS``; ``main`` builds it only to print
-    help, so argparse is imported here and nowhere else."""
+    """The argparse tree of ``COMMANDS``, built once; ``main`` builds it only
+    to print help, formatted then, so argparse is imported here alone."""
     import argparse
 
     parser = argparse.ArgumentParser(prog="longsol", description=__doc__.splitlines()[0])

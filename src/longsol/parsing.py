@@ -31,11 +31,11 @@ threads are first read by a fast reader, one ``re.fullmatch``
 (``_read_position``) or one ``str.split`` for both printed forms
 (``_printed_thread``), and an ASCII integer list without '+' or '_' by
 ``str.split`` and ``int`` (``parse_exponents``).  Each fast reader hands
-any text not in its form to the general reader (``_printed_thread`` by
-returning None), so every value is the general reader's and every error,
-message and position comes from it (a printed thread too deep for p
-meets the same ``Thread`` refusal).  The fast readers stay because each
-is several times faster than the general reader on the text it takes.
+any text not in its form to the general reader, so every value is the
+general reader's and every error, message and position comes from it.
+The fast readers stay because each is several times faster than the
+general reader on the text it takes.  Both thread readers build a
+``Thread`` as it is kept, copy indices over one inner point.
 
 The readers reach the classes they build as attributes of their modules
 (``stages.Thread``), and a function that builds a ``Fraction`` imports
@@ -52,7 +52,7 @@ from itertools import accumulate, chain, islice, repeat
 from operator import mul
 
 from . import arcs, cohomology, longline, stages, tokens, tower
-from .errors import DepthBoundError, ParseError
+from .errors import DepthBoundError, ParseError, ThreadMismatchError
 from .ordinal import DEFAULT_DEPTH_BOUND, ONE, ZERO, CnfOrdinal, add, nat
 
 
@@ -341,18 +341,27 @@ def parse_thread(p, text, mode=None, kappa=None, offset=0):
     """A thread literal: stage point literals joined by ';'.
 
     Every bond keeps the inner coordinate, so a thread writes one inner
-    literal at each level.  Text in the printed form, what ``str(Thread)``
-    writes, is read at once, its body once (see ``_printed_thread``); all
-    other text, and every error in the body, is read level by level, one
-    ``parse_stage_point`` call per piece.
+    literal at each level, and is its indices over that one point.  Text
+    in the printed form, what ``str(Thread)`` writes, is read at once, its
+    body once (see ``_printed_thread``); all other text, and every error
+    in the body, is read level by level, one ``parse_stage_point`` call
+    per piece.  A level whose inner point differs fails to bond there.
     """
     thread = _printed_thread(p, text, mode, kappa, offset)
     if thread is not None:
         return thread
-    pieces = _split_top(text, ";", offset)
-    points = [parse_stage_point(piece, stages.stage_size(p, level), mode, kappa, start)
-              for level, (piece, start) in enumerate(pieces, start=1)]
-    return stages.Thread(tuple(p), tuple(points))
+    p = stages._exponents(p, 0)  # so every stage size below is >= 1
+    sizes = accumulate(chain(p, repeat(1)), mul, initial=1)  # as stage_size
+    points = [parse_stage_point(piece, n, mode, kappa, start)
+              for (piece, start), n in zip(_split_top(text, ";", offset), sizes)]
+    stages._exponents(p, len(points))  # the depth fails before any bond
+    inner = points[0].inner
+    moved = next((k for k, pt in enumerate(points) if pt.inner != inner), len(points))
+    thread = stages.Thread(p, [pt.index for pt in points[:moved]], inner)  # lower bonds
+    if moved < len(points):
+        raise ThreadMismatchError(
+            "level %d point does not bond onto level %d" % (moved + 1, moved))
+    return thread
 
 
 def _printed_thread(p, text, mode, kappa, offset):
@@ -365,12 +374,10 @@ def _printed_thread(p, text, mode, kappa, offset):
     follows the last ``"| "``.  So one split, of the text between the
     first head and the last tail at ``tail; head``, gives the indices.
     The first piece is read by ``parse_stage_point``, as the per-level
-    reader reads it.  A body that reads holds no '|' and is
-    bracket-balanced, so that reader would split the text into the same
-    pieces and read the same index and body from each.  The points (on
-    the stages ``stage_size`` gives, past p too) and the thread are built
-    as it builds them, so their errors are its errors; an error while
-    reading the first piece answers None.
+    reader reads it; an error there answers None.  A body that reads holds
+    no '|' and is bracket-balanced, so that reader would split the text
+    into the same pieces, read the same index and body from each and build
+    the same thread, with the same errors.
     """
     head, tail = "inf", ""
     if text.startswith("("):
@@ -379,13 +386,11 @@ def _printed_thread(p, text, mode, kappa, offset):
     if not (text.startswith(head) and text.endswith(tail)
             and all(i.isascii() and i.isdigit() and len(i) < 19 for i in indices)):
         return None
-    sizes = accumulate(chain(p, repeat(1)), mul, initial=1)  # as stage_size
     try:
-        first = parse_stage_point(head + indices[0] + tail, next(sizes), mode, kappa, offset)
+        first = parse_stage_point(head + indices[0] + tail, 1, mode, kappa, offset)
     except Exception:  # read again level by level, which owns the error
         return None
-    return stages.Thread(p, [first, *(stages.StagePoint(n, int(i), first.inner)
-                                      for i, n in zip(indices[1:], sizes))])
+    return stages.Thread(p, map(int, indices), first.inner)
 
 
 def parse_descriptor(text, offset=0):

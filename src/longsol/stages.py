@@ -5,7 +5,8 @@ end to end, with joints inf_0 .. inf_(n-1) between consecutive copies.
 The bonding map from the stage of size m*n down to size n sends joint
 inf_i to inf_(i mod n) and keeps within-copy coordinates; it is an m-fold
 covering.  A thread is a finite-depth point of the inverse limit: one
-point per stage, each mapped to the previous one by its bond.
+point per stage, each mapped to the previous one by its bond.  Bonds
+keep the inner point, so a ``Thread`` is a copy index per stage over it.
 
 Homeomorphism recipes act level by level as a rotation composed with an
 optional top-integer translation and a hat, where the hat applies one
@@ -17,31 +18,30 @@ on a finite verification set: the joints, and for the thread a recipe is
 checked against, that thread's point and the integer stops of its level
 (see ``verify_commutes``; a stop fails where the thread's point does not
 only under a token at the stops' own level, which fails first at [-8]
-or [-7], so only those two are evaluated).  Bonds keep the inner
-coordinate, and translation and hat ignore copy and level, so the square
-at level k commutes at a point exactly when rotations[k] = rotations[k-1]
-(mod n_k) and the hat and translation are defined at its inner
-coordinate.  A thread has one inner coordinate, so applying or verifying
-a recipe evaluates it once.  Synthesis from a pair of threads, decided by
-the class of their inner points, answers with a recipe, a distinctness
+or [-7], so only those two are evaluated).  Translation and hat ignore
+copy and level, so the square at level k commutes at a point exactly
+when rotations[k] = rotations[k-1] (mod n_k) and the hat and translation
+are defined at its inner coordinate, which applying or verifying a
+recipe evaluates once.  Synthesis from a pair of threads, decided by the
+class of their inner points, answers with a recipe, a distinctness
 proof, or unknown; conjectural cases are never upgraded.
 
-Bonds keep the within-copy coordinate x, so fibers and extensions are
-index arithmetic, by one child rule: under exponent m, the children of
-index j on stage n are j + c*n for c < m, in that order.  The fiber of
-(i| x) onto stage m*n is those children of i (``fiber``), and extending
-a thread with top index t on stage n_d applies the rule level by level
-under the exponents ``extension_exponents`` returns, so its tops are the
-j = t (mod n_d), ordered by their per-level indices.
+Fibers and extensions are index arithmetic, by one child rule: under
+exponent m, the children of index j on stage n are j + c*n for c < m, in
+that order.  The fiber of (i| x) onto stage m*n is those children of i
+(``fiber``), and extending a thread with top index t on stage n_d applies
+the rule level by level under the exponents ``extension_exponents``
+returns, so its tops are the j = t (mod n_d), ordered by their per-level
+indices.
 
 Within-copy points are either tower points (finite level, integer
 addresses) or long-line points.  Both endpoints of each copy are
 identified into joints, so inner points exclude them.
 """
 
-from itertools import accumulate
+from itertools import accumulate, islice
 from math import prod
-from operator import mul
+from operator import add, mod, mul, sub
 
 from .errors import (
     InvalidPointError,
@@ -158,42 +158,42 @@ def stage_size(p_seq, level):
 
 
 class Thread(Record):
-    """A finite-depth inverse-limit point over the bonding exponents p.
+    """A finite-depth inverse-limit point over the bonding exponents p: its
+    copy index on each stage from size 1 down, each bonding onto the one
+    before, over one inner point (None: joints).  The exponent list may
+    extend past the depth; extension consumes it."""
 
-    points[0] lives on the size-1 stage and each deeper point maps onto
-    the previous one under its bond.  The exponent list may extend past
-    the current depth; extension consumes it.
-    """
-
-    def __init__(self, p=(), points=()):
-        self.__dict__.update(p=p, points=tuple(points))
+    def __init__(self, p=(), indices=(), inner=None):
+        self.__dict__.update(p=p, indices=tuple(indices), inner=inner)
         self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "p", _exponents(self.p, len(self.points)))
-        if not self.points:
+        object.__setattr__(self, "p", _exponents(self.p, len(self.indices)))
+        if not self.indices:
             raise ThreadMismatchError("threads carry at least one point")
-        sizes = accumulate(self.p, mul, initial=1)
-        for idx, (pt, want) in enumerate(zip(self.points, sizes)):
-            if pt.n != want:
+        if not all(type(i) is int for i in self.indices):  # no bool
+            raise StageDomainError("copy indices are integers")
+        _check_inner(self.inner)
+        sizes = list(accumulate(islice(self.p, len(self.indices) - 1), mul, initial=1))
+        indices = tuple(map(mod, self.indices, sizes))
+        for k in range(1, len(indices)):
+            if indices[k] % sizes[k - 1] != indices[k - 1]:
                 raise ThreadMismatchError(
-                    "level %d point lives on stage %d, expected %d"
-                    % (idx + 1, pt.n, want)
-                )
-        for idx, (low, high) in enumerate(zip(self.points, self.points[1:])):
-            if high.index % low.n != low.index or (
-                    high.inner is not low.inner and high.inner != low.inner):
-                raise ThreadMismatchError(
-                    "level %d point does not bond onto level %d" % (idx + 2, idx + 1)
-                )
+                    "level %d point does not bond onto level %d" % (k + 1, k))
+        object.__setattr__(self, "indices", indices)
 
     @property
     def depth(self):
-        return len(self.points)
+        return len(self.indices)
+
+    @property
+    def points(self):
+        """The StagePoint of each level, built on each read."""
+        sizes = accumulate(self.p, mul, initial=1)
+        return tuple(StagePoint(n, i, self.inner) for i, n in zip(self.indices, sizes))
 
     def __str__(self):
-        template = point_format(self.points[0].inner)
-        return "; ".join(template % pt.index for pt in self.points)
+        return "; ".join(map(point_format(self.inner).__mod__, self.indices))
 
 
 def extension_exponents(thread, levels):
@@ -214,13 +214,11 @@ def extend_thread(thread, levels):
     """All compatible extensions by the next `levels` bonding exponents, by
     the child rule: lexicographic in the per-level indices, not ascending
     in the top index (over p = 2,2 the tops run 0, 2, 1, 3)."""
-    stacks, top = [thread.points], thread.points[-1]
-    n = top.n
+    stacks, n = [thread.indices], stage_size(thread.p, thread.depth)
     for m in extension_exponents(thread, levels):
-        stacks = [pts + (StagePoint(m * n, pts[-1].index + c * n, top.inner),)
-                  for pts in stacks for c in range(m)]
+        stacks = [ix + (ix[-1] + c * n,) for ix in stacks for c in range(m)]
         n *= m
-    return [Thread(thread.p, pts) for pts in stacks]
+    return [Thread(thread.p, ix, thread.inner) for ix in stacks]
 
 
 class HomeoRecipe(Record):
@@ -304,11 +302,8 @@ def apply_recipe(recipe, thread):
     """Map the thread's one inner coordinate once and rotate each level by
     its offset; the image is re-checked as a thread."""
     _check_thread(recipe, thread)
-    image = _map_inner(recipe.hat, recipe.translate_by, thread.points[0].inner)
-    return Thread(thread.p, (
-        StagePoint(pt.n, pt.index + l, image)
-        for pt, l in zip(thread.points, recipe.rotations)
-    ))
+    image = _map_inner(recipe.hat, recipe.translate_by, thread.inner)
+    return Thread(thread.p, map(add, thread.indices, recipe.rotations), image)
 
 
 def verify_commutes(recipe, thread=None):
@@ -338,7 +333,7 @@ def verify_commutes(recipe, thread=None):
         return True, None
     hat, k = recipe.hat, recipe.translate_by
     if thread is not None:
-        x = thread.points[0].inner
+        x = thread.inner
         if isinstance(x, TowerPoint) and hat.kappa == x.kappa >= 2:
             for z in (-8, -7):
                 _map_inner(hat, k, TowerPoint(x.kappa, Address((z,))))
@@ -368,7 +363,7 @@ def _check_same_shape(x, y):
         raise ThreadMismatchError("threads differ in depth")
     if x.p != y.p:
         raise ThreadMismatchError("threads differ in bonding exponents")
-    a, b = x.points[0].inner, y.points[0].inner
+    a, b = x.inner, y.inner
     if a is None or b is None:
         return
     if type(a) is not type(b):
@@ -389,7 +384,7 @@ def synthesize_recipe(x, y):
     not covered by a recorded proof stay unknown.
     """
     _check_same_shape(x, y)
-    a, b = x.points[0].inner, y.points[0].inner
+    a, b = x.inner, y.inner
     shift, hat = 0, IDENTITY_TOKEN  # what all-joint threads keep
     if (a is None) != (b is None):
         inner = b if a is None else a
@@ -406,5 +401,5 @@ def synthesize_recipe(x, y):
         if answer.status != SAME:
             return SynthesisResult(UNKNOWN)
         hat = answer.token
-    rotations = tuple(v.index - u.index for u, v in zip(x.points, y.points))
+    rotations = tuple(map(sub, y.indices, x.indices))
     return SynthesisResult(RECIPE, HomeoRecipe(x.p, rotations, shift, hat))

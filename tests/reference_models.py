@@ -32,6 +32,9 @@ implementation:
   sharing no code with the library's fiber rule;
 * bond-compatibility of a recipe comes from checking every copy of every
   stage, joints and integer stops alike, instead of copy 0 alone;
+* a thread is checked level by level (``ref_thread``): each point on the
+  stage its level gives, and each bonding onto the one before it, index
+  and inner point alike, instead of as copy indices over one inner point;
 * a recipe's image of a thread comes from mapping each level's point by
   that level's own map, instead of mapping the one inner coordinate once;
 * a hat's value comes from the token's own assertions, with a point one
@@ -52,13 +55,15 @@ implementation:
   flattened one item at a time, instead of from a template escaped once
   and a join over the indices;
 * an argv's namespace, error message or help text comes from argparse
-  itself, the tree ``cli.build_parser()`` prints help with, instead of from
-  the command line's own reader of ``COMMANDS``.
+  itself, over a tree built as ``cli.build_parser()`` builds the one it
+  prints help with, instead of from the command line's own reader of
+  ``COMMANDS``.
 """
 
 import argparse
 import json
 import sys
+from collections import namedtuple
 from contextlib import redirect_stdout
 from fractions import Fraction
 from io import StringIO
@@ -75,7 +80,7 @@ from longsol import (
     DirectLimitElement,
     ParseError,
     StagePoint,
-    Thread,
+    ThreadMismatchError,
     TokenUndefinedError,
     TowerPoint,
     UnsupportedTranslationError,
@@ -491,7 +496,7 @@ def level_map(recipe, level):
 def ref_apply_recipe(recipe, thread):
     """Each level's point of a thread of the recipe's depth and exponents
     through its own level map, checked as a thread."""
-    return Thread(thread.p, [
+    return ref_thread(thread.p, [
         level_map(recipe, level)(pt) for level, pt in enumerate(thread.points, 1)
     ])
 
@@ -700,13 +705,50 @@ def ref_split_top(text, sep, offset=0):
     return [(text[a:b], offset + a) for a, b in zip(starts, cuts + [len(text)])]
 
 
+RefThread = namedtuple("RefThread", "p points")
+
+
+def ref_thread(p, points):
+    """The thread through ``points``, one per level, checked by the
+    per-level rules in ``Thread``'s order and with its errors: the
+    exponents and the depth, each point's stage size, then each point
+    bonding onto the one before it, index and inner point alike.  It
+    builds no ``Thread``."""
+    p, points = tuple(p), tuple(points)
+    if not all(type(k) is int and k >= 1 for k in p):
+        raise ThreadMismatchError("bonding exponents are integers >= 1")
+    if len(p) < len(points) - 1:
+        raise ThreadMismatchError("depth %d needs at least %d bonding exponents"
+                                  % (len(points), len(points) - 1))
+    if not points:
+        raise ThreadMismatchError("threads carry at least one point")
+    for level, pt in enumerate(points, 1):
+        if pt.n != stage_size(p, level):
+            raise ThreadMismatchError("level %d point lives on stage %d, expected %d"
+                                      % (level, pt.n, stage_size(p, level)))
+    for level, (low, high) in enumerate(zip(points, points[1:]), 2):
+        if ref_bond(p[level - 2], low.n, high) != low:
+            raise ThreadMismatchError(
+                "level %d point does not bond onto level %d" % (level, level - 1))
+    return RefThread(p, points)
+
+
+def per_level(read):
+    """``read`` answering a ``Thread`` as the oracles answer: its per-level
+    ``RefThread``."""
+    def answer(*args):
+        thread = read(*args)
+        return RefThread(thread.p, thread.points)
+    return answer
+
+
 def ref_parse_thread(p, text, mode=None, kappa=None, offset=0):
     """A thread literal read one stage point literal per level, each with
-    its own ``parse_stage_point`` call."""
+    its own ``parse_stage_point`` call, then checked by ``ref_thread``."""
     points = []
     for level, (piece, start) in enumerate(ref_split_top(text, ";", offset), start=1):
         points.append(parse_stage_point(piece, stage_size(p, level), mode, kappa, start))
-    return Thread(tuple(p), tuple(points))
+    return ref_thread(p, points)
 
 
 def ref_extensions(thread, levels):
@@ -798,10 +840,11 @@ def _ref_int(text):
 
 def ref_parse_args(argv):
     """("args", the namespace's vars), ("error", the message) or ("help", the
-    help text) of ``cli.build_parser().parse_args(argv)``, with errors
+    help text) of ``cli.build_parser().parse_args(argv)``, over a tree of
+    its own, with errors
     raised instead of printed, choices worded alike on every interpreter,
     and integer flags failing as argparse words a failed conversion."""
-    parsers = [cli.build_parser()]
+    parsers = [cli.build_parser.__wrapped__()]  # a tree of its own to patch
     for parser in parsers:
         parser.error, parser._check_value = _ref_raise, _ref_check_value
         for action in parser._actions:

@@ -231,11 +231,7 @@ def _tower_point_of_type(kappa, t, rng):
 
 
 def _tower_thread(p, depth, inner, top_index):
-    pts = []
-    for level in range(1, depth + 1):
-        size = stage_size(p, level)
-        pts.append(StagePoint(size, top_index % size, inner))
-    return Thread(p, tuple(pts))
+    return Thread(p, (top_index,) * depth, inner)
 
 
 def test_05_synthesis_decisions():
@@ -301,7 +297,7 @@ def test_06_thread_extension_counts():
     start = time.perf_counter()
     failures = []
     for p in _exponent_prefixes(64):
-        seed = Thread(p, (StagePoint(1, 0),))
+        seed = Thread(p, (0,))
         grown = extend_thread(seed, len(p))
         want = 1
         for k in p:

@@ -9,6 +9,7 @@ import shlex
 import subprocess
 import sys
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from functools import lru_cache
 from fractions import Fraction as F
@@ -151,9 +152,7 @@ def censuses(draw):
         for _ in range(2):
             inner = draw(census_inners(kappa, kind))
             top = draw(st.integers(0, prod(p) - 1))
-            sizes = [prod(p[:level]) for level in range(len(p) + 1)]
-            threads.append((kind, Thread(p, tuple(StagePoint(n, top % n, inner)
-                                                  for n in sizes))))
+            threads.append((kind, Thread(p, (top,) * (len(p) + 1), inner)))
     return kappa, p, threads
 
 
@@ -910,6 +909,19 @@ def test_help_and_irregular_argvs_go_through_argparse(monkeypatch, capsys):
     assert len(built) == 1
 
 
+def test_help_tree_is_built_once_per_process(capsys):
+    # help text is still formatted at print time, so two help answers
+    # from the one tree are alike
+    assert build_parser() is build_parser()
+    answers = []
+    for _ in range(2):
+        with pytest.raises(SystemExit):
+            main(["thread", "verify", "-h"])
+        answers.append(capsys.readouterr().out)
+    assert answers[0] == answers[1]
+    assert answers[0].startswith("usage: longsol thread verify")
+
+
 # ---------------------------------------------------------------------------
 # the command line renders fiber and thread extend text from index
 # arithmetic; the library builds StagePoint and Thread objects.  Both must
@@ -977,8 +989,7 @@ def test_thread_extend_text_matches_library(p, given_depth, top, inner, data):
     given_depth = min(given_depth, len(p))
     levels = data.draw(st.integers(1, len(p) - given_depth + 1))
     flags, x = inner
-    sizes = [prod(p[:k]) for k in range(given_depth)]
-    thread = Thread(tuple(p), tuple(StagePoint(n, top, x) for n in sizes))
+    thread = Thread(tuple(p), (top,) * given_depth, x)
     argv = ["thread", "extend", "--p", ",".join(map(str, p)),
             "--points", str(thread), "--levels", str(levels)] + flags
     threads = [str(t) for t in extend_thread(thread, levels)]
@@ -1045,22 +1056,20 @@ def extensions(draw):
     while prod(p[given_depth - 1 : given_depth - 1 + levels]) > 4096:
         levels -= 1
     top = draw(st.integers(0, 65535))
-    sizes = [prod(p[:k]) for k in range(given_depth)]
-    thread = Thread(tuple(p), tuple(StagePoint(n, top, x) for n in sizes))
+    thread = Thread(tuple(p), (top,) * given_depth, x)
     return flags, thread, levels
 
 
 @settings(max_examples=40, deadline=None)
-@example(([], Thread((2,) * 12, (StagePoint(1, 0),)), 12), "json")
-@example((["--tower", "4"], Thread((2,) * 12, (StagePoint(
-    1, 0, TowerPoint(4, Address((1, -2, 3), nat(5), F(1, 3)))),)), 12), "text")
-@example(([], Thread((1, 2, 1, 3), (StagePoint(1, 0),)), 4), "json")
-@example(([], Thread((1, 2, 1, 3), (StagePoint(1, 0), StagePoint(1, 0))), 3), "text")
-@example((["--tower", "2"], Thread((3, 5), (StagePoint(1, 0, TowerPoint(
-    2, Address((7,), nat(1), F(1, 2)))), StagePoint(3, 2, TowerPoint(
-    2, Address((7,), nat(1), F(1, 2)))))), 1), "json")
-@example((["--long"], Thread((4,) * 6, (StagePoint(
-    1, 0, LongPoint(nat(2), nat(3), F(1, 2))),)), 6), "json")
+@example(([], Thread((2,) * 12, (0,)), 12), "json")
+@example((["--tower", "4"], Thread((2,) * 12, (0,), TowerPoint(
+    4, Address((1, -2, 3), nat(5), F(1, 3)))), 12), "text")
+@example(([], Thread((1, 2, 1, 3), (0,)), 4), "json")
+@example(([], Thread((1, 2, 1, 3), (0, 0)), 3), "text")
+@example((["--tower", "2"], Thread((3, 5), (0, 2), TowerPoint(
+    2, Address((7,), nat(1), F(1, 2)))), 1), "json")
+@example((["--long"], Thread((4,) * 6, (0,), LongPoint(nat(2), nat(3), F(1, 2))), 6),
+         "json")
 @given(extensions(), FORMATS)
 def test_thread_extend_renders_as_materialised(case, fmt):
     flags, thread, levels = case
@@ -1083,7 +1092,7 @@ def test_listing_json_escapes_template_as_json_dumps_does():
     # the children of index i on stage n are i, i + n, ..., past 1000 in
     # the last two
     for m, n, i in ((6, 7, 3), (1, 5, 4), (700, 3, 2), (4, 1000, 997)):
-        fiber = _Listing(template, "", (m,), StagePoint(n, i))
+        fiber = _Listing(template, "", (m,), i, n)
         want = [template % j for j in range(i, m * n, n)]
         assert _listing_json(fiber) == json.dumps(want)
     # an extension of a top point (1| ...) on stage 2 by exponents 2 and 3:
@@ -1098,22 +1107,22 @@ def test_listing_json_escapes_template_as_json_dumps_does():
     wide = [root + t % j for j in range(1, 3000, 2)]
     for exponents, want in (((2, 3), threads), ((2,), first), ((1, 1), [first[0] + t % 1]),
                             ((1, 3), ones), ((1500,), wide)):
-        extension = _Listing(t, root, exponents, StagePoint(2, 1))
+        extension = _Listing(t, root, exponents, 1, 2)
         assert _listing_json(extension) == json.dumps(want)
 
 
 def test_render_sorts_the_keys_of_values_beside_a_listing():
     # each value beside a listing is written by its own json.dumps, which
     # sorts a nested dict's keys as the whole document's json.dumps does
-    fiber = _Listing("(%d| w)", "", (3,), StagePoint(2, 1))
+    fiber = _Listing("(%d| w)", "", (3,), 1, 2)
     doc = {"z": {"b": [1, {"y": 2, "x": 3}], "a": None}, "points": fiber, "k": 1}
     written = dict(doc, points=json.loads(_listing_json(fiber)))
     assert cli._render(doc) == json.dumps(written, sort_keys=True)
 
 
-def _descendants(template, root, exponents, top):
+def _descendants(template, root, exponents, index, n):
     """The child rule applied level by level, one string at a time."""
-    strings, n = [(root, top.index)], top.n
+    strings = [(root, index)]
     for m in exponents:
         strings = [(s + template % (j + c * n), j + c * n)
                    for s, j in strings for c in range(m)]
@@ -1129,9 +1138,9 @@ ESCAPED = st.sampled_from('a "\\\x00\x1f\x7f\u00e9\u2028\ud800\U0001f600;|(')
        st.lists(st.integers(1, 3), max_size=2), st.integers(1, 1100),
        st.integers(1, 2000), st.integers(0, 10**6))
 def test_listing_writes_json_dumps_of_its_strings(root, head, tail, above, m, n, index):
-    template, top = head + "%d" + tail, StagePoint(n, index)
-    listing = _Listing(template, root, (*above, m), top)
-    want = _descendants(template, root, (*above, m), top)
+    template, index = head + "%d" + tail, index % n
+    listing = _Listing(template, root, (*above, m), index, n)
+    want = _descendants(template, root, (*above, m), index, n)
     assert _listing_json(listing) == json.dumps(want)
     assert json.loads(_listing_json(listing)) == want
 
@@ -1268,12 +1277,15 @@ def _levels(piece, sep=";"):
     return sep.join([piece] * count), count
 
 
-@pytest.mark.parametrize("piece, sep", [
-    ("(0| w+1); (1| w+1)", ";"),
-    ("(0|w+1)", ";"),
-    ("(0| %s+1/2)" % "+".join("w^%d*3" % e for e in range(149, 1, -1)), ";"),
-    ("(0| w+1)", "; "),
-], ids=["printed", "spaced", "1KiB-body", "printed-form"])
+THREAD_FAMILIES = {
+    "printed": ("(0| w+1); (1| w+1)", ";"),
+    "spaced": ("(0|w+1)", ";"),
+    "1KiB-body": ("(0| %s+1/2)" % "+".join("w^%d*3" % e for e in range(149, 1, -1)), ";"),
+    "printed-form": ("(0| w+1)", "; "),
+}
+
+
+@pytest.mark.parametrize("piece, sep", THREAD_FAMILIES.values(), ids=THREAD_FAMILIES)
 def test_longest_thread_answers_in_bounded_time(capsys, piece, sep):
     # past the levels p covers, a thread in its printed form ("; " between
     # levels, one body) is read at once; any other is read one level at a
@@ -1286,6 +1298,38 @@ def test_longest_thread_answers_in_bounded_time(capsys, piece, sep):
     assert answer == (0, {"valid": False, "reason": "depth %d needs at least %d bonding "
                                                     "exponents" % (depth, depth - 1)})
     assert elapsed < 1.0, elapsed
+
+
+# Python allocations at their peak in one call, per byte of its argv.  Every
+# thread family stays within MEMORY_MULTIPLE: with a StagePoint per level
+# the peaks were 23-125 bytes per argv byte, 125 for "spaced" (headroom
+# 1.28x; 135 under Python 3.10, headroom 1.19x).  The printed form, read as
+# indices over one inner point, stays within PRINTED_MULTIPLE: 1.8-3.6
+# (headroom 2.2x), where a StagePoint per level took 23-26.  tracemalloc,
+# Python 3.11 unless named.
+MEMORY_MULTIPLE, PRINTED_MULTIPLE = 160, 8
+
+
+@pytest.mark.parametrize("family", [*THREAD_FAMILIES, "printed-form-valid"])
+def test_longest_thread_answers_in_bounded_memory(capsys, monkeypatch, family):
+    # the last family is a valid thread in its printed form, over p all ones
+    points, count = _levels(*THREAD_FAMILIES.get(family, ("(0| w+1)", "; ")))
+    p = "2"
+    if family == "printed-form-valid":
+        p = ",".join(["1"] * (count - 1))
+        monkeypatch.setenv("LONGSOL_DEPTH", str(count))
+    argv = ["thread", "verify", "--long", "--p", p, "--points", points]
+    run(capsys, *argv[:5], "--points", "(0| w); (1| w)")  # every layer loaded
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0 and doc["valid"] == (p != "2"), doc
+    multiple = PRINTED_MULTIPLE if family.startswith("printed-form") else MEMORY_MULTIPLE
+    assert peak <= multiple * sum(len(arg.encode()) for arg in argv), peak
 
 
 TWOS = ",".join(["2"] * 999)

@@ -8,6 +8,8 @@ from operator import mul as times
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from reference_models import (
+    RefThread,
+    per_level,
     ref_parse_ordinal,
     ref_parse_thread,
     ref_parse_unit_fraction,
@@ -201,6 +203,7 @@ def test_parse_stage_point_errors():
 
 def test_parse_thread():
     t = parse_thread((2, 3), "inf0; inf1; inf3")
+    assert t == Thread((2, 3), (0, 1, 3))
     assert t.points == (StagePoint(1, 0), StagePoint(2, 1), StagePoint(6, 3))
     tower = parse_thread((2,), "(0| [3]); (1| [3])", mode="tower", kappa=2)
     assert tower.depth == 2
@@ -209,6 +212,14 @@ def test_parse_thread():
     with pytest.raises(ParseError) as err:
         parse_thread((2, 3), "inf0; infX; inf3")
     assert err.value.position == 6
+    # the lowest level that does not bond is named, whether its index or
+    # its inner point is the one that differs
+    for text, level in [("(0| [1]);(1| [2]);(4| [1]);(4| [1])", 2),
+                        ("(0| [1]);(1| [1]);(2| [1]);(3| [2])", 3),
+                        ("(0| [1]);(1| [1]);(3| [2]);(8| [1])", 3)]:
+        with pytest.raises(ThreadMismatchError, match="^level %d point does not bond onto "
+                           "level %d$" % (level, level - 1)):
+            parse_thread((2, 3, 5), text, mode="tower", kappa=2)
 
 
 def test_parse_descriptor():
@@ -348,12 +359,12 @@ def test_stage_point_round_trip(n, index, inner):
        st.integers(0, 29), st.none() | tower_points().filter(lambda x: not x.is_joint))
 def test_thread_round_trip(p, seed, inner):
     # joints, or one inner tower point at every level
-    pts = [StagePoint(1, 0, inner)]
+    indices = [0]
     size = 1
     for m in p:
+        indices.append(indices[-1] + (seed % m) * size)
         size *= m
-        pts.append(StagePoint(size, pts[-1].index + (seed % m) * (size // m), inner))
-    t = Thread(tuple(p), tuple(pts))
+    t = Thread(tuple(p), indices, inner)
     assert str(t) == "; ".join(map(str, t.points))
     mode, kappa = (None, None) if inner is None else ("tower", inner.kappa)
     assert parse_thread(tuple(p), str(t), mode, kappa) == t
@@ -382,7 +393,8 @@ def thread_literals(draw):
     """(p, text, mode, kappa): p a tuple or a list, one inner literal at
     every level, written as ``str(Thread)`` prints it or with blanks that
     vary by level, maybe one level with another inner, and maybe a bad
-    index, a joint or a malformed inner at a later level."""
+    index, an index that does not bond, a joint or a malformed inner at a
+    later level."""
     if draw(st.booleans()):
         inner, other = draw(tower_points()), draw(tower_points())
         mode, kappa = "tower", inner.kappa
@@ -399,11 +411,13 @@ def thread_literals(draw):
               for _ in range(depth)]
     if draw(st.booleans()):
         bodies[draw(st.integers(0, depth - 1))] = str(other)
-    fault = draw(st.sampled_from(["none", "index", "joint", "inner"]))
+    fault = draw(st.sampled_from(["none", "index", "bond", "joint", "inner"]))
     if fault != "none" and depth > 1:
         level = draw(st.integers(1, depth - 1))
         if fault == "index":
             indices[level] = draw(st.sampled_from(BAD_INDICES))
+        elif fault == "bond":  # from level 3 on, one more does not bond
+            indices[level] = str(int(indices[level]) + 1)
         elif fault == "inner":
             body = bodies[level]
             at = draw(st.integers(0, len(body)))
@@ -460,13 +474,19 @@ DIGITS_18, DIGITS_19 = "9" * 18, "1" * 19
 @example(((2,), "(0| ", "long", None), 0)
 @example(((2,), "(0| w); (1| ", "long", None), 0)
 @example(((), "abc1", None, None), 0)
+# two faults, hand-spaced: the inner point moves at one level and an
+# index fails to bond at another, either one lower
+@example(((2, 3, 5), "(0| [1]);(1| [2]);(4| [1]);(4| [1])", "tower", 2), 0)
+@example(((2, 3, 5), "(0| [1]);(1| [1]);(2| [1]);(3| [2])", "tower", 2), 1)
+@example(((2, 3, 5), "(0| w);(1| w);(3| w+1);(8| w)", "long", None), 2)
 # p shorter than the depth
 @example(((2,), "inf0; inf1; inf1", None, None), 0)
+@example(((2,), "(0| w);(1| w+1);(1| w)", "long", None), 0)
 @example(((), "(0| w+1); (0| w+1)", "long", None), 0)
 def test_thread_reader_matches_per_level_reader(case, offset):
     p, text, mode, kappa = case
     args = (p, text, mode, kappa, offset)
-    assert _outcome(parse_thread, *args) == _outcome(ref_parse_thread, *args)
+    assert _outcome(per_level(parse_thread), *args) == _outcome(ref_parse_thread, *args)
 
 
 @st.composite
@@ -499,7 +519,7 @@ def test_printed_threads_skip_the_scanner(kind, data):
     p, depth, text, mode, kappa = data.draw(printed_threads(kind))
     want = _outcome(ref_parse_thread, p, text, mode, kappa)
     if depth <= len(p) + 1:
-        assert isinstance(want, Thread)
+        assert isinstance(want, RefThread)
     else:
         assert want == (ThreadMismatchError, "thread-mismatch", None,
                         "depth %d needs at least %d bonding exponents" % (depth, depth - 1))
@@ -512,7 +532,7 @@ def test_printed_threads_skip_the_scanner(kind, data):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(parsing, "_split_top", refuse)
-        assert _outcome(parse_thread, p, text, mode, kappa) == want
+        assert _outcome(per_level(parse_thread), p, text, mode, kappa) == want
 
 
 def _split_outcome(split, *args):
@@ -556,7 +576,7 @@ def test_thread_reads_each_inner_literal_once(monkeypatch, mode, kappa, bodies):
     for body in bodies:
         calls.clear()
         text = "; ".join("(%d| %s)" % (i, body) for i in indices)
-        thread = parse_thread(p, text, mode, kappa)
+        thread = per_level(parse_thread)(p, text, mode, kappa)
         assert calls == [" " + body]
         assert thread == ref_parse_thread(p, text, mode, kappa)
 

@@ -57,7 +57,7 @@ PUBLIC = [
 RECORD = "a record: a value the models build, not a routine under test"
 ORACLE_SHARES = {
     "Address": RECORD, "Arc": RECORD, "CnfOrdinal": RECORD, "DirectLimitElement": RECORD,
-    "StagePoint": RECORD, "Thread": RECORD, "TowerPoint": RECORD, "WitnessReport": RECORD,
+    "StagePoint": RECORD, "TowerPoint": RECORD, "WitnessReport": RECORD,
     "ZERO": "an ordinal value", "nat": "builds an ordinal value",
     "ONE": "an ordinal value", "OMEGA": "an ordinal value",
     "DEFAULT_DEPTH_BOUND": "the nesting bound the literal oracle enforces, a constant",
@@ -66,13 +66,14 @@ ORACLE_SHARES = {
     "ParseError": "an error, raised with the library's message",
     "DepthBoundError": "an error, raised with the library's message",
     "TokenUndefinedError": "an error, raised with the library's message",
+    "ThreadMismatchError": "an error, raised with the library's message",
     "UnsupportedTranslationError": "an error, raised with the library's message",
     "stage_size": "the product of earlier exponents, the shape every model walks",
     "parse_stage_point": "ref_parse_thread checks the printed-form reader against "
                          "one parse_stage_point call per level, not the literal grammar",
     "point_format": "the renderer oracles knowingly share the template",
     "CommandError": "an error, raised with argparse's message",
-    "cli": "ref_parse_args runs argparse over cli.build_parser()'s tree: it "
+    "cli": "ref_parse_args runs argparse over a tree cli.build_parser builds: it "
            "shares the COMMANDS table and cli._int's integer rule, not the reader",
 }
 

@@ -46,7 +46,6 @@ from longsol import (
 IDENTITY_REPR = (
     "IntervalAutToken(source=None, target=None, fixed_below=None, fixed_above=None)"
 )
-ROOT = StagePoint(1, 0)
 W2 = omega_pow(nat(2))
 BASE_1, BASE_W, BASE_W2 = (TowerPoint(1, Address((), rho)) for rho in (ONE, OMEGA, W2))
 POINTS_OF_ONE_LEVEL = "a token's points are inner points of one kind and level"
@@ -80,10 +79,9 @@ ROWS = [
      {"inner": None}, {"n": 2, "index": 1},
      "StagePoint(n=3, index=1, inner=LongPoint(gamma=ord[0], rho=ord[1], "
      "frac=Fraction(0, 1)))"),
-    (Thread, ("p", "points"), ((2,), (ROOT, StagePoint(2, 1))),
-     {"p": (), "points": ()}, {"points": (ROOT,)},
-     "Thread(p=(2,), points=(StagePoint(n=1, index=0, inner=None), "
-     "StagePoint(n=2, index=1, inner=None)))"),
+    (Thread, ("p", "indices", "inner"), ((2,), (0, 1), None),
+     {"p": (), "indices": (), "inner": None}, {"indices": (0,)},
+     "Thread(p=(2,), indices=(0, 1), inner=None)"),
     (HomeoRecipe,
      ("p", "rotations", "translate_by", "hat"),
      ((2,), (0, 1), 1, IDENTITY_TOKEN),
@@ -246,8 +244,10 @@ REJECTIONS = [
                  "copy indices are integers", id="stage-index-bool"),
     pytest.param(lambda: Arc(True, 0, Fraction(1, 2)), StageDomainError,
                  "stage sizes are integers >= 1", id="arc-n-bool"),
-    pytest.param(lambda: Thread((True,), (ROOT,)), ThreadMismatchError,
+    pytest.param(lambda: Thread((True,), (0,)), ThreadMismatchError,
                  "bonding exponents are integers >= 1", id="exponent-bool"),
+    pytest.param(lambda: Thread((2,), (0, True)), StageDomainError,
+                 "copy indices are integers", id="thread-index-bool"),
     pytest.param(lambda: HomeoRecipe((2,), (True,)), ThreadMismatchError,
                  "rotations and the translation are integers", id="rotation-bool"),
     pytest.param(lambda: HomeoRecipe((2,), (0, 1), True), ThreadMismatchError,
@@ -356,13 +356,12 @@ def test_post_init_runs_once_per_construction():
             fn(obj)
         return post_init
 
-    root = StagePoint(1, 0)
     try:
         for cls, fn in originals.items():
             cls.__post_init__ = counting(cls, fn)
         CnfOrdinal(((ZERO, 2),))
         StagePoint(2, 1)
-        Thread((2,), (root,))
+        Thread((2,), (0,))
     finally:
         for cls, fn in originals.items():
             cls.__post_init__ = fn

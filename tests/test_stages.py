@@ -7,6 +7,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 from reference_models import (
     level_map,
+    per_level,
     ref_apply_recipe,
     ref_bond,
     ref_extensions,
@@ -64,14 +65,7 @@ def stage_map(n, rot=0, shift=0, hat=IDENTITY_TOKEN):
     (``level_map`` is the reference model's)."""
     recipe = HomeoRecipe(p=(n,), rotations=(0, rot), translate_by=shift, hat=hat)
     return lambda pt: apply_recipe(
-        recipe, Thread((n,), (StagePoint(1, 0, pt.inner), pt))).points[1]
-
-
-def joints_thread(p, indices):
-    pts = tuple(
-        joint(stage_size(p, lvl + 1), idx) for lvl, idx in enumerate(indices)
-    )
-    return Thread(p, pts)
+        recipe, Thread((n,), (0, pt.index), pt.inner)).points[1]
 
 
 def test_stage_point_basics():
@@ -139,51 +133,56 @@ def test_stage_size():
 
 
 def test_thread_validation():
-    t = joints_thread((2, 3), (0, 0, 2))
+    t = Thread((2, 3), (0, 0, 2))
     assert t.depth == 3
     assert str(t) == "inf0; inf0; inf2"
-    with pytest.raises(ThreadMismatchError):
-        Thread((1, 3), t.points)
+    assert t.points == (joint(1, 0), joint(2, 0), joint(6, 2))
+    # each index is taken mod its stage size, then bonds onto the one before
+    assert Thread((2, 3), (5, -1, 9), stop(1, 0, 3).inner).indices == (0, 1, 3)
+    with pytest.raises(ThreadMismatchError, match="^level 3 point does not bond"):
+        Thread((3, 2), t.indices)  # inf2 of stage 6 bonds onto inf2 of stage 3
     with pytest.raises(ThreadMismatchError):
         Thread((2, 3), ())
     with pytest.raises(ThreadMismatchError):
-        Thread((2,), t.points)  # depth 3 needs two exponents
+        Thread((2,), t.indices)  # depth 3 needs two exponents
     with pytest.raises(ThreadMismatchError):
-        Thread((2, 3), (joint(1, 0), joint(3, 0)))  # wrong stage size
-    with pytest.raises(ThreadMismatchError):
-        joints_thread((2, 3), (0, 1, 4))  # inf4 bonds onto inf0, not inf1
-    with pytest.raises(ThreadMismatchError):
-        Thread((2,), (stop(1, 0, 3), stop(2, 2, 4)))  # the inner coordinate moved
+        Thread((2, 3), (0, 1, 4))  # inf4 bonds onto inf0, not inf1
+    for index in (1.0, Fraction(1), "1"):
+        with pytest.raises(StageDomainError, match="^copy indices are integers$"):
+            Thread((2,), (0, index))
+    with pytest.raises(InvalidPointError):
+        Thread((2,), (0, 1), TowerPoint(2))  # the tower joint is no inner point
 
 
 def test_exponent_one_repeats_a_stage():
     # the bonding exponents are any positive integers, one rule for threads
     # and recipes alike
-    t = joints_thread((1, 2), (0, 0, 1))
+    t = Thread((1, 2), (0, 0, 1))
     assert [pt.n for pt in t.points] == [1, 1, 2]
+    assert t.indices == (0, 0, 1)
     assert verify_commutes(HomeoRecipe(p=(1, 2), rotations=(0, 0, 1))) == (True, None)
     for bad in ((0, 2), (2, -1), (2.0,)):
         with pytest.raises(ThreadMismatchError, match="integers >= 1"):
-            Thread(bad, (joint(1, 0),))
+            Thread(bad, (0,))
         with pytest.raises(ThreadMismatchError, match="integers >= 1"):
             HomeoRecipe(p=bad, rotations=(0,))
 
 
 def test_extend_thread_counts():
-    seed = Thread((2, 3), (joint(1, 0),))
+    seed = Thread((2, 3), (0,))
     assert extend_thread(seed, 0) == [seed]
     assert len(extend_thread(seed, 1)) == 2
     ext = extend_thread(seed, 2)
     assert len(ext) == 6
     assert len(set(ext)) == 6
-    tops = sorted(t.points[-1].index for t in ext)
+    tops = sorted(t.indices[-1] for t in ext)
     assert tops == [0, 1, 2, 3, 4, 5]
-    cube = extend_thread(Thread((2, 2, 2), (joint(1, 0),)), 3)
+    cube = extend_thread(Thread((2, 2, 2), (0,)), 3)
     assert len(cube) == len(set(cube)) == 8
 
 
 def test_extend_thread_from_depth_two():
-    t = joints_thread((2, 3), (0, 1))
+    t = Thread((2, 3), (0, 1))
     ext = extend_thread(t, 1)
     assert [e.points[-1] for e in ext] == [joint(6, 1), joint(6, 3), joint(6, 5)]
 
@@ -197,8 +196,7 @@ def test_extend_thread_from_depth_two():
 )
 def test_extend_thread_matches_every_point(p, given_depth, top, inner):
     given_depth = min(given_depth, len(p))
-    sizes = [stage_size(p, lvl) for lvl in range(1, given_depth + 1)]
-    thread = Thread(tuple(p), tuple(StagePoint(n, top, inner) for n in sizes))
+    thread = Thread(tuple(p), (top,) * given_depth, inner)
     levels = len(p) + 1 - given_depth
     assert [t.points for t in extend_thread(thread, levels)] == ref_extensions(
         thread, levels
@@ -208,8 +206,8 @@ def test_extend_thread_matches_every_point(p, given_depth, top, inner):
 def test_extension_order(capsys):
     # lexicographic in the per-level indices, not ascending in the top index:
     # over p = 2,2 the tops run 0, 2, 1, 3, in the library and on the CLI
-    seed = Thread((2, 2), (joint(1, 0),))
-    assert [[pt.index for pt in t.points] for t in extend_thread(seed, 2)] == [
+    seed = Thread((2, 2), (0,))
+    assert [list(t.indices) for t in extend_thread(seed, 2)] == [
         [0, 0, 0], [0, 0, 2], [0, 1, 1], [0, 1, 3]]
     argv = ["thread", "extend", "--p", "2,2", "--points", "inf0", "--levels", "2"]
     assert cli.main(argv) == 0
@@ -219,7 +217,7 @@ def test_extension_order(capsys):
 
 
 def test_extend_thread_rejections():
-    seed = Thread((2,), (joint(1, 0),))
+    seed = Thread((2,), (0,))
     with pytest.raises(StageDomainError):
         extend_thread(seed, -1)
     with pytest.raises(StageDomainError):
@@ -244,7 +242,7 @@ def test_recipe_normalization():
 
 def test_recipe_is_its_level_maps():
     # the level a recipe is verified at is read from the thread it moves
-    for extra in (dict(kappa=3), dict(tracked=joints_thread((2,), (0, 1)))):
+    for extra in (dict(kappa=3), dict(tracked=Thread((2,), (0, 1)))):
         with pytest.raises(TypeError, match="unexpected keyword argument"):
             HomeoRecipe(p=(2,), rotations=(0, 1), **extra)
 
@@ -255,13 +253,13 @@ def test_level_one_hat_on_a_level_three_thread(verify):
     hat = IntervalAutToken(TowerPoint(1, Address((), W)), TowerPoint(1, Address((), W2)))
     recipe = HomeoRecipe(p=(2,), rotations=(0, 1), hat=hat)
     inner = TowerPoint(3, Address((1, 2), W))
-    thread = Thread((2,), (StagePoint(1, 0, inner), StagePoint(2, 1, inner)))
+    thread = Thread((2,), (0, 1), inner)
     with pytest.raises(TokenUndefinedError,
                        match="^token lives at level 1, point at level 3$"):
         verify(recipe, thread)
     # at the hat's own level the source goes to the target, and no stops
     # of another level are checked
-    at_source = Thread((2,), (StagePoint(1, 0, hat.source), StagePoint(2, 1, hat.source)))
+    at_source = Thread((2,), (0, 1), hat.source)
     assert verify(recipe, at_source) == (True, None)
 
 
@@ -278,8 +276,8 @@ def test_level_map_order():
 
 
 def test_pure_rotation_recipe():
-    x = joints_thread((2, 2), (0, 0, 0))
-    y = joints_thread((2, 2), (0, 1, 3))
+    x = Thread((2, 2), (0, 0, 0))
+    y = Thread((2, 2), (0, 1, 3))
     result = synthesize_recipe(x, y)
     assert result.status == RECIPE
     recipe = result.recipe
@@ -379,8 +377,7 @@ def _hat(draw, kappa):
 def _thread(draw, p, depth, kappa, hat):
     """A thread of the given depth over p, at a drawn copy and inner point."""
     seed, inner = draw(st.integers(0, 30)), _inner(draw, kappa, hat)
-    return Thread(p, [StagePoint(stage_size(p, lvl), seed, inner)
-                      for lvl in range(1, depth + 1)])
+    return Thread(p, (seed,) * depth, inner)
 
 
 @st.composite
@@ -423,15 +420,15 @@ def test_verify_commutes_matches_every_copy(pair, joints_only):
 
 @given(recipes_and_threads())
 def test_apply_recipe_matches_every_level(pair):
-    outcome = _outcome(apply_recipe, *pair)
+    outcome = _outcome(per_level(apply_recipe), *pair)
     assert outcome == _outcome(ref_apply_recipe, *pair)
     event("error" if isinstance(outcome, tuple) else "image")
 
 
 @pytest.mark.parametrize("thread", [
-    pytest.param(joints_thread((2, 3), (0, 1)), id="shallower"),
-    pytest.param(joints_thread((2, 3, 2), (0, 1, 3, 3)), id="deeper"),
-    pytest.param(joints_thread((3, 2), (0, 1, 4)), id="other-exponents"),
+    pytest.param(Thread((2, 3), (0, 1)), id="shallower"),
+    pytest.param(Thread((2, 3, 2), (0, 1, 3, 3)), id="deeper"),
+    pytest.param(Thread((3, 2), (0, 1, 4)), id="other-exponents"),
 ])
 @pytest.mark.parametrize("check", [apply_recipe, verify_commutes],
                          ids=["apply_recipe", "verify_commutes"])
@@ -441,7 +438,7 @@ def test_recipe_and_thread_share_a_shape(check, thread):
                        match="^recipe and thread disagree on depth or exponents$"):
         check(recipe, thread)
     # a longer exponent list is fine; only the first depth - 1 must agree
-    longer = joints_thread((2, 5), (0, 1))
+    longer = Thread((2, 5), (0, 1))
     expected = {apply_recipe: longer, verify_commutes: (True, None)}[check]
     assert check(HomeoRecipe(p=(2, 3), rotations=(0, 0)), longer) == expected
 
@@ -450,7 +447,7 @@ def test_recipe_and_thread_share_a_shape(check, thread):
                          ids=["apply_recipe", "verify_commutes"])
 def test_recipe_acts_on_threads_only(check):
     recipe = HomeoRecipe(p=(2,), rotations=(0, 1))
-    points = joints_thread((2,), (0, 1)).points
+    points = Thread((2,), (0, 1)).points
     with pytest.raises(ThreadMismatchError, match="^a recipe acts on a Thread, not tuple$"):
         check(recipe, points)
     if check is verify_commutes:  # no thread: the joints alone
@@ -474,13 +471,12 @@ def test_inner_coordinate_is_mapped_once(monkeypatch, depth, kappa):
     monkeypatch.setattr(stages, "_map_inner", counted)
     p = (2,) * (depth - 1)
     inner = None if kappa is None else TowerPoint(kappa, Address((3,), W))
-    x = Thread(p, [StagePoint(stage_size(p, lvl), 1, inner)
-                   for lvl in range(1, depth + 1)])
+    x = Thread(p, (1,) * depth, inner)
     shift = 2 if kappa else 0
     recipe = HomeoRecipe(p=p, rotations=(1,) * depth, translate_by=shift)
     y = apply_recipe(recipe, x)
     assert calls == [inner]
-    assert y == ref_apply_recipe(recipe, x)
+    assert (y.p, y.points) == ref_apply_recipe(recipe, x)
     # under the identity hat or a hat one level below the points, every
     # integer stop strips to the fixed minimum and stays: none is mapped
     hats = [IDENTITY_TOKEN]
@@ -509,8 +505,8 @@ def test_inner_coordinate_is_mapped_once(monkeypatch, depth, kappa):
 
 
 def test_translation_recipe_round_trip():
-    x = Thread((), (stop(1, 0, 3),))
-    y = Thread((), (stop(1, 0, 8),))
+    x = Thread((), (0,), stop(1, 0, 3).inner)
+    y = Thread((), (0,), stop(1, 0, 8).inner)
     result = synthesize_recipe(x, y)
     assert result.status == RECIPE
     assert result.recipe.translate_by == 5
@@ -520,8 +516,8 @@ def test_translation_recipe_round_trip():
 
 
 def test_tower_synthesis_uses_hat():
-    x = Thread((2,), (stop(1, 0, 1, 4), stop(2, 1, 1, 4)))
-    y = Thread((2,), (stop(1, 0, 2, 9), stop(2, 1, 2, 9)))
+    x = Thread((2,), (0, 1), stop(1, 0, 1, 4).inner)
+    y = Thread((2,), (0, 1), stop(1, 0, 2, 9).inner)
     result = synthesize_recipe(x, y)
     assert result.status == RECIPE
     recipe = result.recipe
@@ -532,17 +528,17 @@ def test_tower_synthesis_uses_hat():
 
 
 def test_synthesis_proven_distinct_tower():
-    x = Thread((), (joint(1, 0),))
-    y = Thread((), (stop(1, 0, 4),))
+    x = Thread((), (0,))
+    y = Thread((), (0,), stop(1, 0, 4).inner)
     assert synthesize_recipe(x, y).status == PROVEN_DISTINCT
     assert synthesize_recipe(y, x).status == PROVEN_DISTINCT
-    base = Thread((), (StagePoint(1, 0, TowerPoint(2, Address((4,), W))),))
+    base = Thread((), (0,), TowerPoint(2, Address((4,), W)))
     assert synthesize_recipe(y, base).status == PROVEN_DISTINCT
 
 
 def test_synthesis_long_mode():
     def lthread(point):
-        return Thread((), (StagePoint(1, 0, point),))
+        return Thread((), (0,), point)
 
     ng2 = lthread(LongPoint(gamma=nat(2)))
     interval = lthread(LongPoint(gamma=nat(2), rho=W))
@@ -562,19 +558,19 @@ def test_synthesis_long_mode():
 
 
 def test_synthesis_shape_rejections():
-    t1 = Thread((), (joint(1, 0),))
-    t2 = joints_thread((2,), (0, 0))
+    t1 = Thread((), (0,))
+    t2 = Thread((2,), (0, 0))
     with pytest.raises(ThreadMismatchError, match="^threads differ in depth$"):
         synthesize_recipe(t1, t2)
     with pytest.raises(ThreadMismatchError, match="^threads differ in bonding exponents$"):
-        synthesize_recipe(joints_thread((2,), (0, 1)), joints_thread((3,), (0, 1)))
-    tower = Thread((), (stop(1, 0, 4),))
-    line = Thread((), (StagePoint(1, 0, LongPoint(rho=W)),))
+        synthesize_recipe(Thread((2,), (0, 1)), Thread((3,), (0, 1)))
+    tower = Thread((), (0,), stop(1, 0, 4).inner)
+    line = Thread((), (0,), LongPoint(rho=W))
     for pair in ((tower, line), (line, tower)):
         with pytest.raises(ThreadMismatchError,
                            match="^threads mix tower and long-line material$"):
             synthesize_recipe(*pair)
-    deeper = Thread((), (StagePoint(1, 0, TowerPoint(3, Address((4,)))),))
+    deeper = Thread((), (0,), TowerPoint(3, Address((4,))))
     with pytest.raises(ThreadMismatchError,
                        match="^threads live at different tower levels$"):
         synthesize_recipe(tower, deeper)
@@ -611,26 +607,24 @@ def test_tower_hat_fixed_region():
     recipe = HomeoRecipe(p=(2,), rotations=(0, 1), hat=hat)
 
     def thread(rho):
-        inner = TowerPoint(1, Address((), rho))
-        return Thread((2,), (StagePoint(1, 0, inner), StagePoint(2, 0, inner)))
+        return Thread((2,), (0, 0), TowerPoint(1, Address((), rho)))
 
     for rho in (W2, omega_pow(nat(3)), add(W2, nat(1))):
         image = apply_recipe(recipe, thread(rho))
         assert [str(pt) for pt in image.points] == [
             "(0| [; %s])" % rho, "(1| [; %s])" % rho]
-    assert apply_recipe(recipe, thread(W)) == Thread(
-        (2,), (StagePoint(1, 0, hat.target), StagePoint(2, 1, hat.target)))
+    assert apply_recipe(recipe, thread(W)) == Thread((2,), (0, 1), hat.target)
     with pytest.raises(TokenUndefinedError, match="source and its fixed region"):
         apply_recipe(recipe, thread(mul(W, nat(3))))
 
 
 def test_apply_recipe_shape_rejections():
     recipe = HomeoRecipe(p=(2, 3), rotations=(0, 1))
-    for thread in (joints_thread((2, 3), (0, 1, 3)), joints_thread((3,), (0, 1)),
-                   joints_thread((2, 3), (0,))):
+    for thread in (Thread((2, 3), (0, 1, 3)), Thread((3,), (0, 1)),
+                   Thread((2, 3), (0,))):
         with pytest.raises(ThreadMismatchError, match="disagree on depth"):
             apply_recipe(recipe, thread)
-    assert apply_recipe(recipe, joints_thread((2, 3), (0, 0))) == joints_thread(
+    assert apply_recipe(recipe, Thread((2, 3), (0, 0))) == Thread(
         (2, 3), (0, 1))
 
 
@@ -663,7 +657,6 @@ def test_tower_hat_fixes_rests_above_its_ceiling():
     with pytest.raises(TokenUndefinedError, match="source and its fixed region"):
         apply_hat(StagePoint(2, 1, TowerPoint(2, Address((9,), nat(5)))))
     recipe = HomeoRecipe(p=(2,), rotations=(0, 1), translate_by=shift, hat=hat)
-    thread = Thread((2,), (StagePoint(1, 0, high.inner), high))
+    thread = Thread((2,), (0, high.index), high.inner)
     moved = TowerPoint(2, Address((11,), W2))
-    assert apply_recipe(recipe, thread) == Thread(
-        (2,), (StagePoint(1, 0, moved), StagePoint(2, 0, moved)))
+    assert apply_recipe(recipe, thread) == Thread((2,), (0, 0), moved)
